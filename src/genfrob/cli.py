@@ -11,8 +11,8 @@ import json
 import os
 import sys
 
-from .counting import m_value
-from .frobenius import brute_force_frobenius, frobenius, sequence_report
+from .counting import m_value  # noqa: F401  (re-exported)
+from .frobenius import brute_force_frobenius, frobenius, frobenius_and_m, sequence_report
 from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, WeightVector, kernel_basis, sublattice_index
 from .modules import classify, minimal_generators, render_monomial
@@ -209,10 +209,12 @@ def _cmd_poset(args) -> int:
 def _cmd_frobenius(args) -> int:
     basis = _make_basis(args)
     cap = os.environ.get("GENFROB_DEGREE_CAP")
-    degree_cap = int(cap) if cap else None
-    fk = frobenius(basis, args.k, degree_cap=degree_cap)
+    try:
+        degree_cap = int(cap) if cap else None
+    except ValueError as exc:
+        raise InputError(f"GENFROB_DEGREE_CAP must be an integer, got {cap!r}") from exc
     if args.format == "json":
-        mk = m_value(basis, args.k)
+        fk, mk = frobenius_and_m(basis, args.k, degree_cap=degree_cap)
         payload = {
             "a": list(basis.weight.a),
             "k": args.k,
@@ -222,7 +224,7 @@ def _cmd_frobenius(args) -> int:
         }
         _emit(args, _json_dump(payload))
     else:
-        _emit(args, f"{fk}\n")
+        _emit(args, f"{frobenius(basis, args.k, degree_cap=degree_cap)}\n")
     return EXIT_OK
 
 

@@ -1,12 +1,20 @@
 """Class-graded counting of nonnegative representations.
 
-Unbounded-knapsack dynamic programming over (torsion, degree) gives the
-number of points of N^n in each quotient class, saturated at a cap.
-Fibers and dominated-point sets are enumerated directly; this module is
-the independent brute-force oracle for everything downstream.
+Two independent ways to count points of N^n per quotient class:
+
+- ``kth_degrees``, the engine behind F_k and m_k: a k-best shortest-path
+  walk over the residue graph of Z^n/L modulo the class of the cheapest
+  generator. One run yields F_1..F_kmax and m_1..m_kmax.
+- ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
+  degree), saturated at a cap. It is the brute-force oracle the engine
+  is checked against, and serves the small tables the module and poset
+  layers read directly.
+
+Fibers and dominated-point sets are enumerated directly.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .lattice import InputError, LatticeBasis, QuotientClass, vsub
@@ -155,17 +163,104 @@ def dominated_points(basis: LatticeBasis, p) -> frozenset:
     return frozenset(vsub(p, u) for u in fiber(basis, basis.label(p)).points)
 
 
+def kth_degrees(basis: LatticeBasis, k_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(F_1..F_kmax, m_1..m_kmax) from one k-best residue-graph walk.
+
+    Let a_s be the smallest weight. Every point of N^n is a multiset M of
+    the other generators plus some multiple of e_s, so the count of a
+    class c of degree d is the number of multisets M in the same class
+    modulo <[e_s]> with deg M <= d. The nodes of the residue graph are
+    those a_s * index classes, each encoded as one int: degree residue
+    times the torsion size, plus the torsion code. The edges add one of
+    the other generators; walks take generators in nondecreasing order,
+    so each multiset is one walk.
+
+    A Dijkstra search pops each (node, last generator) state at most
+    k_max times, which keeps the k_max cheapest walks into every state.
+    With t_k(r) the k-th smallest degree reached at node r, the classes
+    of node r with count < k are those of degree t_k(r) - a_s and below,
+    so F_k = max(max_r t_k(r) - a_s, -1) and m_k = min_r t_k(r).
+    """
+    if k_max < 1:
+        raise InputError("k must be at least 1")
+    a = basis.weight.a
+    n = basis.n
+    s = a.index(min(a))
+    a_s = a[s]
+    moduli = basis.torsion_moduli
+    tsize = 1
+    for m in moduli:
+        tsize *= m
+    nodes = a_s * tsize
+    torsions = basis.all_torsions()  # in code order, mixed radix
+    code_of = {t: i for i, t in enumerate(torsions)}
+
+    def unit_torsion(i):
+        return basis.torsion(tuple(int(j == i) for j in range(n)))
+
+    t_s = unit_torsion(s)
+    gens = [i for i in range(n) if i != s]
+    steps = [a[i] for i in gens]
+    # trans[j][node]: the node reached by adding generator gens[j]; the
+    # degree overflow past a_s is taken off as multiples of [e_s].
+    perms = {}
+    trans = []
+    for i in gens:
+        t_i = unit_torsion(i)
+        table = [0] * nodes
+        for r in range(a_s):
+            q, r2 = divmod(r + a[i], a_s)
+            delta = tuple((x - q * y) % m for x, y, m in zip(t_i, t_s, moduli))
+            perm = perms.get(delta)
+            if perm is None:
+                perm = [
+                    code_of[tuple((x + y) % m for x, y, m in zip(t, delta, moduli))]
+                    for t in torsions
+                ]
+                perms[delta] = perm
+            base, base2 = r * tsize, r2 * tsize
+            for c in range(tsize):
+                table[base + c] = base2 + perm[c]
+        trans.append(table)
+
+    width = len(gens)
+    pops = [0] * (nodes * width)
+    reached = [[] for _ in range(nodes)]
+    unfilled = nodes
+    heap = [(0, 0)]  # (degree, node * width + last generator); the empty walk
+    # Pops come in nondecreasing degree, so the first k_max degrees a node
+    # receives are its k_max smallest, and the walk can stop once all are in.
+    while heap and unfilled:
+        d, state = heapq.heappop(heap)
+        if pops[state] == k_max:
+            continue
+        pops[state] += 1
+        node, j = divmod(state, width)
+        degs = reached[node]
+        if len(degs) < k_max:
+            degs.append(d)
+            if len(degs) == k_max:
+                unfilled -= 1
+        for jj in range(j, width):
+            nxt = trans[jj][node] * width + jj
+            if pops[nxt] < k_max:
+                heapq.heappush(heap, (d + steps[jj], nxt))
+    if unfilled:
+        raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
+    f_values = tuple(max(max(degs[k] for degs in reached) - a_s, -1) for k in range(k_max))
+    m_values = tuple(min(degs[k] for degs in reached) for k in range(k_max))
+    f1 = max(f_values[0], 0)
+    for k, (f, m) in enumerate(zip(f_values, m_values), start=1):
+        if f > m + f1:
+            raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
+    return f_values, m_values
+
+
 def m_value(basis: LatticeBasis, k: int) -> int:
     """Smallest degree at which some class has count >= k."""
     if k < 1:
         raise InputError("k must be at least 1")
-    bound = 16
-    while True:
-        table = CountTable(basis, bound, k)
-        for d in range(bound + 1):
-            if any(cnt >= k for _, cnt in table.classes_at(d)):
-                return d
-        bound *= 2
+    return kth_degrees(basis, k)[1][-1]
 
 
 def has_nonneg_rep(basis: LatticeBasis, c: QuotientClass, table: CountTable | None = None) -> bool:

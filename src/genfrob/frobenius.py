@@ -1,15 +1,17 @@
 """Generalised Frobenius numbers and sequence analytics.
 
 F_k is the largest weighted degree at which some quotient class still
-has fewer than k nonnegative representatives. Both computations here
-run off the counting tables; the brute-force variant is a plain upward
-scan kept independent of the bounded pipeline scan it validates.
+has fewer than k nonnegative representatives. ``frobenius`` and
+``sequence_report`` read F_k and m_k off the residue-graph engine
+``counting.kth_degrees``; ``brute_force_frobenius`` is the independent
+oracle, a plain upward scan of counting tables that shares no code with
+the engine.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import CountTable, m_value
+from .counting import CountTable, kth_degrees, m_value  # noqa: F401  (re-exported)
 from .lattice import InputError, LatticeBasis
 
 
@@ -43,35 +45,32 @@ def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
     return _window_scan(basis, k)
 
 
+def frobenius_and_m(
+    basis: LatticeBasis, k: int, degree_cap: int | None = None
+) -> tuple[int, int]:
+    """(F_k, m_k) from one engine run; degree_cap as in ``frobenius``."""
+    if k < 1:
+        raise InputError("k must be at least 1")
+    f_values, m_values = kth_degrees(basis, k)
+    fk = f_values[-1]
+    a1 = basis.weight.a[0]
+    if degree_cap is not None and fk > degree_cap - a1:
+        raise InputError(
+            f"degree cap {degree_cap} too small: F_{k} = {fk} needs a cap of "
+            f"at least {fk + a1}"
+        )
+    return fk, m_values[-1]
+
+
 def frobenius(basis: LatticeBasis, k: int, degree_cap: int | None = None) -> int:
     """Largest degree with some class count below k, or -1 if none.
 
-    For k >= 2 the scan is bounded by m_k + F_1 plus one window, which
-    the structure theory guarantees is enough; the trailing window is
-    verified to be fully covered and a violation raises.
+    With degree_cap, F_k is returned only when a table scan up to the
+    cap would have proved it: uncovered degrees are closed under
+    subtracting a_1, so such a scan finds F_k exactly when
+    F_k <= degree_cap - a_1, and InputError is raised otherwise.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    f1 = _window_scan(basis, 1)
-    if k == 1 and degree_cap is None:
-        return f1
-    a1 = basis.weight.a[0]
-    mk = m_value(basis, k)
-    cap = degree_cap if degree_cap is not None else mk + max(f1, 0) + a1
-    table = CountTable(basis, cap, k)
-    last_bad = -1
-    for d in range(cap + 1):
-        if not table.fully_covered(d, k):
-            last_bad = d
-    if last_bad > cap - a1:
-        raise InputError(
-            f"degree cap {cap} too small: degree {last_bad} still uncovered"
-        )
-    if last_bad > mk + max(f1, 0):
-        raise RuntimeError(
-            f"scan found uncovered degree {last_bad} above m_k + F_1 bound"
-        )
-    return last_bad
+    return frobenius_and_m(basis, k, degree_cap)[0]
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,7 @@ def sequence_report(basis: LatticeBasis, k_max: int) -> FrobeniusReport:
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")
-    f_values = tuple(frobenius(basis, k) for k in range(1, k_max + 1))
-    m_values = tuple(m_value(basis, k) for k in range(1, k_max + 1))
+    f_values, m_values = kth_degrees(basis, k_max)
     b_values = tuple(f - m for f, m in zip(f_values, m_values))
     f_diffs = tuple(f_values[i + 1] - f_values[i] for i in range(k_max - 1))
     m_diffs = tuple(m_values[i + 1] - m_values[i] for i in range(k_max - 1))

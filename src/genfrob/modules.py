@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .counting import CountTable, dominated_points, has_nonneg_rep, m_value
-from .frobenius import brute_force_frobenius
+from .frobenius import frobenius
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, dot, vsub
 from .neighbourhood import Ball, ball, moves
@@ -131,7 +131,7 @@ def minimal_generators(
     if markov is None:
         markov = lattice_ideal(basis)
     mk = m_value(basis, k)
-    f1 = brute_force_frobenius(basis, 1)
+    f1 = frobenius(basis, 1)
     cap = mk + max(f1, 0)
     bl = ball(moves(markov), k - 1)
     cands = candidate_lcms(bl, k, basis.weight, cap)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import CountTable, m_value
-from .frobenius import brute_force_frobenius, frobenius
+from .frobenius import frobenius
 from .lattice import InputError, LatticeBasis, QuotientClass
 
 
@@ -39,7 +39,7 @@ class StructurePoset:
 
 def structure_poset(basis: LatticeBasis) -> StructurePoset:
     """Full structure poset, with Hasse diagram by transitive reduction."""
-    f1 = brute_force_frobenius(basis, 1)
+    f1 = frobenius(basis, 1)
     if f1 < 0:
         return StructurePoset(basis, f1, (), (), frozenset())
     table = CountTable(basis, f1, 1)
@@ -95,7 +95,7 @@ class ModulePoset:
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     if k < 1:
         raise InputError("k must be at least 1")
-    f1 = brute_force_frobenius(basis, 1)
+    f1 = frobenius(basis, 1)
     mk = m_value(basis, k)
     if f1 < 0:
         return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), ())

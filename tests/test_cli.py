@@ -132,6 +132,28 @@ def test_degree_cap_env_var():
     assert bad.returncode == 2
 
 
+def test_degree_cap_env_var_not_an_integer():
+    res = run_cli(["frobenius", "-a", "3,5,8"], env={"GENFROB_DEGREE_CAP": "abc"})
+    assert res.returncode == 2
+    assert res.stderr.startswith("error: ")
+    assert "GENFROB_DEGREE_CAP" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_python_dash_m_genfrob():
+    def run(weights, k):
+        return subprocess.run(
+            [sys.executable, "-m", "genfrob", "frobenius", "-a", weights, "-k", k],
+            capture_output=True,
+            text=True,
+        )
+
+    res = run("3,4,11", "3")
+    assert res.returncode == 0
+    assert res.stdout == "17\n"
+    assert run("2,4", "1").returncode == 2
+
+
 def test_output_file(tmp_path):
     out = tmp_path / "result.txt"
     res = run_cli(["frobenius", "-a", "3,4,11", "-k", "3", "-o", str(out)])

@@ -1,11 +1,18 @@
+import math
+import random
+
 import pytest
 
 from genfrob import (
+    CountTable,
     InputError,
+    LatticeBasis,
     WeightVector,
     brute_force_frobenius,
     frobenius,
     kernel_basis,
+    kth_degrees,
+    m_value,
     sequence_report,
 )
 
@@ -91,3 +98,91 @@ def test_sequence_report_requires_k_max_two():
     B = kernel_basis(WeightVector((3, 5)))
     with pytest.raises(InputError):
         sequence_report(B, 1)
+
+
+def _m_by_table_scan(basis, k):
+    """Smallest degree of a counting table with a class of count >= k."""
+    bound = 16
+    while True:
+        table = CountTable(basis, bound, k)
+        for d in range(bound + 1):
+            if any(cnt >= k for _, cnt in table.classes_at(d)):
+                return d
+        bound *= 2
+
+
+def _random_weights(rng, n):
+    while True:
+        a = [rng.randint(2, 12) for _ in range(n)]
+        if rng.random() < 0.2:
+            a[rng.randrange(n)] = 1
+        if math.gcd(*a) == 1:
+            return WeightVector(tuple(a))
+
+
+def _random_basis(rng):
+    """A kernel lattice or a proper sublattice of one, on 2 to 4 variables."""
+    n = rng.choice((2, 3, 3, 3, 4))
+    w = _random_weights(rng, n)
+    K = kernel_basis(w)
+    if n == 4 or rng.random() < 0.5:
+        return K
+    m = rng.randint(1, 3)
+    if n == 2:
+        return LatticeBasis(w, (tuple(m * x for x in K.vectors[0]),))
+    v1, v2 = K.vectors
+    t = rng.randint(-2, 2)
+    u1 = tuple(x + t * y for x, y in zip(v1, v2))
+    u2 = tuple(m * y for y in v2)
+    if rng.random() < 0.5:
+        u1, u2 = u2, u1
+    return LatticeBasis(w, (u1, u2))
+
+
+def test_engine_matches_counting_oracle():
+    # case = one (basis, k): F_k against the table-scan oracle, m_k against
+    # a table scan, and the one-run values against a run per k
+    rng = random.Random(3003)
+    k_max = 6
+    cases = 0
+    kinds = set()
+    while cases < 300:
+        B = _random_basis(rng)
+        kinds.add((B.n, B.index > 1, 1 in B.weight.a))
+        f_all, m_all = kth_degrees(B, k_max)
+        for k in range(1, k_max + 1):
+            f_k, m_k = kth_degrees(B, k)
+            assert (f_k[-1], m_k[-1]) == (f_all[k - 1], m_all[k - 1])
+            assert f_all[k - 1] == brute_force_frobenius(B, k), (B, k)
+            assert m_all[k - 1] == _m_by_table_scan(B, k), (B, k)
+            cases += 1
+    assert {(2, False, True), (3, True, False), (3, True, True), (4, False, False)} <= kinds
+
+
+def test_degree_cap_boundary_is_f_k_plus_a1():
+    rng = random.Random(3004)
+    for _ in range(40):
+        B = _random_basis(rng)
+        k = rng.randint(1, 4)
+        fk = frobenius(B, k)
+        cap = fk + B.weight.a[0]
+        assert frobenius(B, k, degree_cap=cap) == fk
+        with pytest.raises(InputError):
+            frobenius(B, k, degree_cap=cap - 1)
+
+
+def test_engine_large_weights_match_golden_values():
+    B = kernel_basis(WeightVector((1001, 1003, 1007)))
+    assert frobenius(B, 1) == 335333
+    f_values, m_values = kth_degrees(B, 20)
+    assert f_values[0] == 335333
+    assert (f_values[-1], m_values[-1]) == (373371, 57171)
+    assert m_value(B, 20) == 57171
+
+
+def test_kth_degrees_rejects_bad_k():
+    B = kernel_basis(WeightVector((3, 5, 8)))
+    with pytest.raises(InputError):
+        kth_degrees(B, 0)
+    with pytest.raises(InputError):
+        m_value(B, 0)
