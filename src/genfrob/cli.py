@@ -2,7 +2,8 @@
 
 Deterministic text/JSON/DOT output for the basis, ideal, ball, module,
 poset, frobenius, sequence, and verify commands. Exit codes: 0 success,
-2 invalid input, 3 verification mismatch, 4 arithmetic overflow.
+2 invalid input, 3 verification mismatch, 4 arithmetic overflow, 5
+internal error (an invariant check failed; the message goes to stderr).
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from .counting import m_value  # noqa: F401  (re-exported)
 from .frobenius import brute_force_frobenius, frobenius, frobenius_and_m, sequence_report
 from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, WeightVector, kernel_basis, sublattice_index
-from .modules import classify, minimal_generators, render_monomial
+from .modules import classify, lcm_generator_classes, minimal_generators, render_monomial
 from .neighbourhood import ball, moves
 from .poset import module_poset, poset_to_dot, structure_poset
 
@@ -23,6 +24,7 @@ EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
 EXIT_VERIFY_MISMATCH = 3
 EXIT_OVERFLOW = 4
+EXIT_INTERNAL = 5
 
 
 def _parse_weights(text: str) -> WeightVector:
@@ -258,6 +260,7 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_verify(args) -> int:
     basis = _make_basis(args)
+    markov = lattice_ideal(basis)
     lines = []
     ok = True
     for k in range(1, args.k_max + 1):
@@ -275,6 +278,13 @@ def _cmd_verify(args) -> int:
             f"k={k} generator orbits={len(gens.generators)} "
             f"poset minimal elements={len(mp.minimal_elements)} "
             f"{'ok' if match2 else 'MISMATCH'}"
+        )
+        oracle_classes = lcm_generator_classes(basis, k, markov)
+        match_lcm = oracle_classes == frozenset(gens.classes)
+        ok = ok and match_lcm
+        lines.append(
+            f"k={k} lcm oracle orbits={len(oracle_classes)} "
+            f"{'ok' if match_lcm else 'MISMATCH'}"
         )
         match3 = fk - gens.m_k == fk - mp.m_k and gens.m_k == mp.m_k
         ok = ok and match3
@@ -315,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=None)
     common(sub.add_parser("frobenius", help="k-th Frobenius number"), k=True)
     common(sub.add_parser("sequence", help="F/m/b sequence report"), k_max=True)
-    common(sub.add_parser("verify", help="pipeline against the counting oracle"),
+    common(sub.add_parser("verify", help="pipeline against the counting and lcm oracles"),
            k_max=True)
     return parser
 
@@ -345,6 +355,9 @@ def main(argv=None) -> int:
     except OverflowError as exc:
         print(f"overflow: {exc}", file=sys.stderr)
         return EXIT_OVERFLOW
+    except RuntimeError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

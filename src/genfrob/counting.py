@@ -7,10 +7,12 @@ Two independent ways to count points of N^n per quotient class:
   generator. One run yields F_1..F_kmax and m_1..m_kmax.
 - ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
   degree), saturated at a cap. It is the brute-force oracle the engine
-  is checked against, and serves the small tables the module and poset
-  layers read directly.
+  is checked against, and the table from which the module layer reads
+  generator orbits and the poset layer reads labels.
 
-Fibers and dominated-point sets are enumerated directly.
+Fibers and dominated-point sets are enumerated directly. ``atoms``
+gives the unit classes that generate the monoid of representable
+classes minimally; the module and poset layers step along them.
 """
 from __future__ import annotations
 
@@ -270,3 +272,28 @@ def has_nonneg_rep(basis: LatticeBasis, c: QuotientClass, table: CountTable | No
     if table is not None and c.degree <= table.max_degree:
         return table.count(c) >= 1
     return CountTable(basis, c.degree, 1).count(c) >= 1
+
+
+def atoms(basis: LatticeBasis) -> tuple[QuotientClass, ...]:
+    """Atoms of the monoid of representable classes, sorted.
+
+    Every representable class is a sum of unit classes [e_i], so the
+    atoms are the distinct [e_i] from which no other [e_j] can be taken
+    away leaving a representable class.
+    """
+    a = basis.weight.a
+    n = basis.n
+    units = {basis.label(tuple(int(j == i) for j in range(n))) for i in range(n)}
+    table = CountTable(basis, max(a) - min(a), 1)
+    return tuple(
+        sorted(
+            (
+                g
+                for g in units
+                if not any(
+                    h != g and table.count(basis.class_sub(g, h)) >= 1 for h in units
+                )
+            ),
+            key=lambda c: (c.degree, c.torsion),
+        )
+    )

@@ -4,7 +4,8 @@ Binomials are exponent pairs; S-pairs and reductions are integer vector
 operations, never general polynomial arithmetic. The lattice ideal of a
 sublattice basis is obtained by saturating the basis binomials variable
 by variable with cheapest-variable reverse-lexicographic orders, then
-minimalising the generating set by reduction against the others.
+minimalising the generating set: each binomial, in increasing degree,
+is dropped when it reduces to zero modulo those kept before it.
 """
 from __future__ import annotations
 
@@ -252,7 +253,7 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     pass recomputes a reduced Groebner basis in an order with that
     variable cheapest and strips monomial factors, looping until a full
     round leaves the generators untouched. The saturated reduced basis
-    is then minimalised in increasing weighted degree.
+    is then minimalised in one pass of increasing weighted degree.
     """
     if order is None:
         order = TermOrder(basis.weight)
@@ -279,20 +280,15 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     def degree_key(p):
         return (dot(basis.weight.a, p[0]), order.key(p[0]), order.key(p[1]))
 
+    # One greedy pass in increasing degree is already minimal (graded
+    # Nakayama): a binomial is generated only by binomials of degree at
+    # most its own, and a later one of equal degree needed to generate
+    # it would itself have been dropped.
     kept: list = []
     for p in sorted(gb, key=degree_key):
         if kept and _reduces_to_zero(p, _buchberger_pairs(kept, order), order):
             continue
         kept.append(p)
-    while True:
-        for i, p in enumerate(kept):
-            rest = kept[:i] + kept[i + 1 :]
-            if rest and _reduces_to_zero(p, _buchberger_pairs(rest, order), order):
-                kept = rest
-                break
-        else:
-            break
-    kept.sort(key=degree_key)
     return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept), order)
 
 

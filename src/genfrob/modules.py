@@ -1,12 +1,21 @@
 """Generalised lattice modules: minimal generators and classification.
 
 A Laurent monomial belongs to the k-th module when its exponent
-dominates at least k sublattice points. Candidate generators come from
-least common multiples of k ball points around the origin; they are
-minimalised under divisibility up to the lattice action and reduced to
-one canonical representative per orbit. The inductive classification
-splits each generator into an exceptional carry-over, the image of a
-syzygy between two generators, or the image of a syzygy with the unit.
+dominates at least k sublattice points, that is, when its quotient
+class has at least k nonnegative representatives. So the generator
+orbits are read from one counting table: a class c is a generator orbit
+exactly when count(c) >= k and count(c - [e_i]) < k for every i (the
+monomial-module criterion). It is enough to test the atoms among the
+[e_i], since every [e_i] is an atom plus a representable class. Each
+orbit is reported by the lexicographically smallest nonnegative point
+of its class.
+
+The paper's construction, lcms of k ball points around the origin
+minimalised under divisibility up to the lattice action, is kept as the
+independent oracle ``lcm_generator_classes``. The inductive
+classification splits each generator into an exceptional carry-over,
+the image of a syzygy between two generators, or the image of a syzygy
+with the unit.
 """
 from __future__ import annotations
 
@@ -14,7 +23,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import CountTable, dominated_points, has_nonneg_rep, m_value
+from .counting import CountTable, atoms, dominated_points, fiber, has_nonneg_rep, m_value
 from .frobenius import frobenius
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, dot, vsub
@@ -114,10 +123,32 @@ class ModuleGens:
         return tuple(render_monomial(g) for g in self.generators)
 
 
-def _canonical_rep(basis: LatticeBasis, g):
-    support = sorted(dominated_points(basis, g))
-    rep = min(vsub(g, u) for u in support)
-    return rep, tuple(sorted(dominated_points(basis, rep)))
+def lcm_generator_classes(
+    basis: LatticeBasis,
+    k: int,
+    markov: MarkovBasis | None = None,
+) -> frozenset:
+    """Generator orbits of the k-th module by the lcm construction.
+
+    The independent oracle for ``minimal_generators``: lcms of the
+    k-subsets of the radius k-1 ball that contain the origin, up to
+    degree m_k + max(F_1, 0), minimalised under divisibility modulo L.
+    """
+    if k < 1:
+        raise InputError("k must be at least 1")
+    if markov is None:
+        markov = lattice_ideal(basis)
+    cap = m_value(basis, k) + max(frobenius(basis, 1), 0)
+    bl = ball(moves(markov), k - 1)
+    orbits = {basis.label(g) for g in candidate_lcms(bl, k, basis.weight, cap)}
+    table = CountTable(basis, cap, 1)
+    return frozenset(
+        cls
+        for cls in orbits
+        if not any(
+            cls2 != cls and table.count(basis.class_sub(cls, cls2)) >= 1 for cls2 in orbits
+        )
+    )
 
 
 def minimal_generators(
@@ -125,38 +156,31 @@ def minimal_generators(
     k: int,
     markov: MarkovBasis | None = None,
 ) -> ModuleGens:
-    """Canonical orbit representatives of the k-th module's generators."""
+    """Canonical orbit representatives of the k-th module's generators.
+
+    Scans the classes of degree m_k .. m_k + max(F_1, 0), the only ones
+    a generator orbit can have: a class above that window is a class of
+    degree m_k with count >= k plus a nonzero representable class, so
+    it is not minimal. The support of a representative r, its dominated
+    lattice points, is {r - u : u in the fiber of its class}.
+    ``markov`` is not needed by the scan and is accepted for callers
+    that hold one.
+    """
     if k < 1:
         raise InputError("k must be at least 1")
-    if markov is None:
-        markov = lattice_ideal(basis)
     mk = m_value(basis, k)
     f1 = frobenius(basis, 1)
     cap = mk + max(f1, 0)
-    bl = ball(moves(markov), k - 1)
-    cands = candidate_lcms(bl, k, basis.weight, cap)
-    table = CountTable(basis, cap, max(k, 2))
-    orbits: dict[QuotientClass, tuple[int, ...]] = {}
-    for g in cands:
-        orbits.setdefault(basis.label(g), g)
-    kept = []
-    for cls, g in orbits.items():
-        divisible = False
-        for cls2 in orbits:
-            if cls2 == cls:
-                continue
-            diff = basis.class_sub(cls, cls2)
-            if diff.degree < 0:
-                continue
-            if table.count(diff) >= 1:
-                divisible = True
-                break
-        if not divisible:
-            kept.append(g)
+    table = CountTable(basis, cap, k)
+    steps = atoms(basis)
     reps = []
-    for g in kept:
-        rep, support = _canonical_rep(basis, g)
-        reps.append((dot(basis.weight.a, rep), rep, support))
+    for d in range(mk, cap + 1):
+        for cls, cnt in table.classes_at(d):
+            if cnt < k or any(table.count(basis.class_sub(cls, g)) >= k for g in steps):
+                continue
+            points = fiber(basis, cls).points
+            rep = points[0]
+            reps.append((d, rep, tuple(sorted(vsub(rep, u) for u in points))))
     reps.sort()
     generators = tuple(r[1] for r in reps)
     supports = tuple(r[2] for r in reps)

@@ -5,18 +5,30 @@ Ground set: quotient classes of weighted degree 0..F_1, ordered by
 are the degree-shifted label sets of classes whose count reaches k
 inside the window [m_k, m_k + F_1]; their minimal elements match the
 generator orbits.
+
+Everything is read from a counting table and the atoms of the monoid of
+representable classes. Label sets are upward closed under adding a
+representable class, since that keeps the count at least k, so y covers
+x exactly when y - x is an atom, and a label x is minimal exactly when
+no x - atom is a label. ``max_antichain_size`` is Dilworth's theorem
+through a maximum bipartite matching. The transitive reduction and the
+exhaustive antichain search live on as oracles in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .counting import CountTable, m_value
+from .counting import CountTable, atoms, m_value
 from .frobenius import frobenius
 from .lattice import InputError, LatticeBasis, QuotientClass
 
 
 def _class_sort_key(c: QuotientClass):
     return (c.degree, c.torsion)
+
+
+def _pair_sort_key(p):
+    return (_class_sort_key(p[0]), _class_sort_key(p[1]))
 
 
 @dataclass(frozen=True)
@@ -26,11 +38,15 @@ class StructurePoset:
     elements: tuple[QuotientClass, ...]
     covers: tuple[tuple[QuotientClass, QuotientClass], ...]
     representable: frozenset
+    _element_set: frozenset = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_element_set", frozenset(self.elements))
 
     def leq(self, b: QuotientClass, a: QuotientClass) -> bool:
         """b <= a in the structure order."""
         for c in (a, b):
-            if c not in set(self.elements):
+            if c not in self._element_set:
                 raise InputError(f"class {c} is outside the poset window")
         if a == b:
             return True
@@ -38,7 +54,7 @@ class StructurePoset:
 
 
 def structure_poset(basis: LatticeBasis) -> StructurePoset:
-    """Full structure poset, with Hasse diagram by transitive reduction."""
+    """Full structure poset; its Hasse covers are the atom steps x -> x + g."""
     f1 = frobenius(basis, 1)
     if f1 < 0:
         return StructurePoset(basis, f1, (), (), frozenset())
@@ -56,19 +72,14 @@ def structure_poset(basis: LatticeBasis) -> StructurePoset:
     representable = frozenset(
         c for c in elements if table.count(c) >= 1
     )
-
-    def less(x, y):
-        return x != y and basis.class_sub(y, x) in representable
-
-    covers = []
-    for x in elements:
-        for y in elements:
-            if not less(x, y):
-                continue
-            if any(less(x, z) and less(z, y) for z in elements):
-                continue
-            covers.append((x, y))
-    return StructurePoset(basis, f1, elements, tuple(sorted(covers, key=lambda p: (_class_sort_key(p[0]), _class_sort_key(p[1])))), representable)
+    # The ground set holds every class of degree 0..F_1, so each atom
+    # step that stays in the window is a cover.
+    steps = atoms(basis)
+    covers = sorted(
+        ((x, y) for x in elements for g in steps if (y := basis.class_add(x, g)).degree <= f1),
+        key=_pair_sort_key,
+    )
+    return StructurePoset(basis, f1, elements, tuple(covers), representable)
 
 
 def leq(poset: StructurePoset, b: QuotientClass, a: QuotientClass) -> bool:
@@ -93,6 +104,7 @@ class ModulePoset:
 
 
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
+    """Label set of the k-th module, with its minimal elements and covers."""
     if k < 1:
         raise InputError("k must be at least 1")
     f1 = frobenius(basis, 1)
@@ -100,7 +112,6 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     if f1 < 0:
         return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), ())
     table = CountTable(basis, mk + f1, k)
-    rep_table = CountTable(basis, f1, 1)
     labels = set()
     witnesses = set()
     for d in range(mk, mk + f1 + 1):
@@ -109,28 +120,15 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
                 labels.add(QuotientClass(d - mk, cls.torsion))
                 if d == mk:
                     witnesses.add(cls)
-
-    def less(x, y):
-        if x == y:
-            return False
-        diff = basis.class_sub(y, x)
-        return 0 <= diff.degree <= f1 and rep_table.count(diff) >= 1
-
+    steps = atoms(basis)
     minimal = frozenset(
-        x for x in labels if not any(less(y, x) for y in labels)
+        x for x in labels if not any(basis.class_sub(x, g) in labels for g in steps)
     )
-    covers = tuple(
-        sorted(
-            (
-                (x, y)
-                for x in labels
-                for y in labels
-                if less(x, y) and not any(less(x, z) and less(z, y) for z in labels)
-            ),
-            key=lambda p: (_class_sort_key(p[0]), _class_sort_key(p[1])),
-        )
+    covers = sorted(
+        ((x, y) for x in labels for g in steps if (y := basis.class_add(x, g)) in labels),
+        key=_pair_sort_key,
     )
-    return ModulePoset(k, mk, frozenset(labels), minimal, frozenset(witnesses), covers)
+    return ModulePoset(k, mk, frozenset(labels), minimal, frozenset(witnesses), tuple(covers))
 
 
 @dataclass(frozen=True)
@@ -179,35 +177,50 @@ def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
 
 
 def max_antichain_size(poset: StructurePoset) -> int:
-    """Largest antichain, by brute force over the ground set.
+    """Width of the poset, by Dilworth's theorem.
 
-    Runs a maximum-independent-set search on the comparability graph;
-    the poset has at most a few hundred elements at the scales used.
+    The width equals the fewest chains that cover the poset, which is N
+    minus a maximum matching in the bipartite graph with an edge x -> y
+    for every x < y (Fulkerson's reduction). The matching grows by
+    augmenting paths, searched depth first without recursion.
     """
-    elems = list(poset.elements)
-    if not elems:
-        return 0
-    comparable = {
-        (i, j)
-        for i in range(len(elems))
-        for j in range(len(elems))
-        if i != j and (poset.leq(elems[i], elems[j]) or poset.leq(elems[j], elems[i]))
-    }
-    best = 0
-
-    def rec(idx, chosen):
-        nonlocal best
-        if idx == len(elems):
-            best = max(best, len(chosen))
-            return
-        if len(chosen) + (len(elems) - idx) <= best:
-            return
-        if all((idx, j) not in comparable for j in chosen):
-            rec(idx + 1, chosen + [idx])
-        rec(idx + 1, chosen)
-
-    rec(0, [])
-    return best
+    elems = poset.elements
+    index = {c: i for i, c in enumerate(elems)}
+    above = [
+        [
+            j
+            for s in poset.representable
+            if s.degree > 0 and (j := index.get(poset.basis.class_add(x, s))) is not None
+        ]
+        for x in elems
+    ]
+    match_of = [-1] * len(elems)  # right vertex -> matched left vertex
+    for root in range(len(elems)):
+        seen = set()
+        # Each frame: (left vertex, iterator over its right neighbours);
+        # via[i] is the matched right vertex that leads to frame i + 1.
+        stack = [(root, iter(above[root]))]
+        via = []
+        while stack:
+            _, it = stack[-1]
+            for v in it:
+                if v in seen:
+                    continue
+                seen.add(v)
+                if match_of[v] < 0:
+                    # Augment along the path: flip every edge on the stack.
+                    for (w, _), r in zip(stack, via + [v]):
+                        match_of[r] = w
+                    stack = []
+                    break
+                via.append(v)
+                stack.append((match_of[v], iter(above[match_of[v]])))
+                break
+            else:
+                stack.pop()
+                if via:
+                    via.pop()
+    return len(elems) - sum(1 for w in match_of if w >= 0)
 
 
 def poset_to_dot(poset: StructurePoset) -> str:

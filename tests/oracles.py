@@ -96,3 +96,53 @@ def m_by_enumeration(a, k, scan_limit):
         if count_representations(a, d) >= k:
             return d
     raise AssertionError("scan limit too small")
+
+
+def hasse_covers(elements, less):
+    """Transitive reduction of a strict order given by the predicate less.
+
+    (x, y) is a cover when x < y and no z has x < z < y; the z are taken
+    away as one set union of the up-sets above x.
+    """
+    elements = list(elements)
+    up = {x: {y for y in elements if less(x, y)} for x in elements}
+    covers = set()
+    for x in elements:
+        above = set().union(*(up[z] for z in up[x]))
+        covers |= {(x, y) for y in up[x] - above}
+    return covers
+
+
+def minimal_elements(elements, less):
+    """Elements with nothing below them, by comparing every pair."""
+    return {x for x in elements if not any(less(y, x) for y in elements)}
+
+
+def max_antichain_by_search(elements, less):
+    """Largest antichain, by exhaustive branch and bound.
+
+    Runs a maximum-independent-set search on the comparability graph;
+    exponential, so only for posets of a few dozen elements.
+    """
+    elems = list(elements)
+    comparable = {
+        (i, j)
+        for i in range(len(elems))
+        for j in range(len(elems))
+        if i != j and (less(elems[i], elems[j]) or less(elems[j], elems[i]))
+    }
+    best = 0
+
+    def rec(idx, chosen):
+        nonlocal best
+        if idx == len(elems):
+            best = max(best, len(chosen))
+            return
+        if len(chosen) + (len(elems) - idx) <= best:
+            return
+        if all((idx, j) not in comparable for j in chosen):
+            rec(idx + 1, chosen + [idx])
+        rec(idx + 1, chosen)
+
+    rec(0, [])
+    return best

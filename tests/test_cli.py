@@ -211,3 +211,38 @@ def test_installed_console_script_on_path():
     )
     assert res.returncode == 0
     assert res.stdout == "17\n"
+
+
+def test_verify_lcm_oracle_mismatch_exits_3(monkeypatch, capsys):
+    import genfrob.cli as cli
+
+    assert main(["verify", "-a", "3,5,8", "--k-max", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "k=2 lcm oracle orbits=2 ok" in lines
+    monkeypatch.setattr(cli, "lcm_generator_classes", lambda basis, k, markov=None: frozenset())
+    assert main(["verify", "-a", "3,5,8", "--k-max", "2"]) == 3
+    assert "k=1 lcm oracle orbits=0 MISMATCH" in capsys.readouterr().out.splitlines()
+
+
+def test_invariant_failure_exits_5_without_traceback(monkeypatch, capsys):
+    import importlib
+
+    import genfrob.cli as cli
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("invariant broken")
+
+    for name, argv in (
+        ("minimal_generators", ["module", "-a", "3,4,11", "-k", "3"]),
+        ("lattice_ideal", ["ideal", "-a", "3,5,8"]),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(cli, name, fail)
+            assert main(argv) == 5
+        captured = capsys.readouterr()
+        assert captured.err == "internal error: invariant broken\n"
+        assert captured.out == ""
+    # the package re-exports the function frobenius under the module's name
+    monkeypatch.setattr(importlib.import_module("genfrob.frobenius"), "kth_degrees", fail)
+    assert main(["frobenius", "-a", "3,5,8"]) == 5
+    assert capsys.readouterr().err == "internal error: invariant broken\n"

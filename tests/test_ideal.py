@@ -1,3 +1,6 @@
+import math
+import random
+
 import pytest
 
 from genfrob import (
@@ -15,6 +18,7 @@ from genfrob import (
     lattice_ideal,
     member,
 )
+from genfrob.ideal import _buchberger_pairs, _reduces_to_zero
 
 
 def _binomials(order, *vectors):
@@ -101,6 +105,31 @@ def test_markov_minimality_removal_changes_ideal():
             rest = mb.elements[:i] + mb.elements[i + 1 :]
             if rest:
                 assert not ideal_equal(rest, mb.elements, order)
+
+
+def test_markov_basis_minimal_on_seeded_cases():
+    # case = one kept binomial that must not reduce to zero modulo a
+    # Groebner basis of the others (the one greedy pass is minimal)
+    rng = random.Random(5005)
+    cases = 0
+    while cases < 300:
+        n = rng.choice((3, 3, 4, 5))
+        a = tuple(rng.randint(2, 15) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        B = kernel_basis(WeightVector(a))
+        if rng.random() < 0.5:
+            m = rng.randint(2, 3)
+            B = LatticeBasis(B.weight, (tuple(m * x for x in B.vectors[0]),) + B.vectors[1:])
+        mb = lattice_ideal(B)
+        order = mb.order_used
+        pairs = [(b.head, b.tail) for b in mb.elements]
+        for i, p in enumerate(pairs):
+            rest = pairs[:i] + pairs[i + 1 :]
+            assert not rest or not _reduces_to_zero(
+                p, _buchberger_pairs(rest, order), order
+            ), (a, B.vectors, p)
+            cases += 1
 
 
 def test_saturation_idempotent():

@@ -157,3 +157,36 @@ def test_poset_to_dot():
     assert dot.startswith("digraph hasse {")
     assert '"0" -> "3";' in dot
     assert dot.count("->") == 8
+
+
+def test_max_antichain_size_matches_exhaustive_search():
+    # case = one small structure poset, kernel or sublattice
+    import math
+    import random
+
+    from .oracles import max_antichain_by_search
+
+    rng = random.Random(6006)
+    cases = 0
+    while cases < 60:
+        a = tuple(rng.randint(2, 9) for _ in range(rng.choice((2, 3, 3))))
+        if math.gcd(*a) != 1:
+            continue
+        B = kernel_basis(WeightVector(a))
+        if len(a) == 3 and rng.random() < 0.5:
+            v1, v2 = B.vectors
+            B = LatticeBasis(B.weight, (v1, tuple(2 * x for x in v2)))
+        sp = structure_poset(B)
+        if not 0 < len(sp.elements) <= 30:
+            continue
+        less = lambda x, y: x != y and sp.leq(x, y)  # noqa: E731
+        assert max_antichain_size(sp) == max_antichain_by_search(sp.elements, less), (a, B.vectors)
+        cases += 1
+
+
+def test_max_antichain_size_known_values():
+    # (3,5,8): {0, 1, 2} is an antichain, and the chains 0<3<6, 1<4<7
+    # and 2<5 cover the poset
+    assert max_antichain_size(structure_poset(kernel_basis(WeightVector((3, 5, 8))))) == 3
+    assert max_antichain_size(structure_poset(kernel_basis(WeightVector((2, 3))))) == 2
+    assert max_antichain_size(structure_poset(kernel_basis(WeightVector((1, 2))))) == 0
