@@ -1,11 +1,15 @@
 """Pure-difference binomial ideal engine.
 
 Binomials are exponent pairs; S-pairs and reductions are integer vector
-operations, never general polynomial arithmetic. The lattice ideal of a
-sublattice basis is obtained by saturating the basis binomials variable
-by variable with cheapest-variable reverse-lexicographic orders, then
+operations, never general polynomial arithmetic. Buchberger's algorithm
+skips an S-pair when its heads are coprime or by the chain criterion
+(Gebauer and Moeller, J. Symbolic Comput. 1988). The lattice ideal of a
+sublattice basis is obtained by saturating the basis binomials in one
+round over the variables, each with a cheapest-variable
+reverse-lexicographic order (Hosten and Sturmfels, IPCO 1995), then
 minimalising the generating set: each binomial, in increasing degree,
-is dropped when it reduces to zero modulo those kept before it.
+is dropped when the moves of those kept before it connect its head to
+its tail (Diaconis and Sturmfels, Ann. Statist. 1998).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .counting import degree_fiber
-from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, dot, vsub
+from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, dot, vadd, vneg, vsub
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,12 @@ def _spair(f, g):
 
 
 def _buchberger_pairs(pairs, order):
-    """Reduced Groebner basis of the ideal generated by binomial pairs."""
+    """Reduced Groebner basis of the ideal generated by binomial pairs.
+
+    S-pairs are taken in increasing order of their lcm. The pair (i, j)
+    is skipped when its heads are coprime, or when the head of another
+    element k divides its lcm and neither (i, k) nor (j, k) is pending.
+    """
     G = []
     for p in sorted(set(pairs), key=lambda p: (order.key(p[0]), order.key(p[1]))):
         nf = _normal_form(p, G, order)
@@ -141,17 +150,31 @@ def _buchberger_pairs(pairs, order):
                 nf = (nf[1], nf[0])
             G.append(nf)
     queue = []
-    counter = 0
-    for i in range(len(G)):
-        for j in range(i):
-            lcm = tuple(max(x, y) for x, y in zip(G[i][0], G[j][0]))
-            heapq.heappush(queue, (order.key(lcm), counter, j, i))
-            counter += 1
+    pending = set()
+
+    def add_pairs(new):
+        for i in range(new):
+            lcm = tuple(max(x, y) for x, y in zip(G[i][0], G[new][0]))
+            heapq.heappush(queue, (order.key(lcm), i, new, lcm))
+            pending.add((i, new))
+
+    for new in range(1, len(G)):
+        add_pairs(new)
     while queue:
-        _, _, i, j = heapq.heappop(queue)
+        _, i, j, lcm = heapq.heappop(queue)
+        pending.remove((i, j))
         f, g = G[i], G[j]
         if all(x == 0 or y == 0 for x, y in zip(f[0], g[0])):
             continue  # coprime heads, S-pair reduces to zero
+        if any(
+            k != i
+            and k != j
+            and all(x >= y for x, y in zip(lcm, G[k][0]))
+            and (min(i, k), max(i, k)) not in pending
+            and (min(j, k), max(j, k)) not in pending
+            for k in range(len(G))
+        ):
+            continue  # chain criterion
         s = _spair(f, g)
         if s is None:
             continue
@@ -161,11 +184,7 @@ def _buchberger_pairs(pairs, order):
         if nf is None:
             continue
         G.append(nf)
-        new = len(G) - 1
-        for i in range(new):
-            lcm = tuple(max(x, y) for x, y in zip(G[i][0], G[new][0]))
-            heapq.heappush(queue, (order.key(lcm), counter, i, new))
-            counter += 1
+        add_pairs(len(G) - 1)
     return _interreduce(G, order)
 
 
@@ -222,8 +241,38 @@ def _strip_common(pair):
     h, t = pair
     common = tuple(min(x, y) for x, y in zip(h, t))
     if not any(common):
-        return pair, False
-    return (vsub(h, common), vsub(t, common)), True
+        return pair
+    return vsub(h, common), vsub(t, common)
+
+
+def signed_moves(vectors) -> frozenset:
+    """The vectors and their negatives: the steps of a Markov move graph."""
+    return frozenset(m for v in vectors for m in (tuple(v), vneg(v)))
+
+
+def _steps(u, moves):
+    """The nonnegative points one move away from u."""
+    for mv in moves:
+        w = vadd(u, mv)
+        if min(w) >= 0:
+            yield w
+
+
+def _connected(u, v, moves) -> bool:
+    """True when the moves walk u to v through nonnegative points.
+
+    The moves have degree zero, so the walk stays in one finite fiber.
+    """
+    seen = {u}
+    stack = [u]
+    while stack:
+        for w in _steps(stack.pop(), moves):
+            if w == v:
+                return True
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return u == v
 
 
 @dataclass(frozen=True)
@@ -249,29 +298,21 @@ class MarkovBasis:
 def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> MarkovBasis:
     """Minimal Markov basis of the lattice ideal of the given sublattice.
 
-    Saturates the basis binomials with respect to every variable: each
-    pass recomputes a reduced Groebner basis in an order with that
-    variable cheapest and strips monomial factors, looping until a full
-    round leaves the generators untouched. The saturated reduced basis
-    is then minimalised in one pass of increasing weighted degree.
+    Saturates the basis binomials in one round over the variables: pass
+    i computes a reduced Groebner basis in an order with variable i
+    cheapest and strips monomial factors. Every stripped binomial stays
+    in the lattice ideal, and after pass i the generators span at least
+    the saturation by x_1 ... x_i, so one round reaches the lattice
+    ideal. Its reduced Groebner basis under ``order`` is then
+    minimalised in one pass of increasing weighted degree: a binomial
+    lies in the ideal of those kept before it exactly when their moves
+    connect its head to its tail through nonnegative points.
     """
     if order is None:
         order = TermOrder(basis.weight)
-    n = basis.n
     pairs = [(_pos_part(v), _neg_part(v)) for v in basis.vectors]
-    while True:
-        stripped_any = False
-        for i in range(n):
-            ord_i = order.cheapest_in(i)
-            gb = _buchberger_pairs(pairs, ord_i)
-            out = []
-            for p in gb:
-                q, stripped = _strip_common(p)
-                stripped_any = stripped_any or stripped
-                out.append(q)
-            pairs = out
-        if not stripped_any:
-            break
+    for i in range(basis.n):
+        pairs = [_strip_common(p) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
     gb = _buchberger_pairs(pairs, order)
     for h, t in gb:
         if any(x > 0 and y > 0 for x, y in zip(h, t)):
@@ -285,10 +326,12 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     # most its own, and a later one of equal degree needed to generate
     # it would itself have been dropped.
     kept: list = []
-    for p in sorted(gb, key=degree_key):
-        if kept and _reduces_to_zero(p, _buchberger_pairs(kept, order), order):
+    moves: frozenset = frozenset()
+    for h, t in sorted(gb, key=degree_key):
+        if _connected(h, t, moves):
             continue
-        kept.append(p)
+        kept.append((h, t))
+        moves = signed_moves(vsub(p, q) for p, q in kept)
     return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept), order)
 
 
@@ -331,15 +374,9 @@ def fiber_graph(mb: MarkovBasis, c: QuotientClass) -> FiberGraph:
     if c.degree < 0:
         raise InputError("fiber degree must be nonnegative")
     verts = degree_fiber(mb.basis, c.degree)
-    vset = set(verts)
-    moves = set()
-    for v in mb.vectors:
-        moves.add(v)
-        moves.add(tuple(-x for x in v))
+    moves = signed_moves(mb.vectors)
     edges = set()
     for u in verts:
-        for mv in moves:
-            w = vsub(u, mv)
-            if w in vset:
-                edges.add((u, w) if u <= w else (w, u))
+        for w in _steps(u, moves):
+            edges.add((u, w) if u <= w else (w, u))
     return FiberGraph(c.degree, verts, frozenset(edges))

@@ -266,11 +266,12 @@ def classify(
     if gens is None:
         gens = minimal_generators(basis, k_next)
     cls = basis.label(g)
+    table = CountTable(basis, max(0, cls.degree - min(c.degree for c in gens.classes)), 1)
     for other in gens.classes:
         if other == cls:
             continue
         diff = basis.class_sub(cls, other)
-        if has_nonneg_rep(basis, diff):
+        if has_nonneg_rep(basis, diff, table):
             raise InputError(f"{render_monomial(g)} is not a minimal generator")
     if cls not in gens.classes:
         raise InputError(f"{render_monomial(g)} is not a minimal generator")

@@ -4,8 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .ideal import MarkovBasis
-from .lattice import InputError, LatticeBasis, vadd, vneg, vsub
+from .ideal import MarkovBasis, signed_moves
+from .lattice import InputError, LatticeBasis, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,7 @@ class Ball:
 
 def moves(mb: MarkovBasis) -> MoveSet:
     """Symmetrised difference vectors of the Markov binomials."""
-    out = set()
-    for v in mb.vectors:
-        out.add(v)
-        out.add(vneg(v))
-    return MoveSet(mb.basis, frozenset(out))
+    return MoveSet(mb.basis, signed_moves(mb.vectors))
 
 
 def ball(ms: MoveSet, k: int) -> Ball:

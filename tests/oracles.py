@@ -2,8 +2,10 @@
 
 Everything here enumerates nonnegative integer vectors directly and
 solves small linear systems over the rationals. No dynamic programming,
-no Groebner bases, no imports from the package: expected values frozen
-in the tests were produced by these functions.
+no imports from the package: expected values frozen in the tests were
+produced by these functions. The one exception is
+``lattice_ideal_by_groebner``, which shares the binomial reduction step
+of ``genfrob.ideal`` and runs Buchberger without the chain criterion.
 """
 from fractions import Fraction
 
@@ -146,3 +148,76 @@ def max_antichain_by_search(elements, less):
 
     rec(0, [])
     return best
+
+
+def groebner_without_chain_criterion(pairs, order):
+    """Reduced Groebner basis by Buchberger with only the coprime-heads skip.
+
+    S-pairs are reduced in increasing order of their lcm.
+    """
+    import heapq
+
+    from genfrob.ideal import _interreduce, _normal_form, _spair
+
+    G = []
+    queue = []
+
+    def add(p):
+        G.append(p)
+        for i in range(len(G) - 1):
+            lcm = tuple(max(x, y) for x, y in zip(G[i][0], p[0]))
+            heapq.heappush(queue, (order.key(lcm), i, len(G) - 1))
+
+    for h, t in pairs:
+        add((h, t) if order.greater(h, t) else (t, h))
+    while queue:
+        _, i, j = heapq.heappop(queue)
+        if all(x == 0 or y == 0 for x, y in zip(G[i][0], G[j][0])):
+            continue
+        s = _spair(G[i], G[j])
+        if s is None:
+            continue
+        if order.greater(s[1], s[0]):
+            s = (s[1], s[0])
+        nf = _normal_form(s, G, order)
+        if nf is not None:
+            add(nf)
+    return _interreduce(G, order)
+
+
+def lattice_ideal_by_groebner(basis, order=None):
+    """Minimal Markov basis as (head, tail) pairs, by Groebner runs only.
+
+    Saturates variable by variable, repeating whole rounds until one
+    strips no monomial factor, then keeps each element of the reduced
+    basis, in increasing degree, unless it reduces to zero modulo a
+    Groebner basis of those kept before it.
+    """
+    from genfrob.ideal import TermOrder, _normal_form
+
+    if order is None:
+        order = TermOrder(basis.weight)
+    pairs = [
+        (tuple(max(x, 0) for x in v), tuple(max(-x, 0) for x in v))
+        for v in basis.vectors
+    ]
+    stripped = True
+    while stripped:
+        stripped = False
+        for i in range(basis.n):
+            out = []
+            for h, t in groebner_without_chain_criterion(pairs, order.cheapest_in(i)):
+                common = tuple(min(x, y) for x, y in zip(h, t))
+                stripped = stripped or any(common)
+                out.append(
+                    (tuple(x - c for x, c in zip(h, common)), tuple(y - c for y, c in zip(t, common)))
+                )
+            pairs = out
+    gb = groebner_without_chain_criterion(pairs, order)
+    a = basis.weight.a
+    kept = []
+    for p in sorted(gb, key=lambda p: (sum(x * y for x, y in zip(a, p[0])), order.key(p[0]), order.key(p[1]))):
+        if kept and _normal_form(p, groebner_without_chain_criterion(kept, order), order) is None:
+            continue
+        kept.append(p)
+    return kept

@@ -18,7 +18,9 @@ from genfrob import (
     lattice_ideal,
     member,
 )
-from genfrob.ideal import _buchberger_pairs, _reduces_to_zero
+from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _spair
+
+from .oracles import lattice_ideal_by_groebner, representations
 
 
 def _binomials(order, *vectors):
@@ -130,6 +132,65 @@ def test_markov_basis_minimal_on_seeded_cases():
                 p, _buchberger_pairs(rest, order), order
             ), (a, B.vectors, p)
             cases += 1
+
+
+def test_lattice_ideal_matches_groebner_oracle():
+    # kernels and sublattices of index 2-6, in the kernel basis or a
+    # second basis of the same lattice, under the default or a permuted
+    # order; the oracle saturates to a fixpoint and tests each greedy
+    # candidate by a Groebner run
+    rng = random.Random(5105)
+    cases = 0
+    while cases < 300:
+        n = rng.randint(2, 6)
+        top = 13 if n <= 4 else 9
+        a = tuple(rng.randint(1 if rng.random() < 0.25 else 2, top) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        if rng.random() < 0.6:
+            i, m = rng.randrange(n - 1), rng.randint(2, 6)
+            vecs[i] = [m * x for x in vecs[i]]
+        if n > 2 and rng.random() < 0.5:
+            i, j = rng.sample(range(n - 1), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            vecs[i] = [x + c * y for x, y in zip(vecs[i], vecs[j])]
+        B = LatticeBasis(WeightVector(a), tuple(tuple(v) for v in vecs))
+        order = TermOrder(B.weight, tuple(rng.sample(range(n), n))) if rng.random() < 0.3 else None
+        got = [(b.head, b.tail) for b in lattice_ideal(B, order).elements]
+        assert got == lattice_ideal_by_groebner(B, order), (a, B.vectors, order)
+        cases += 1
+
+
+def test_buchberger_pairs_output_is_reduced_groebner_basis():
+    # binomials x^u - x^v of equal degree, common factors allowed, under
+    # permuted orders
+    rng = random.Random(5205)
+    cases = 0
+    while cases < 200:
+        n = rng.randint(2, 5)
+        a = tuple(rng.randint(1, 9) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        order = TermOrder(WeightVector(a), tuple(rng.sample(range(n), n)))
+        pairs = []
+        for _ in range(rng.randint(1, 4)):
+            u = tuple(rng.randint(0, 3) for _ in range(n))
+            others = [v for v in representations(a, sum(x * y for x, y in zip(a, u))) if v != u]
+            if others:
+                pairs.append((u, rng.choice(others)))
+        if not pairs:
+            continue
+        G = _buchberger_pairs(pairs, order)
+        for i, f in enumerate(G):
+            assert order.greater(f[0], f[1])
+            for j, g in enumerate(G):
+                assert i == j or not all(x >= y for x, y in zip(f[0], g[0])), (pairs, G)
+                assert not all(x >= y for x, y in zip(f[1], g[0])), (pairs, G)
+                s = _spair(f, g)
+                assert i >= j or s is None or _reduces_to_zero(s, G, order), (pairs, G)
+        assert all(_reduces_to_zero(p, G, order) for p in pairs)
+        cases += 1
 
 
 def test_saturation_idempotent():
