@@ -272,11 +272,15 @@ def _cmd_verify(args) -> int:
                      f"{'ok' if match else 'MISMATCH'}")
         gens = minimal_generators(basis, k)
         mp = module_poset(basis, k)
-        match2 = len(gens.generators) == len(mp.minimal_elements)
+        # With F_1 = -1 the module poset's window is empty by convention;
+        # every class of degree >= m_k is then in the module, and the one
+        # class of degree m_k generates it.
+        minimal = len(mp.minimal_elements) if mp.labels else 1
+        match2 = len(gens.generators) == minimal
         ok = ok and match2
         lines.append(
             f"k={k} generator orbits={len(gens.generators)} "
-            f"poset minimal elements={len(mp.minimal_elements)} "
+            f"poset minimal elements={minimal} "
             f"{'ok' if match2 else 'MISMATCH'}"
         )
         oracle_classes = lcm_generator_classes(basis, k, markov)

@@ -108,14 +108,6 @@ class CountTable:
         """True when every class of this degree has count >= k."""
         return all(c >= k for c in self._rows[degree])
 
-    @property
-    def counts(self) -> dict[QuotientClass, int]:
-        out = {}
-        for d in range(self.max_degree + 1):
-            for cls, cnt in self.classes_at(d):
-                out[cls] = cnt
-        return out
-
 
 def count_table(basis: LatticeBasis, max_degree: int, cap: int) -> CountTable:
     return CountTable(basis, max_degree, cap)

@@ -2,19 +2,22 @@
 
 Binomials are exponent pairs; S-pairs and reductions are integer vector
 operations, never general polynomial arithmetic. Buchberger's algorithm
-skips an S-pair when its heads are coprime or by the chain criterion
-(Gebauer and Moeller, J. Symbolic Comput. 1988). The lattice ideal of a
-sublattice basis is obtained by saturating the basis binomials in one
-round over the variables, each with a cheapest-variable
-reverse-lexicographic order (Hosten and Sturmfels, IPCO 1995), then
-minimalising the generating set: each binomial, in increasing degree,
-is dropped when the moves of those kept before it connect its head to
-its tail (Diaconis and Sturmfels, Ann. Statist. 1998).
+prunes pairs once, when an element is added, by the criteria of Gebauer
+and Moeller (J. Symbolic Comput. 1988), and skips pairs with coprime
+heads. The lattice ideal of a sublattice basis is obtained by
+size-reducing the basis, saturating its binomials in one round over the
+variables, each with a cheapest-variable reverse-lexicographic order
+(Hosten and Sturmfels, IPCO 1995), then minimalising the generating set:
+each binomial, in increasing degree, is dropped when the moves of those
+kept before it connect its head to its tail (Diaconis and Sturmfels,
+Ann. Statist. 1998).
 """
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import permutations
+from operator import add, ge, itemgetter, neg, sub
 
 from .counting import degree_fiber
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, dot, vadd, vneg, vsub
@@ -36,10 +39,11 @@ class TermOrder:
         object.__setattr__(self, "perm", perm)
         if sorted(perm) != list(range(self.weight.n)):
             raise InputError(f"perm {perm} is not a permutation")
+        object.__setattr__(self, "_cheapest_first", itemgetter(*reversed(perm)))
 
     def key(self, u):
         """Sort key: ascending key means ascending monomial order."""
-        return (dot(self.weight.a, u), tuple(-u[p] for p in reversed(self.perm)))
+        return (dot(self.weight.a, u), tuple(map(neg, self._cheapest_first(u))))
 
     def greater(self, u, v) -> bool:
         return self.key(u) > self.key(v)
@@ -95,26 +99,27 @@ class Binomial:
 def _reduce_monomial(u, gb, skip=None):
     """One reduction step of monomial u by the first applicable element."""
     for idx, (gh, gt) in enumerate(gb):
-        if idx == skip:
-            continue
-        if all(x >= y for x, y in zip(u, gh)):
-            return tuple(x - y + z for x, y, z in zip(u, gh, gt)), True
+        if idx != skip and all(map(ge, u, gh)):
+            return tuple(map(add, map(sub, u, gh), gt)), True
     return u, False
 
 
 def _normal_form(pair, gb, order, skip=None):
     """Full normal form of a binomial pair; None when it reduces to zero."""
+    key = order.key
     u, v = pair
+    if u == v:
+        return None
+    kv = key(v)
     while True:
-        if u == v:
-            return None
         u, changed = _reduce_monomial(u, gb, skip)
         if not changed:
             break
         if u == v:
             return None
-        if order.greater(v, u):
-            u, v = v, u
+        ku = key(u)
+        if kv > ku:
+            u, v, kv = v, u, ku
     while True:
         v, changed = _reduce_monomial(v, gb, skip)
         if not changed:
@@ -124,75 +129,101 @@ def _normal_form(pair, gb, order, skip=None):
     return (u, v)
 
 
+def _lcm(u, v):
+    return tuple(map(max, u, v))
+
+
 def _spair(f, g):
     fh, ft = f
     gh, gt = g
-    lcm = tuple(max(x, y) for x, y in zip(fh, gh))
-    left = tuple(a - b + c for a, b, c in zip(lcm, fh, ft))
-    right = tuple(a - b + c for a, b, c in zip(lcm, gh, gt))
+    lcm = _lcm(fh, gh)
+    left = tuple(map(add, map(sub, lcm, fh), ft))
+    right = tuple(map(add, map(sub, lcm, gh), gt))
     if left == right:
         return None
     return left, right
 
 
+def _oriented(pair, order):
+    u, v = pair
+    return (v, u) if order.greater(v, u) else pair
+
+
 def _buchberger_pairs(pairs, order):
     """Reduced Groebner basis of the ideal generated by binomial pairs.
 
-    S-pairs are taken in increasing order of their lcm. The pair (i, j)
-    is skipped when its heads are coprime, or when the head of another
-    element k divides its lcm and neither (i, k) nor (j, k) is pending.
+    S-pairs are taken in increasing order of their lcm. Pairs are pruned
+    once, when an element h is added, by the criteria of Gebauer and
+    Moeller (J. Symbolic Comput. 1988):
+    - B: a pending pair (i, j) goes when the head of h divides its lcm
+      and that lcm differs from the lcms of (i, h) and of (j, h);
+    - M: a new pair (i, h) is not formed when the lcm of another new
+      pair properly divides its lcm;
+    - F: of the new pairs with equal lcms one is formed, and none when
+      one of them has coprime heads (those reduce to zero).
+    An element whose head the head of h divides leaves the reducer
+    list; its pending pairs stay.
     """
+    key = order.key
     G = []
-    for p in sorted(set(pairs), key=lambda p: (order.key(p[0]), order.key(p[1]))):
-        nf = _normal_form(p, G, order)
-        if nf is not None:
-            if order.greater(nf[1], nf[0]):
-                nf = (nf[1], nf[0])
-            G.append(nf)
+    active = []  # indices of the reducers, in the order they were added
+    reducers = []  # their pairs
+    live = {}  # pending pair (i, j) -> lcm of the heads
     queue = []
-    pending = set()
 
-    def add_pairs(new):
-        for i in range(new):
-            lcm = tuple(max(x, y) for x, y in zip(G[i][0], G[new][0]))
-            heapq.heappush(queue, (order.key(lcm), i, new, lcm))
-            pending.add((i, new))
+    def add_element(nf):
+        new = len(G)
+        G.append(nf)
+        h = nf[0]
+        for (i, j), lcm in list(live.items()):
+            if (
+                all(map(ge, lcm, h))
+                and lcm != _lcm(G[i][0], h)
+                and lcm != _lcm(G[j][0], h)
+            ):
+                del live[i, j]  # criterion B
+        first = {}  # lcm with h -> the first reducer giving it
+        coprime = set()  # lcms of the pairs with coprime heads
+        for i in active:
+            gh = G[i][0]
+            lcm = _lcm(gh, h)
+            first.setdefault(lcm, i)
+            if not any(map(min, gh, h)):
+                coprime.add(lcm)
+        for lcm, i in first.items():
+            if lcm in coprime:
+                continue  # criterion F, or coprime heads
+            if any(other != lcm and all(map(ge, lcm, other)) for other in first):
+                continue  # criterion M
+            live[i, new] = lcm
+            heapq.heappush(queue, (key(lcm), i, new))
+        active[:] = [i for i in active if not all(map(ge, G[i][0], h))]
+        active.append(new)
+        reducers[:] = [G[i] for i in active]
 
-    for new in range(1, len(G)):
-        add_pairs(new)
+    for p in sorted(set(pairs), key=lambda p: (key(p[0]), key(p[1]))):
+        nf = _normal_form(p, reducers, order)
+        if nf is not None:
+            add_element(_oriented(nf, order))
     while queue:
-        _, i, j, lcm = heapq.heappop(queue)
-        pending.remove((i, j))
-        f, g = G[i], G[j]
-        if all(x == 0 or y == 0 for x, y in zip(f[0], g[0])):
-            continue  # coprime heads, S-pair reduces to zero
-        if any(
-            k != i
-            and k != j
-            and all(x >= y for x, y in zip(lcm, G[k][0]))
-            and (min(i, k), max(i, k)) not in pending
-            and (min(j, k), max(j, k)) not in pending
-            for k in range(len(G))
-        ):
-            continue  # chain criterion
-        s = _spair(f, g)
+        _, i, j = heapq.heappop(queue)
+        if live.pop((i, j), None) is None:
+            continue  # dropped by criterion B
+        s = _spair(G[i], G[j])
         if s is None:
             continue
-        if order.greater(s[1], s[0]):
-            s = (s[1], s[0])
-        nf = _normal_form(s, G, order)
-        if nf is None:
-            continue
-        G.append(nf)
-        add_pairs(len(G) - 1)
-    return _interreduce(G, order)
+        nf = _normal_form(_oriented(s, order), reducers, order)
+        if nf is not None:
+            add_element(_oriented(nf, order))
+    return _interreduce(reducers, order)
 
 
 def _interreduce(G, order):
     """Minimalise heads, then fully tail-reduce; canonical sorted output."""
+    key = order.key
     keep = []
-    for h, t in sorted(set(G), key=lambda p: (order.key(p[0]), order.key(p[1]))):
-        if any(all(x >= y for x, y in zip(h, kh)) for kh, _ in keep):
+    for h, t in sorted(set(G), key=lambda p: (key(p[0]), key(p[1]))):
+        if any(all(map(ge, h, kh)) for kh, _ in keep):
             continue
         keep.append((h, t))
     while True:
@@ -209,15 +240,12 @@ def _interreduce(G, order):
         keep = out
         if not changed:
             break
-    return sorted(set(keep), key=lambda p: (order.key(p[0]), order.key(p[1])))
+    return sorted(set(keep), key=lambda p: (key(p[0]), key(p[1])))
 
 
 def buchberger(gens, order: TermOrder) -> tuple[Binomial, ...]:
     """Reduced Groebner basis of the ideal generated by the binomials."""
-    oriented = []
-    for g in gens:
-        h, t = g.head, g.tail
-        oriented.append((h, t) if order.greater(h, t) else (t, h))
+    oriented = [_oriented((g.head, g.tail), order) for g in gens]
     return tuple(Binomial(h, t) for h, t in _buchberger_pairs(oriented, order))
 
 
@@ -243,6 +271,28 @@ def _strip_common(pair):
     if not any(common):
         return pair
     return vsub(h, common), vsub(t, common)
+
+
+def _short_vectors(vectors):
+    """Size-reduced basis of the same lattice, by unimodular pairwise steps.
+
+    b_i becomes b_i - q b_j, q the integer nearest to <b_i, b_j> / <b_j, b_j>,
+    whenever that makes b_i strictly shorter. The sum of the squared
+    lengths falls at every step, so the loop ends.
+    """
+    vecs = [tuple(v) for v in vectors]
+    norms = [dot(v, v) for v in vecs]
+    changed = True
+    while changed:
+        changed = False
+        for i, j in permutations(range(len(vecs)), 2):
+            q = (2 * dot(vecs[i], vecs[j]) + norms[j]) // (2 * norms[j])
+            if q:
+                w = tuple(x - q * y for x, y in zip(vecs[i], vecs[j]))
+                nw = dot(w, w)
+                if nw < norms[i]:
+                    vecs[i], norms[i], changed = w, nw, True
+    return vecs
 
 
 def signed_moves(vectors) -> frozenset:
@@ -298,22 +348,34 @@ class MarkovBasis:
 def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> MarkovBasis:
     """Minimal Markov basis of the lattice ideal of the given sublattice.
 
-    Saturates the basis binomials in one round over the variables: pass
-    i computes a reduced Groebner basis in an order with variable i
-    cheapest and strips monomial factors. Every stripped binomial stays
-    in the lattice ideal, and after pass i the generators span at least
-    the saturation by x_1 ... x_i, so one round reaches the lattice
-    ideal. Its reduced Groebner basis under ``order`` is then
+    Starts from a size-reduced basis of the same lattice (short vectors
+    give small binomials) and saturates their binomials in one round
+    over the variables: pass i computes a reduced Groebner basis in an
+    order with variable i cheapest and strips monomial factors. Every
+    stripped binomial stays in the lattice ideal, and after the passes
+    for a set S of variables the generators span at least the
+    saturation by the product of S, so one round, in any pass order,
+    reaches the lattice ideal I_L whatever lattice basis it starts from.
+    The variable cheapest in ``order`` goes last, and its pass runs in
+    ``order`` itself. When that pass strips nothing, its output already
+    is the reduced Groebner basis of I_L under ``order``; otherwise the
+    stripped set is run once more. That basis is unique, so neither the
+    start basis nor the skipped run changes the result. It is then
     minimalised in one pass of increasing weighted degree: a binomial
     lies in the ideal of those kept before it exactly when their moves
     connect its head to its tail through nonnegative points.
     """
     if order is None:
         order = TermOrder(basis.weight)
-    pairs = [(_pos_part(v), _neg_part(v)) for v in basis.vectors]
+    last = order.perm[-1]
+    pairs = [(_pos_part(v), _neg_part(v)) for v in _short_vectors(basis.vectors)]
     for i in range(basis.n):
-        pairs = [_strip_common(p) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
+        if i != last:
+            pairs = [_strip_common(p) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
     gb = _buchberger_pairs(pairs, order)
+    stripped = [_strip_common(p) for p in gb]
+    if stripped != gb:
+        gb = _buchberger_pairs(stripped, order)
     for h, t in gb:
         if any(x > 0 and y > 0 for x, y in zip(h, t)):
             raise RuntimeError("saturated basis still has a monomial factor")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import add, mul, neg, sub
 
 
 class InputError(ValueError):
@@ -15,19 +16,19 @@ class InputError(ValueError):
 
 
 def dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vadd(u, v):
-    return tuple(x + y for x, y in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def vsub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def vneg(u):
-    return tuple(-x for x in u)
+    return tuple(map(neg, u))
 
 
 def xgcd(a, b):

@@ -89,6 +89,40 @@ def test_verify_exits_zero(capsys):
     assert "MISMATCH" not in out
 
 
+def _assert_verify_all_ok(argv, capsys, k_max):
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4 * k_max
+    assert all(line.endswith(" ok") for line in lines), lines
+
+
+def test_verify_weight_one_two_variables(capsys):
+    # F_1 = -1: the module poset is empty by convention, the module is
+    # generated by the one class of degree m_k
+    _assert_verify_all_ok(["verify", "-a", "1,2"], capsys, 4)
+
+
+def test_verify_weight_one_three_variables(capsys):
+    _assert_verify_all_ok(["verify", "-a", "1,4,7", "--k-max", "3"], capsys, 3)
+
+
+def test_verify_weight_one_sublattice(tmp_path, capsys):
+    # index 2 in the kernel of (1, 2, 4): F_1 = 1, so the window is not empty
+    path = tmp_path / "basis.txt"
+    path.write_text("-4 2 0\n-4 0 1\n")
+    argv = ["verify", "-a", "1,2,4", "--basis", str(path), "--k-max", "3"]
+    _assert_verify_all_ok(argv, capsys, 3)
+
+
+def test_ideal_json_ten_variables_matches_recorded_output(capsys):
+    # stdout of the implementation with the per-pop chain-criterion rescan,
+    # started from the unreduced kernel basis
+    weights = "11,13,17,19,23,29,31,37,41,43"
+    assert main(["ideal", "-a", weights, "--format", "json"]) == 0
+    recorded = Path(__file__).resolve().parent / "data" / "ideal_11_to_43.json"
+    assert capsys.readouterr().out == recorded.read_text()
+
+
 def test_basis_file_input(tmp_path, capsys):
     path = tmp_path / "basis.txt"
     path.write_text("1 2 -1\n4 -3 0\n")

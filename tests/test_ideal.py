@@ -20,7 +20,7 @@ from genfrob import (
 )
 from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _spair
 
-from .oracles import lattice_ideal_by_groebner, representations
+from .oracles import groebner_without_chain_criterion, lattice_ideal_by_groebner, representations
 
 
 def _binomials(order, *vectors):
@@ -159,6 +159,55 @@ def test_lattice_ideal_matches_groebner_oracle():
         order = TermOrder(B.weight, tuple(rng.sample(range(n), n))) if rng.random() < 0.3 else None
         got = [(b.head, b.tail) for b in lattice_ideal(B, order).elements]
         assert got == lattice_ideal_by_groebner(B, order), (a, B.vectors, order)
+        cases += 1
+
+
+def test_lattice_ideal_matches_groebner_oracle_eight_nine_variables():
+    # distinct weights, so the Markov bases are not just x_i - x_j moves
+    rng = random.Random(6206)
+    cases = 0
+    while cases < 6:
+        n = rng.choice((8, 9))
+        a = tuple(sorted(rng.sample(range(5, 26), n)))
+        if math.gcd(*a) != 1:
+            continue
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        if cases % 2:
+            i, m = rng.randrange(n - 1), rng.randint(2, 3)
+            vecs[i] = [m * x for x in vecs[i]]
+        B = LatticeBasis(WeightVector(a), tuple(tuple(v) for v in vecs))
+        order = TermOrder(B.weight, tuple(rng.sample(range(n), n))) if cases % 3 == 0 else None
+        got = [(b.head, b.tail) for b in lattice_ideal(B, order).elements]
+        assert got == lattice_ideal_by_groebner(B, order), (a, B.vectors, order)
+        cases += 1
+
+
+def test_buchberger_pairs_matches_groebner_without_pair_pruning():
+    # equal-degree binomials x^u - x^v, common factors allowed, under
+    # permuted orders; the oracle forms every S-pair but coprime ones
+    rng = random.Random(6106)
+    cases = 0
+    while cases < 150:
+        n = rng.choice((2, 3, 4, 5, 6, 7, 8, 8, 9, 9))
+        a = tuple(rng.randint(1, 4) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        order = TermOrder(WeightVector(a), tuple(rng.sample(range(n), n)))
+        # 0/1 exponents and at most three binomials keep the
+        # unpruned oracle fast on 7-9 variables
+        size, top = (rng.randint(2, 5), 2) if n <= 6 else (rng.randint(2, 3), 1)
+        pairs = []
+        for _ in range(200):
+            u = tuple(rng.randint(0, top) for _ in range(n))
+            v = tuple(rng.randint(0, top) for _ in range(n))
+            if u != v and sum(x * y for x, y in zip(a, u)) == sum(x * y for x, y in zip(a, v)):
+                pairs.append((u, v))
+                if len(pairs) == size:
+                    break
+        if not pairs:
+            continue
+        got = _buchberger_pairs(pairs, order)
+        assert got == groebner_without_chain_criterion(pairs, order), (a, order.perm, pairs)
         cases += 1
 
 

@@ -1,9 +1,11 @@
-"""Property test of quotient labels against rational span membership."""
+"""Property tests of quotient labels and of the short start basis of
+the ideal layer, against rational span membership."""
 import math
 
 import pytest
 
 from genfrob import LatticeBasis, WeightVector, class_label, kernel_basis, sublattice_index
+from genfrob.ideal import _short_vectors
 
 from .oracles import in_span
 
@@ -56,3 +58,27 @@ def test_equal_labels_iff_difference_in_span(case):
     assert 1 <= sublattice_index(H) <= 50
     diff = tuple(x - y for x, y in zip(p, q))
     assert (class_label(H, p) == class_label(H, q)) == in_span(H.vectors, diff)
+
+
+@st.composite
+def long_bases(draw):
+    """A sublattice basis as above, made longer by unimodular steps
+    b_i += c b_j."""
+    H = draw(basis_and_points())[0]
+    vecs = [list(v) for v in H.vectors]
+    if len(vecs) > 1:
+        for _ in range(draw(st.integers(0, 6))):
+            i, j = draw(st.permutations(range(len(vecs))))[:2]
+            c = draw(st.integers(-40, 40))
+            vecs[i] = [x + c * y for x, y in zip(vecs[i], vecs[j])]
+    return LatticeBasis(H.weight, tuple(tuple(v) for v in vecs))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(long_bases())
+def test_short_start_basis_spans_the_same_lattice(H):
+    short = _short_vectors(H.vectors)
+    assert len(short) == len(H.vectors)
+    assert all(H.contains(v) for v in short)
+    assert all(in_span(short, v) for v in H.vectors)
+    assert sum(x * x for v in short for x in v) <= sum(x * x for v in H.vectors for x in v)
