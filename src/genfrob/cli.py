@@ -259,6 +259,8 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.k_max < 1:
+        raise InputError("k_max must be at least 1")
     basis = _make_basis(args)
     markov = lattice_ideal(basis)
     lines = []

@@ -23,8 +23,8 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import CountTable, atoms, dominated_points, fiber, has_nonneg_rep, m_value
-from .frobenius import frobenius
+from .counting import CountTable, atoms, dominated_points, fiber, has_nonneg_rep, kth_degrees
+from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, dot, vsub
 from .neighbourhood import Ball, ball, moves
@@ -75,8 +75,26 @@ def divides_mod_L(basis: LatticeBasis, m, m2, table: CountTable | None = None) -
 def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """lcms of the k-subsets of the ball that contain the origin.
 
-    Subsets whose partial lcm already exceeds the degree cap are pruned;
-    the lcm degree only grows as points are added.
+    These are the lcms of the (k-1)-subsets of the nonzero ball points
+    together with the origin, kept when their degree is at most
+    ``degree_cap``. Weights are positive, so the degree of an lcm only
+    grows as points are added, and the search prunes with two facts.
+
+    Single points: every partial lcm contains the origin, so it is
+    >= p+ = max(p, 0) for each of its points p, and max(lcm, p) equals
+    max(lcm, p+) once lcm >= 0. A point with deg(p+) > cap therefore
+    lies in no subset under the cap; the search drops it and works with
+    p+ throughout.
+
+    Pairs: if a subset's lcm is under the cap, then so is the lcm of
+    any two of its points (with the origin), which it dominates. So
+    each kept point i lists, as a bitmask, the later points j with
+    deg(max(p_i+, p_j+)) <= cap, and the search picks the next point
+    only among the common candidates of the points chosen so far, as in
+    clique enumeration. The two filters bound the partial lcm of the
+    first two points exactly; pairs do not bound larger subsets, so from
+    the third point on the partial lcm is checked against the cap at
+    every step.
     """
     if bl.radius != k - 1:
         raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
@@ -84,21 +102,34 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     others = [p for p in bl.points if any(p)]
     if len(others) < k - 1:
         raise InputError(f"ball has too few points for {k}-subsets")
-    zero = (0,) * n
+    a = weight.a
+    pos = [tuple(max(x, 0) for x in p) for p in others]
+    kept = [q for q in pos if dot(a, q) <= degree_cap]
+    later = [
+        sum(
+            1 << j
+            for j in range(i + 1, len(kept))
+            if dot(a, map(max, q, kept[j])) <= degree_cap
+        )
+        for i, q in enumerate(kept)
+    ]
     found = set()
 
-    def rec(start, chosen, lcm):
+    def rec(cands, chosen, lcm):
         if chosen == k - 1:
             found.add(lcm)
             return
-        for idx in range(start, len(others) - (k - 2 - chosen)):
-            p = others[idx]
-            nxt = tuple(max(x, y) for x, y in zip(lcm, p))
-            if dot(weight.a, nxt) > degree_cap:
+        # Add one point from cands, lowest index first, while enough remain.
+        while cands.bit_count() >= k - 1 - chosen:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
+            nxt = tuple(map(max, lcm, kept[i]))
+            if chosen >= 2 and dot(a, nxt) > degree_cap:
                 continue
-            rec(idx + 1, chosen + 1, nxt)
+            rec(cands & later[i], chosen + 1, nxt)
 
-    rec(0, 0, zero)
+    rec((1 << len(kept)) - 1, 0, (0,) * n)
     return tuple(sorted(found))
 
 
@@ -138,7 +169,8 @@ def lcm_generator_classes(
         raise InputError("k must be at least 1")
     if markov is None:
         markov = lattice_ideal(basis)
-    cap = m_value(basis, k) + max(frobenius(basis, 1), 0)
+    f_values, m_values = kth_degrees(basis, k)
+    cap = m_values[-1] + max(f_values[0], 0)
     bl = ball(moves(markov), k - 1)
     orbits = {basis.label(g) for g in candidate_lcms(bl, k, basis.weight, cap)}
     table = CountTable(basis, cap, 1)
@@ -168,8 +200,9 @@ def minimal_generators(
     """
     if k < 1:
         raise InputError("k must be at least 1")
-    mk = m_value(basis, k)
-    f1 = frobenius(basis, 1)
+    f_values, m_values = kth_degrees(basis, k)
+    mk = m_values[-1]
+    f1 = f_values[0]
     cap = mk + max(f1, 0)
     table = CountTable(basis, cap, k)
     steps = atoms(basis)

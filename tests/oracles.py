@@ -3,9 +3,11 @@
 Everything here enumerates nonnegative integer vectors directly and
 solves small linear systems over the rationals. No dynamic programming,
 no imports from the package: expected values frozen in the tests were
-produced by these functions. The one exception is
+produced by these functions. The exceptions are
 ``lattice_ideal_by_groebner``, which shares the binomial reduction step
-of ``genfrob.ideal`` and runs Buchberger without the chain criterion.
+of ``genfrob.ideal`` and runs Buchberger without the chain criterion,
+and ``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
+weight and uses the package's ``dot`` and ``InputError``.
 """
 from fractions import Fraction
 
@@ -221,3 +223,35 @@ def lattice_ideal_by_groebner(basis, order=None):
             continue
         kept.append(p)
     return kept
+
+
+def candidate_lcms_exhaustive(bl, k, weight, degree_cap):
+    """``genfrob.modules.candidate_lcms`` by a plain recursion over subsets.
+
+    Walks every (k-1)-subset of the nonzero ball points in index order
+    and prunes a branch only when its own partial lcm exceeds the cap.
+    """
+    from genfrob.lattice import InputError, dot
+
+    if bl.radius != k - 1:
+        raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
+    n = len(bl.points[0])
+    others = [p for p in bl.points if any(p)]
+    if len(others) < k - 1:
+        raise InputError(f"ball has too few points for {k}-subsets")
+    zero = (0,) * n
+    found = set()
+
+    def rec(start, chosen, lcm):
+        if chosen == k - 1:
+            found.add(lcm)
+            return
+        for idx in range(start, len(others) - (k - 2 - chosen)):
+            p = others[idx]
+            nxt = tuple(max(x, y) for x, y in zip(lcm, p))
+            if dot(weight.a, nxt) > degree_cap:
+                continue
+            rec(idx + 1, chosen + 1, nxt)
+
+    rec(0, 0, zero)
+    return tuple(sorted(found))

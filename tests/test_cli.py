@@ -89,6 +89,14 @@ def test_verify_exits_zero(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_k_max_below_one_exits_2():
+    for k_max in ("0", "-3"):
+        res = run_cli(["verify", "-a", "3,5,8", "--k-max", k_max])
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: k_max must be at least 1\n"
+
+
 def _assert_verify_all_ok(argv, capsys, k_max):
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -1,3 +1,5 @@
+import math
+import random
 from math import comb
 
 import pytest
@@ -7,6 +9,7 @@ from genfrob import (
     SYZYGY_OF_TWO_GENERATORS,
     SYZYGY_WITH_UNIT,
     InputError,
+    LatticeBasis,
     WeightVector,
     ball,
     candidate_lcms,
@@ -15,6 +18,7 @@ from genfrob import (
     divides_mod_L,
     is_exceptional,
     kernel_basis,
+    kth_degrees,
     lattice_ideal,
     minimal_generators,
     modified_min_gens,
@@ -23,6 +27,8 @@ from genfrob import (
     phi,
     render_monomial,
 )
+
+from .oracles import candidate_lcms_exhaustive
 
 
 def _orbit_set(basis, gens):
@@ -60,6 +66,70 @@ def test_candidate_lcms_radius_check():
     bl = ball(moves(lattice_ideal(B)), 1)
     with pytest.raises(InputError):
         candidate_lcms(bl, 3, B.weight, 100)
+
+
+def _random_sublattice(rng):
+    """A kernel lattice, or a sublattice of index up to 9, on 2 to 4 variables.
+
+    About 30% of the weight vectors contain a 1. A sublattice takes
+    an upper triangular integer matrix times the kernel basis, so its
+    index is the product of the diagonal.
+    """
+    n = rng.choice((2, 3, 3, 4))
+    while True:
+        a = [rng.randint(2, 9) for _ in range(n)]
+        if rng.random() < 0.3:
+            a[rng.randrange(n)] = 1
+        if math.gcd(*a) == 1:
+            break
+    K = kernel_basis(WeightVector(tuple(a)))
+    if rng.random() < 0.5:
+        return K
+    r = n - 1
+    while True:
+        diag = [rng.randint(1, 9 if r == 1 else 3) for _ in range(r)]
+        if math.prod(diag) <= 9:
+            break
+    rows = [
+        [diag[i] if j == i else rng.randint(-2, 2) if j > i else 0 for j in range(r)]
+        for i in range(r)
+    ]
+    vectors = tuple(
+        tuple(sum(c * v[x] for c, v in zip(row, K.vectors)) for x in range(n)) for row in rows
+    )
+    return LatticeBasis(K.weight, vectors)
+
+
+def test_candidate_lcms_matches_exhaustive_oracle():
+    # Each case is one (basis, k), checked at the real cap m_k + max(F_1, 0)
+    # and, where the exhaustive walk stays small, with no cap at all.
+    # Cases whose exhaustive walk exceeds 100,000 subsets are skipped to
+    # keep the oracle's run time down.
+    rng = random.Random(7007)
+    cases = 0
+    uncapped = 0
+    kinds = set()
+    while cases < 300:
+        B = _random_sublattice(rng)
+        k = rng.randint(1, 5)
+        bl = ball(moves(lattice_ideal(B)), k - 1)
+        subsets = comb(len(bl) - 1, k - 1)
+        if len(bl) - 1 < k - 1 or subsets > 100_000:
+            continue
+        f, m = kth_degrees(B, k)
+        caps = [m[-1] + max(f[0], 0)]
+        if subsets <= 20_000:
+            caps.append(10**9)
+            uncapped += 1
+        for cap in caps:
+            assert candidate_lcms(bl, k, B.weight, cap) == candidate_lcms_exhaustive(
+                bl, k, B.weight, cap
+            ), (B, k, cap)
+        kinds.add((B.n, B.index > 1, 1 in B.weight.a, k))
+        cases += 1
+    assert uncapped >= 150
+    assert {(n, True, True) for n in (2, 3, 4)} <= {kind[:3] for kind in kinds}
+    assert {kind[3] for kind in kinds} == {1, 2, 3, 4, 5}
 
 
 def test_divides_mod_L_examples():
