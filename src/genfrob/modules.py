@@ -105,12 +105,15 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     a = weight.a
     pos = [tuple(max(x, 0) for x in p) for p in others]
     kept = [q for q in pos if dot(a, q) <= degree_cap]
+    # The masks limit the second and later picks; k <= 2 picks at most one point.
     later = [
         sum(
             1 << j
             for j in range(i + 1, len(kept))
             if dot(a, map(max, q, kept[j])) <= degree_cap
         )
+        if k >= 3
+        else 0
         for i, q in enumerate(kept)
     ]
     found = set()

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import CountTable, atoms, kth_degrees
-from .counting import m_value  # noqa: F401  (re-exported)
+from .counting import CountTable, atoms, m_value
 from .frobenius import frobenius
 from .lattice import InputError, LatticeBasis, QuotientClass
 
@@ -108,9 +107,8 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     """Label set of the k-th module, with its minimal elements and covers."""
     if k < 1:
         raise InputError("k must be at least 1")
-    f_values, m_values = kth_degrees(basis, k)
-    f1 = f_values[0]
-    mk = m_values[-1]
+    f1 = frobenius(basis, 1)
+    mk = m_value(basis, k)
     if f1 < 0:
         return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), ())
     table = CountTable(basis, mk + f1, k)
