@@ -13,7 +13,8 @@ import os
 import sys
 
 from .counting import m_value  # noqa: F401  (re-exported)
-from .frobenius import brute_force_frobenius, frobenius, frobenius_and_m, sequence_report
+from .frobenius import brute_force_frobenius, brute_force_m, frobenius, frobenius_and_m
+from .frobenius import sequence_report
 from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, WeightVector, kernel_basis, sublattice_index
 from .modules import classify, lcm_generator_classes, minimal_generators, render_monomial
@@ -60,6 +61,10 @@ def _make_basis(args) -> LatticeBasis:
 
 def _label_list(c) -> list:
     return [c.degree, *c.torsion]
+
+
+def _class_key(c):
+    return (c.degree, c.torsion)
 
 
 def _emit(args, text: str) -> None:
@@ -165,39 +170,27 @@ def _cmd_module(args) -> int:
 
 def _cmd_poset(args) -> int:
     basis = _make_basis(args)
-    sp = structure_poset(basis)
     if args.format == "dot":
-        _emit(args, poset_to_dot(sp))
+        _emit(args, poset_to_dot(structure_poset(basis)))
         return EXIT_OK
-    if args.k is not None:
-        mp = module_poset(basis, args.k)
-        labels = sorted(mp.labels, key=lambda c: (c.degree, c.torsion))
-        payload = {
-            "a": list(basis.weight.a),
-            "k": args.k,
-            "poset": {
-                "labels": [_label_list(c) for c in labels],
-                "hasse": [
-                    [_label_list(u), _label_list(v)] for u, v in mp.covers
-                ],
-            },
-            "minimal": [
-                _label_list(c)
-                for c in sorted(mp.minimal_elements, key=lambda c: (c.degree, c.torsion))
-            ],
-            "m_k": mp.m_k,
-        }
+    if args.k is None:
+        poset = structure_poset(basis)
+        labels = poset.elements
     else:
-        payload = {
-            "a": list(basis.weight.a),
-            "k": None,
-            "poset": {
-                "labels": [_label_list(c) for c in sp.elements],
-                "hasse": [
-                    [_label_list(u), _label_list(v)] for u, v in sp.covers
-                ],
-            },
-        }
+        poset = module_poset(basis, args.k)
+        labels = sorted(poset.labels, key=_class_key)
+    payload = {
+        "a": list(basis.weight.a),
+        "k": args.k,
+        "poset": {
+            "labels": [_label_list(c) for c in labels],
+            "hasse": [[_label_list(u), _label_list(v)] for u, v in poset.covers],
+        },
+    }
+    if args.k is not None:
+        minimal = sorted(poset.minimal_elements, key=_class_key)
+        payload["minimal"] = [_label_list(c) for c in minimal]
+        payload["m_k"] = poset.m_k
     if args.format == "json":
         _emit(args, _json_dump(payload))
     else:
@@ -292,10 +285,11 @@ def _cmd_verify(args) -> int:
             f"k={k} lcm oracle orbits={len(oracle_classes)} "
             f"{'ok' if match_lcm else 'MISMATCH'}"
         )
-        match3 = fk - gens.m_k == fk - mp.m_k and gens.m_k == mp.m_k
+        m_oracle = brute_force_m(basis, k)
+        match3 = gens.m_k == m_oracle
         ok = ok and match3
         lines.append(
-            f"k={k} m_k module={gens.m_k} poset={mp.m_k} "
+            f"k={k} pipeline m_k={gens.m_k} oracle m_k={m_oracle} "
             f"{'ok' if match3 else 'MISMATCH'}"
         )
     _emit(args, "\n".join(lines) + "\n")

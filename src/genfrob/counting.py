@@ -2,17 +2,16 @@
 
 Two independent ways to count points of N^n per quotient class:
 
-- ``kth_degrees``, the engine behind F_k and m_k: a k-best shortest-path
-  walk over the residue graph of Z^n/L modulo the class of the cheapest
-  generator. One run yields F_1..F_kmax and m_1..m_kmax.
+- ``thresholds``, the engine: a k-best shortest-path walk over the
+  residue graph of Z^n/L modulo the class of the cheapest generator.
+  One run yields F_1..F_K and m_1..m_K (``kth_degrees``), whether a
+  class has count >= k, and the atoms of the representable monoid.
 - ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
   degree), saturated at a cap. It is the brute-force oracle the engine
-  is checked against, and the table from which the module layer reads
-  generator orbits and the poset layer reads labels.
+  is checked against, and the table from which ``module_poset`` reads
+  its labels.
 
-Fibers and dominated-point sets are enumerated directly. ``atoms``
-gives the unit classes that generate the monoid of representable
-classes minimally; the module and poset layers step along them.
+Fibers and dominated-point sets are enumerated directly.
 """
 from __future__ import annotations
 
@@ -157,8 +156,63 @@ def dominated_points(basis: LatticeBasis, p) -> frozenset:
     return frozenset(vsub(p, u) for u in fiber(basis, basis.label(p)).points)
 
 
-def kth_degrees(basis: LatticeBasis, k_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(F_1..F_kmax, m_1..m_kmax) from one k-best residue-graph walk.
+class Thresholds:
+    """t_1(r) <= ... <= t_K(r), the K smallest degrees reached at each residue node r.
+
+    These are the k-fold Apery sets (Rosales and Garcia-Sanchez,
+    *Numerical Semigroups*, ch. 1). A class of degree d = q * a_s + r and
+    torsion t lies at node (r, t - q * t_s), with t_s the torsion of
+    [e_s], and its count is the number of walks into that node of degree
+    at most d: count >= k exactly when d >= t_k(node). ``f`` and ``m``
+    hold F_1..F_K and m_1..m_K; a k outside 1..K raises KeyError. Built by
+    ``thresholds``.
+    """
+
+    def __init__(self, basis: LatticeBasis, reached, a_s: int, t_s, torsions, code_of):
+        self.basis = basis
+        self._t = dict(enumerate(zip(*reached), start=1))  # k -> t_k per node
+        self._a_s = a_s
+        self._t_s = t_s
+        self._torsions = torsions
+        self._code_of = code_of
+        self.f = tuple(max(max(col) - a_s, -1) for col in self._t.values())
+        self.m = tuple(map(min, self._t.values()))
+
+    def _shift(self, torsion, q) -> tuple[int, ...]:
+        """torsion + q * t_s."""
+        moduli = self.basis.torsion_moduli
+        return tuple((x + q * y) % m for x, y, m in zip(torsion, self._t_s, moduli))
+
+    def at_least(self, c: QuotientClass, k: int) -> bool:
+        """True when class c has at least k nonnegative representatives."""
+        q, r = divmod(c.degree, self._a_s)
+        node = r * len(self._torsions) + self._code_of[self._shift(c.torsion, -q)]
+        return c.degree >= self._t[k][node]
+
+    def least_classes(self, k: int):
+        """Per node, the class of least degree with count >= k."""
+        tsize = len(self._torsions)
+        for node, d in enumerate(self._t[k]):
+            yield QuotientClass(d, self._shift(self._torsions[node % tsize], d // self._a_s))
+
+    def atoms(self) -> tuple[QuotientClass, ...]:
+        """Atoms of the monoid of representable classes, sorted.
+
+        Every representable class is a sum of unit classes [e_i], so the
+        atoms are the distinct [e_i] from which no other [e_j] can be
+        taken away leaving a representable class.
+        """
+        basis = self.basis
+        units = {basis.label(tuple(int(j == i) for j in range(basis.n))) for i in range(basis.n)}
+        found = [
+            g for g in units
+            if not any(h != g and self.at_least(basis.class_sub(g, h), 1) for h in units)
+        ]
+        return tuple(sorted(found, key=lambda c: (c.degree, c.torsion)))
+
+
+def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
+    """t_1..t_kmax at every residue node, from one k-best residue-graph walk.
 
     Let a_s be the smallest weight. Every point of N^n is a multiset M of
     the other generators plus some multiple of e_s, so the count of a
@@ -241,51 +295,29 @@ def kth_degrees(basis: LatticeBasis, k_max: int) -> tuple[tuple[int, ...], tuple
                 heapq.heappush(heap, (d + steps[jj], nxt))
     if unfilled:
         raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
-    f_values = tuple(max(max(degs[k] for degs in reached) - a_s, -1) for k in range(k_max))
-    m_values = tuple(min(degs[k] for degs in reached) for k in range(k_max))
-    f1 = max(f_values[0], 0)
-    for k, (f, m) in enumerate(zip(f_values, m_values), start=1):
+    return Thresholds(basis, reached, a_s, t_s, torsions, code_of)
+
+
+def kth_degrees(basis: LatticeBasis, k_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(F_1..F_kmax, m_1..m_kmax) from the residue-graph thresholds."""
+    t = thresholds(basis, k_max)
+    f1 = max(t.f[0], 0)
+    for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
         if f > m + f1:
             raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
-    return f_values, m_values
+    return t.f, t.m
 
 
 def m_value(basis: LatticeBasis, k: int) -> int:
     """Smallest degree at which some class has count >= k."""
-    if k < 1:
-        raise InputError("k must be at least 1")
     return kth_degrees(basis, k)[1][-1]
 
 
-def has_nonneg_rep(basis: LatticeBasis, c: QuotientClass, table: CountTable | None = None) -> bool:
+def has_nonneg_rep(basis: LatticeBasis, c: QuotientClass) -> bool:
     """True when class c contains a point of N^n."""
-    if c.degree < 0:
-        return False
-    if table is not None and c.degree <= table.max_degree:
-        return table.count(c) >= 1
-    return CountTable(basis, c.degree, 1).count(c) >= 1
+    return c.degree >= 0 and thresholds(basis, 1).at_least(c, 1)
 
 
 def atoms(basis: LatticeBasis) -> tuple[QuotientClass, ...]:
-    """Atoms of the monoid of representable classes, sorted.
-
-    Every representable class is a sum of unit classes [e_i], so the
-    atoms are the distinct [e_i] from which no other [e_j] can be taken
-    away leaving a representable class.
-    """
-    a = basis.weight.a
-    n = basis.n
-    units = {basis.label(tuple(int(j == i) for j in range(n))) for i in range(n)}
-    table = CountTable(basis, max(a) - min(a), 1)
-    return tuple(
-        sorted(
-            (
-                g
-                for g in units
-                if not any(
-                    h != g and table.count(basis.class_sub(g, h)) >= 1 for h in units
-                )
-            ),
-            key=lambda c: (c.degree, c.torsion),
-        )
-    )
+    """Atoms of the monoid of representable classes, sorted."""
+    return thresholds(basis, 1).atoms()

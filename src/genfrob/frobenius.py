@@ -3,9 +3,9 @@
 F_k is the largest weighted degree at which some quotient class still
 has fewer than k nonnegative representatives. ``frobenius`` and
 ``sequence_report`` read F_k and m_k off the residue-graph engine
-``counting.kth_degrees``; ``brute_force_frobenius`` is the independent
-oracle, a plain upward scan of counting tables that shares no code with
-the engine.
+``counting.kth_degrees``; ``brute_force_frobenius`` and ``brute_force_m``
+are the independent oracles, plain upward scans of counting tables that
+share no code with the engine.
 """
 from __future__ import annotations
 
@@ -45,12 +45,24 @@ def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
     return _window_scan(basis, k)
 
 
+def brute_force_m(basis: LatticeBasis, k: int) -> int:
+    """Independent oracle for m_k: the first degree with a class of count
+    >= k, scanned upward in counting tables of doubling size."""
+    if k < 1:
+        raise InputError("k must be at least 1")
+    bound = 4 * basis.weight.a[0]
+    while True:
+        table = CountTable(basis, bound, k)
+        for d in range(bound + 1):
+            if any(cnt >= k for _, cnt in table.classes_at(d)):
+                return d
+        bound *= 2
+
+
 def frobenius_and_m(
     basis: LatticeBasis, k: int, degree_cap: int | None = None
 ) -> tuple[int, int]:
     """(F_k, m_k) from one engine run; degree_cap as in ``frobenius``."""
-    if k < 1:
-        raise InputError("k must be at least 1")
     f_values, m_values = kth_degrees(basis, k)
     fk = f_values[-1]
     a1 = basis.weight.a[0]

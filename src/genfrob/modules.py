@@ -3,12 +3,12 @@
 A Laurent monomial belongs to the k-th module when its exponent
 dominates at least k sublattice points, that is, when its quotient
 class has at least k nonnegative representatives. So the generator
-orbits are read from one counting table: a class c is a generator orbit
-exactly when count(c) >= k and count(c - [e_i]) < k for every i (the
-monomial-module criterion). It is enough to test the atoms among the
-[e_i], since every [e_i] is an atom plus a representable class. Each
-orbit is reported by the lexicographically smallest nonnegative point
-of its class.
+orbits are read from the residue-walk thresholds of ``counting``: a
+class c is a generator orbit exactly when count(c) >= k and
+count(c - [e_i]) < k for every i (the monomial-module criterion). It is
+enough to test the atoms among the [e_i], since every [e_i] is an atom
+plus a representable class. Each orbit is reported by the
+lexicographically smallest nonnegative point of its class.
 
 The paper's construction, lcms of k ball points around the origin
 minimalised under divisibility up to the lattice action, is kept as the
@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from itertools import combinations
 
-from .counting import CountTable, atoms, dominated_points, fiber, has_nonneg_rep, kth_degrees
+from .counting import CountTable, dominated_points, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, dot, vsub
@@ -66,10 +66,9 @@ def phi(g1, g2) -> tuple[int, ...]:
     return tuple(max(x, y) for x, y in zip(g1, g2))
 
 
-def divides_mod_L(basis: LatticeBasis, m, m2, table: CountTable | None = None) -> bool:
+def divides_mod_L(basis: LatticeBasis, m, m2) -> bool:
     """True when some lattice translate of m is coordinatewise below m2."""
-    c = basis.label(vsub(m2, m))
-    return has_nonneg_rep(basis, c, table)
+    return has_nonneg_rep(basis, basis.label(vsub(m2, m)))
 
 
 def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
@@ -193,35 +192,27 @@ def minimal_generators(
 ) -> ModuleGens:
     """Canonical orbit representatives of the k-th module's generators.
 
-    Scans the classes of degree m_k .. m_k + max(F_1, 0), the only ones
-    a generator orbit can have: a class above that window is a class of
-    degree m_k with count >= k plus a nonzero representable class, so
-    it is not minimal. The support of a representative r, its dominated
-    lattice points, is {r - u : u in the fiber of its class}.
-    ``markov`` is not needed by the scan and is accepted for callers
-    that hold one.
+    Tests one candidate per residue node, the least class of count >= k
+    there: [e_s] is an atom and the other classes of the node are that
+    class plus multiples of [e_s], so no other class of the node is
+    minimal. The support of a representative r, its dominated lattice
+    points, is {r - u : u in the fiber of its class}. ``markov`` is not
+    needed and is accepted for callers that hold one.
     """
-    if k < 1:
-        raise InputError("k must be at least 1")
-    f_values, m_values = kth_degrees(basis, k)
-    mk = m_values[-1]
-    f1 = f_values[0]
-    cap = mk + max(f1, 0)
-    table = CountTable(basis, cap, k)
-    steps = atoms(basis)
+    t = thresholds(basis, k)
+    steps = t.atoms()
     reps = []
-    for d in range(mk, cap + 1):
-        for cls, cnt in table.classes_at(d):
-            if cnt < k or any(table.count(basis.class_sub(cls, g)) >= k for g in steps):
-                continue
-            points = fiber(basis, cls).points
-            rep = points[0]
-            reps.append((d, rep, tuple(sorted(vsub(rep, u) for u in points))))
+    for cls in t.least_classes(k):
+        if any(t.at_least(basis.class_sub(cls, g), k) for g in steps):
+            continue
+        points = fiber(basis, cls).points
+        rep = points[0]
+        reps.append((cls.degree, rep, tuple(sorted(vsub(rep, u) for u in points))))
     reps.sort()
     generators = tuple(r[1] for r in reps)
     supports = tuple(r[2] for r in reps)
     classes = tuple(basis.label(g) for g in generators)
-    if not generators or reps[0][0] != mk:
+    if not generators or reps[0][0] != t.m[-1]:
         raise RuntimeError("no generator found at the minimum degree")
     return ModuleGens(
         k=k,
@@ -229,8 +220,8 @@ def minimal_generators(
         supports=supports,
         classes=classes,
         min_degree_witness=generators[0],
-        m_k=mk,
-        f_1=f1,
+        m_k=t.m[-1],
+        f_1=t.f[0],
     )
 
 
@@ -301,15 +292,7 @@ def classify(
         )
     if gens is None:
         gens = minimal_generators(basis, k_next)
-    cls = basis.label(g)
-    table = CountTable(basis, max(0, cls.degree - min(c.degree for c in gens.classes)), 1)
-    for other in gens.classes:
-        if other == cls:
-            continue
-        diff = basis.class_sub(cls, other)
-        if has_nonneg_rep(basis, diff, table):
-            raise InputError(f"{render_monomial(g)} is not a minimal generator")
-    if cls not in gens.classes:
+    if basis.label(g) not in gens.classes:
         raise InputError(f"{render_monomial(g)} is not a minimal generator")
 
     lcms = set()

@@ -6,19 +6,21 @@ are the degree-shifted label sets of classes whose count reaches k
 inside the window [m_k, m_k + F_1]; their minimal elements match the
 generator orbits.
 
-Everything is read from a counting table and the atoms of the monoid of
-representable classes. Label sets are upward closed under adding a
-representable class, since that keeps the count at least k, so y covers
-x exactly when y - x is an atom, and a label x is minimal exactly when
-no x - atom is a label. ``max_antichain_size`` is Dilworth's theorem
-through a maximum bipartite matching. The transitive reduction and the
-exhaustive antichain search live on as oracles in the test suite.
+The structure poset reads representability and the atoms of the monoid
+of representable classes from the residue-walk thresholds of
+``counting``; module posets read their labels from a counting table.
+Label sets are upward closed under adding a representable class, since
+that keeps the count at least k, so y covers x exactly when y - x is an
+atom, and a label x is minimal exactly when no x - atom is a label.
+``max_antichain_size`` is Dilworth's theorem through a maximum bipartite
+matching. The transitive reduction and the exhaustive antichain search
+live on as oracles in the test suite.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import CountTable, atoms, m_value
+from .counting import CountTable, atoms, m_value, thresholds
 from .frobenius import frobenius
 from .lattice import InputError, LatticeBasis, QuotientClass
 
@@ -55,26 +57,16 @@ class StructurePoset:
 
 def structure_poset(basis: LatticeBasis) -> StructurePoset:
     """Full structure poset; its Hasse covers are the atom steps x -> x + g."""
-    f1 = frobenius(basis, 1)
+    t = thresholds(basis, 1)
+    f1 = t.f[0]
     if f1 < 0:
         return StructurePoset(basis, f1, (), (), frozenset())
-    table = CountTable(basis, f1, 1)
-    elements = tuple(
-        sorted(
-            (
-                QuotientClass(d, t)
-                for d in range(f1 + 1)
-                for t in basis.all_torsions()
-            ),
-            key=_class_sort_key,
-        )
-    )
-    representable = frozenset(
-        c for c in elements if table.count(c) >= 1
-    )
+    torsions = basis.all_torsions()  # lexicographic, so elements come out sorted
+    elements = tuple(QuotientClass(d, tor) for d in range(f1 + 1) for tor in torsions)
+    representable = frozenset(c for c in elements if t.at_least(c, 1))
     # The ground set holds every class of degree 0..F_1, so each atom
     # step that stays in the window is a cover.
-    steps = atoms(basis)
+    steps = t.atoms()
     covers = sorted(
         ((x, y) for x in elements for g in steps if (y := basis.class_add(x, g)).degree <= f1),
         key=_pair_sort_key,
@@ -105,8 +97,6 @@ class ModulePoset:
 
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     """Label set of the k-th module, with its minimal elements and covers."""
-    if k < 1:
-        raise InputError("k must be at least 1")
     f1 = frobenius(basis, 1)
     mk = m_value(basis, k)
     if f1 < 0:

@@ -266,6 +266,21 @@ def test_verify_lcm_oracle_mismatch_exits_3(monkeypatch, capsys):
     assert "k=1 lcm oracle orbits=0 MISMATCH" in capsys.readouterr().out.splitlines()
 
 
+def test_verify_m_k_oracle_mismatch_exits_3(monkeypatch, capsys):
+    import genfrob.cli as cli
+
+    assert main(["verify", "-a", "3,5,8", "--k-max", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "k=1 pipeline m_k=0 oracle m_k=0 ok"
+    assert lines[7] == "k=2 pipeline m_k=8 oracle m_k=8 ok"
+    monkeypatch.setattr(cli, "brute_force_m", lambda basis, k: 8 if k == 1 else 9)
+    assert main(["verify", "-a", "3,5,8", "--k-max", "2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "k=1 pipeline m_k=0 oracle m_k=8 MISMATCH"
+    assert lines[7] == "k=2 pipeline m_k=8 oracle m_k=9 MISMATCH"
+    assert sum(line.endswith(" MISMATCH") for line in lines) == 2
+
+
 def test_invariant_failure_exits_5_without_traceback(monkeypatch, capsys):
     import importlib
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from genfrob import (
     has_nonneg_rep,
     kernel_basis,
     m_value,
+    thresholds,
 )
 
 from .oracles import class_count, count_representations, representations
@@ -203,3 +205,93 @@ def test_count_table_validation():
     table = count_table(B, 5, 1)
     with pytest.raises(InputError):
         table.count(class_label(B, (2, 0, 0)))  # degree 6 beyond range
+
+
+def _threshold_case(rng):
+    """A kernel lattice, or a sublattice of index 2 to 6, on 2 to 4 variables.
+
+    About 30% of the weight vectors contain a 1. A sublattice takes an
+    upper triangular integer matrix times the kernel basis, so its index
+    is the product of the diagonal; a diagonal (2, 2) with even entries
+    above it gives the non-cyclic torsion Z/2 x Z/2.
+    """
+    n = rng.choice((2, 3, 3, 4))
+    while True:
+        a = [rng.randint(2, 9) for _ in range(n)]
+        if rng.random() < 0.3:
+            a[rng.randrange(n)] = 1
+        if math.gcd(*a) == 1:
+            break
+    K = kernel_basis(WeightVector(tuple(a)))
+    if rng.random() < 0.4:
+        return K
+    r = n - 1
+    while True:
+        diag = [rng.randint(1, 6 if r == 1 else 3) for _ in range(r)]
+        if 2 <= math.prod(diag) <= 6:
+            break
+    step = 2 if rng.random() < 0.5 else 1
+    rows = [
+        [diag[i] if j == i else step * rng.randint(-1, 1) if j > i else 0 for j in range(r)]
+        for i in range(r)
+    ]
+    vectors = tuple(
+        tuple(sum(c * v[x] for c, v in zip(row, K.vectors)) for x in range(n)) for row in rows
+    )
+    return LatticeBasis(K.weight, vectors)
+
+
+def test_thresholds_match_count_table():
+    # Every read of the residue-walk thresholds against a counting table
+    # that reaches m_K + F_1 + max(a), past every threshold t_k(r).
+    rng = random.Random(8008)
+    kinds = set()
+    for _ in range(320):
+        B = _threshold_case(rng)
+        K = rng.randint(1, 5)
+        t = thresholds(B, K)
+        a = B.weight.a
+        top = t.m[-1] + max(t.f[0], 0) + max(a)
+        table = count_table(B, top, K)
+        for d in range(top + 1):
+            for c, cnt in table.classes_at(d):
+                assert [t.at_least(c, k) for k in range(1, K + 1)] == [
+                    cnt >= k for k in range(1, K + 1)
+                ], (B, c)
+        assert not t.at_least(class_label(B, (-1,) + (0,) * (B.n - 1)), 1)
+        # Each node's least class of count >= k: walking down by [e_s]
+        # from any class of count >= k ends in exactly one of them.
+        s = a.index(min(a))
+        e_s = class_label(B, tuple(int(j == s) for j in range(B.n)))
+        for k in range(1, K + 1):
+            least = list(t.least_classes(k))
+            assert len(least) == len(set(least)) == a[s] * B.index
+            for c in least:
+                assert table.count(c) >= k, (B, k, c)
+                below = B.class_sub(c, e_s)
+                assert below.degree < 0 or table.count(below) < k, (B, k, c)
+            lowest = set()
+            for d in range(top + 1):
+                for c, cnt in table.classes_at(d):
+                    below = B.class_sub(c, e_s)
+                    if cnt >= k and (below.degree < 0 or table.count(below) < k):
+                        lowest.add(c)
+            assert lowest == set(least), (B, k)
+        units = {class_label(B, tuple(int(j == i) for j in range(B.n))) for i in range(B.n)}
+        expected = sorted(
+            (g for g in units if not any(
+                h != g and table.count(B.class_sub(g, h)) >= 1 for h in units
+            )),
+            key=lambda c: (c.degree, c.torsion),
+        )
+        assert list(t.atoms()) == expected, B
+        for _ in range(3):
+            c = class_label(B, tuple(rng.randint(-3, 3) for _ in range(B.n)))
+            if c.degree <= top:
+                assert has_nonneg_rep(B, c) == (c.degree >= 0 and table.count(c) >= 1), (B, c)
+        kinds.add((B.n, B.index, len(B.torsion_moduli), 1 in a, K))
+    assert {kind[0] for kind in kinds} == {2, 3, 4}
+    assert {kind[1] for kind in kinds} == {1, 2, 3, 4, 5, 6}
+    assert any(kind[2] >= 2 for kind in kinds)  # non-cyclic torsion
+    assert any(kind[0] == 2 and kind[3] for kind in kinds)
+    assert {kind[4] for kind in kinds} == {1, 2, 3, 4, 5}

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from genfrob import (
-    CountTable,
     InputError,
     LatticeBasis,
     WeightVector,
     brute_force_frobenius,
+    brute_force_m,
     frobenius,
     kernel_basis,
     kth_degrees,
@@ -100,17 +100,6 @@ def test_sequence_report_requires_k_max_two():
         sequence_report(B, 1)
 
 
-def _m_by_table_scan(basis, k):
-    """Smallest degree of a counting table with a class of count >= k."""
-    bound = 16
-    while True:
-        table = CountTable(basis, bound, k)
-        for d in range(bound + 1):
-            if any(cnt >= k for _, cnt in table.classes_at(d)):
-                return d
-        bound *= 2
-
-
 def _random_weights(rng, n):
     while True:
         a = [rng.randint(2, 12) for _ in range(n)]
@@ -140,8 +129,8 @@ def _random_basis(rng):
 
 
 def test_engine_matches_counting_oracle():
-    # case = one (basis, k): F_k against the table-scan oracle, m_k against
-    # a table scan, and the one-run values against a run per k
+    # case = one (basis, k): F_k and m_k against the table-scan oracles,
+    # and the one-run values against a run per k
     rng = random.Random(3003)
     k_max = 6
     cases = 0
@@ -154,7 +143,7 @@ def test_engine_matches_counting_oracle():
             f_k, m_k = kth_degrees(B, k)
             assert (f_k[-1], m_k[-1]) == (f_all[k - 1], m_all[k - 1])
             assert f_all[k - 1] == brute_force_frobenius(B, k), (B, k)
-            assert m_all[k - 1] == _m_by_table_scan(B, k), (B, k)
+            assert m_all[k - 1] == brute_force_m(B, k), (B, k)
             cases += 1
     assert {(2, False, True), (3, True, False), (3, True, True), (4, False, False)} <= kinds
 
@@ -186,3 +175,5 @@ def test_kth_degrees_rejects_bad_k():
         kth_degrees(B, 0)
     with pytest.raises(InputError):
         m_value(B, 0)
+    with pytest.raises(InputError):
+        brute_force_m(B, 0)
