@@ -68,11 +68,14 @@ def _class_key(c):
 
 
 def _emit(args, text: str) -> None:
-    if args.output:
+    if not args.output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output file {args.output}: {exc}") from exc
 
 
 def _json_dump(obj) -> str:
@@ -169,6 +172,8 @@ def _cmd_module(args) -> int:
 
 
 def _cmd_poset(args) -> int:
+    if args.format == "dot" and args.k is not None:
+        raise InputError("DOT output is for the structure poset only; drop -k")
     basis = _make_basis(args)
     if args.format == "dot":
         _emit(args, poset_to_dot(structure_poset(basis)))
@@ -208,8 +213,8 @@ def _cmd_frobenius(args) -> int:
         degree_cap = int(cap) if cap else None
     except ValueError as exc:
         raise InputError(f"GENFROB_DEGREE_CAP must be an integer, got {cap!r}") from exc
+    fk, mk = frobenius_and_m(basis, args.k, degree_cap=degree_cap)
     if args.format == "json":
-        fk, mk = frobenius_and_m(basis, args.k, degree_cap=degree_cap)
         payload = {
             "a": list(basis.weight.a),
             "k": args.k,
@@ -219,7 +224,7 @@ def _cmd_frobenius(args) -> int:
         }
         _emit(args, _json_dump(payload))
     else:
-        _emit(args, f"{frobenius(basis, args.k, degree_cap=degree_cap)}\n")
+        _emit(args, f"{fk}\n")
     return EXIT_OK
 
 

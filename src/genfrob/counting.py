@@ -11,7 +11,8 @@ Two independent ways to count points of N^n per quotient class:
   is checked against, and the table from which ``module_poset`` reads
   its labels.
 
-Fibers and dominated-point sets are enumerated directly.
+Fibers are enumerated directly, once per generator orbit. The tests
+keep ``dominated_points`` as the reference for supports and counts.
 """
 from __future__ import annotations
 
@@ -228,6 +229,7 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     With t_k(r) the k-th smallest degree reached at node r, the classes
     of node r with count < k are those of degree t_k(r) - a_s and below,
     so F_k = max(max_r t_k(r) - a_s, -1) and m_k = min_r t_k(r).
+    Every run checks the bound F_k <= m_k + max(F_1, 0).
     """
     if k_max < 1:
         raise InputError("k must be at least 1")
@@ -295,16 +297,17 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
                 heapq.heappush(heap, (d + steps[jj], nxt))
     if unfilled:
         raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
-    return Thresholds(basis, reached, a_s, t_s, torsions, code_of)
+    t = Thresholds(basis, reached, a_s, t_s, torsions, code_of)
+    f1 = max(t.f[0], 0)
+    for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
+        if f > m + f1:
+            raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
+    return t
 
 
 def kth_degrees(basis: LatticeBasis, k_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(F_1..F_kmax, m_1..m_kmax) from the residue-graph thresholds."""
     t = thresholds(basis, k_max)
-    f1 = max(t.f[0], 0)
-    for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
-        if f > m + f1:
-            raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
     return t.f, t.m
 
 

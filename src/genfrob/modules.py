@@ -15,18 +15,20 @@ minimalised under divisibility up to the lattice action, is kept as the
 independent oracle ``lcm_generator_classes``. The inductive
 classification splits each generator into an exceptional carry-over,
 the image of a syzygy between two generators, or the image of a syzygy
-with the unit.
+with the unit. It and ``is_exceptional`` read the supports and the
+thresholds, so each generator's fiber is enumerated once.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
-from .counting import CountTable, dominated_points, fiber, has_nonneg_rep, kth_degrees, thresholds
+from .counting import CountTable, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
-from .lattice import InputError, LatticeBasis, QuotientClass, dot, vsub
+from .lattice import InputError, LatticeBasis, QuotientClass, dot, vadd, vsub
 from .neighbourhood import Ball, ball, moves
 
 EXCEPTIONAL = "Exceptional"
@@ -264,8 +266,8 @@ class GeneratorClassification:
 
 
 def is_exceptional(basis: LatticeBasis, g, k: int) -> bool:
-    """Generator of the k-th module dominating strictly more than k points."""
-    return len(dominated_points(basis, g)) > k
+    """Generator of the k-th module dominating more than k points: count >= k + 1."""
+    return thresholds(basis, k + 1).at_least(basis.label(g), k + 1)
 
 
 def classify(
@@ -281,35 +283,32 @@ def classify(
     generator one level down; an incomparable pair exhibits it as the
     image of a syzygy between two lower generators; otherwise the unique
     proper-divisor lcm certifies a syzygy with the unit.
+
+    g's dominated points are its orbit's support, translated by g minus
+    the representative; a translate keeps the support sorted.
     """
     if k_next < 2:
         raise InputError("classification needs k_next at least 2")
-    support = sorted(dominated_points(basis, g))
-    if len(support) < k_next:
-        raise InputError(
-            f"{render_monomial(g)} dominates {len(support)} points, "
-            f"not a member of the module for k={k_next}"
-        )
     if gens is None:
         gens = minimal_generators(basis, k_next)
-    if basis.label(g) not in gens.classes:
-        raise InputError(f"{render_monomial(g)} is not a minimal generator")
+    if gens.k != k_next:
+        raise InputError(f"generators are for k={gens.k}, not k={k_next}")
+    cls = basis.label(g)
+    if cls not in gens.classes:
+        raise InputError(
+            f"{render_monomial(g)} is not a minimal generator of the module for k={k_next}"
+        )
+    i = gens.classes.index(cls)
+    shift = vsub(g, gens.generators[i])
+    support = [vadd(p, shift) for p in gens.supports[i]]
 
-    lcms = set()
-    for T in combinations(support, k_next - 1):
-        lcm = T[0]
-        for p in T[1:]:
-            lcm = phi(lcm, p)
-        lcms.add(lcm)
-    lcms = sorted(lcms)
+    lcms = sorted({reduce(phi, T) for T in combinations(support, k_next - 1)})
     if len(lcms) == 1:
         if lcms[0] != g:
             raise RuntimeError("constant subset lcm differs from the generator")
         return GeneratorClassification(EXCEPTIONAL, ())
     for l1, l2 in combinations(lcms, 2):
-        le12 = all(x <= y for x, y in zip(l1, l2))
-        le21 = all(y <= x for x, y in zip(l1, l2))
-        if not le12 and not le21:
+        if phi(l1, l2) not in (l1, l2):  # incomparable
             return GeneratorClassification(SYZYGY_OF_TWO_GENERATORS, (l1, l2))
     proper = [l for l in lcms if l != g]
     if len(proper) != 1:

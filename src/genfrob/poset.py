@@ -6,12 +6,12 @@ are the degree-shifted label sets of classes whose count reaches k
 inside the window [m_k, m_k + F_1]; their minimal elements match the
 generator orbits.
 
-The structure poset reads representability and the atoms of the monoid
-of representable classes from the residue-walk thresholds of
-``counting``; module posets read their labels from a counting table.
-Label sets are upward closed under adding a representable class, since
-that keeps the count at least k, so y covers x exactly when y - x is an
-atom, and a label x is minimal exactly when no x - atom is a label.
+Both posets read F_1, representability and the atoms of the monoid of
+representable classes from one ``thresholds(basis, 1)`` walk; module
+posets read their labels from a counting table. In the window both
+member sets are closed under adding a representable class, so y covers
+x exactly when y = x + atom is a member, and a label x is minimal
+exactly when no x - atom is a label.
 ``max_antichain_size`` is Dilworth's theorem through a maximum bipartite
 matching. The transitive reduction and the exhaustive antichain search
 live on as oracles in the test suite.
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .counting import CountTable, atoms, m_value, thresholds
-from .frobenius import frobenius
+from .counting import CountTable, kth_degrees, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass
 
 
@@ -31,6 +30,12 @@ def _class_sort_key(c: QuotientClass):
 
 def _pair_sort_key(p):
     return (_class_sort_key(p[0]), _class_sort_key(p[1]))
+
+
+def _covers(basis: LatticeBasis, members, steps) -> tuple:
+    """Hasse covers of a member set: the atom steps x -> x + g inside it, sorted."""
+    pairs = ((x, y) for x in members for g in steps if (y := basis.class_add(x, g)) in members)
+    return tuple(sorted(pairs, key=_pair_sort_key))
 
 
 @dataclass(frozen=True)
@@ -64,14 +69,8 @@ def structure_poset(basis: LatticeBasis) -> StructurePoset:
     torsions = basis.all_torsions()  # lexicographic, so elements come out sorted
     elements = tuple(QuotientClass(d, tor) for d in range(f1 + 1) for tor in torsions)
     representable = frozenset(c for c in elements if t.at_least(c, 1))
-    # The ground set holds every class of degree 0..F_1, so each atom
-    # step that stays in the window is a cover.
-    steps = t.atoms()
-    covers = sorted(
-        ((x, y) for x in elements for g in steps if (y := basis.class_add(x, g)).degree <= f1),
-        key=_pair_sort_key,
-    )
-    return StructurePoset(basis, f1, elements, tuple(covers), representable)
+    covers = _covers(basis, frozenset(elements), t.atoms())
+    return StructurePoset(basis, f1, elements, covers, representable)
 
 
 def leq(poset: StructurePoset, b: QuotientClass, a: QuotientClass) -> bool:
@@ -97,28 +96,25 @@ class ModulePoset:
 
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     """Label set of the k-th module, with its minimal elements and covers."""
-    f1 = frobenius(basis, 1)
+    t = thresholds(basis, 1)
+    f1 = t.f[0]
     mk = m_value(basis, k)
     if f1 < 0:
         return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), ())
     table = CountTable(basis, mk + f1, k)
-    labels = set()
-    witnesses = set()
-    for d in range(mk, mk + f1 + 1):
-        for cls, cnt in table.classes_at(d):
-            if cnt >= k:
-                labels.add(QuotientClass(d - mk, cls.torsion))
-                if d == mk:
-                    witnesses.add(cls)
-    steps = atoms(basis)
+    labels = {
+        QuotientClass(d - mk, cls.torsion)
+        for d in range(mk, mk + f1 + 1)
+        for cls, cnt in table.classes_at(d)
+        if cnt >= k
+    }
+    witnesses = frozenset(QuotientClass(mk, x.torsion) for x in labels if x.degree == 0)
+    steps = t.atoms()
     minimal = frozenset(
         x for x in labels if not any(basis.class_sub(x, g) in labels for g in steps)
     )
-    covers = sorted(
-        ((x, y) for x in labels for g in steps if (y := basis.class_add(x, g)) in labels),
-        key=_pair_sort_key,
-    )
-    return ModulePoset(k, mk, frozenset(labels), minimal, frozenset(witnesses), tuple(covers))
+    covers = _covers(basis, labels, steps)
+    return ModulePoset(k, mk, frozenset(labels), minimal, witnesses, covers)
 
 
 @dataclass(frozen=True)
@@ -133,30 +129,26 @@ class FinitenessReport:
 
 
 def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
-    """Collect posets and check F_k = m_k - 1 exactly on full posets."""
+    """Collect posets and check F_k = m_k - 1 exactly on full posets (labels = window)."""
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    sp = structure_poset(basis)
-    full = frozenset(sp.elements)
+    f_values = kth_degrees(basis, k_max)[0]
+    full = frozenset(
+        QuotientClass(d, tor) for d in range(f_values[0] + 1) for tor in basis.all_torsions()
+    )
     posets = tuple(module_poset(basis, k) for k in range(1, k_max + 1))
     b_values = []
     full_ks = []
     distinct: list[frozenset] = []
-    for mp in posets:
-        fk = frobenius(basis, mp.k)
+    for mp, fk in zip(posets, f_values):
         b_values.append(fk - mp.m_k)
         if mp.labels not in distinct:
             distinct.append(mp.labels)
-        if mp.labels == full:
+        is_full = mp.labels == full
+        if is_full != (fk == mp.m_k - 1):
+            raise RuntimeError(f"F_k = m_k - 1 should hold exactly on full posets; k={mp.k}")
+        if is_full:
             full_ks.append(mp.k)
-            if fk != mp.m_k - 1:
-                raise RuntimeError(
-                    f"full module poset at k={mp.k} but F_k={fk} != m_k-1"
-                )
-        elif fk == mp.m_k - 1:
-            raise RuntimeError(
-                f"F_k=m_k-1 at k={mp.k} but the module poset is not full"
-            )
     return FinitenessReport(
         k_max=k_max,
         posets=posets,

@@ -10,6 +10,7 @@ and ``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
 weight and uses the package's ``dot`` and ``InputError``.
 """
 from fractions import Fraction
+from itertools import combinations
 
 
 def representations(a, degree):
@@ -255,3 +256,31 @@ def candidate_lcms_exhaustive(bl, k, weight, degree_cap):
 
     rec(0, 0, zero)
     return tuple(sorted(found))
+
+
+def classify_by_support(g, support, k_next):
+    """``genfrob.modules.classify`` of g from its sorted dominated points.
+
+    Returns (case, witnesses), the case named as in the package's
+    output. The lcms of the (k_next - 1)-subsets are all equal for an
+    exceptional generator; an incomparable pair of them witnesses a
+    syzygy of two generators; otherwise the one lcm other than g
+    witnesses a syzygy with the unit.
+    """
+    g = tuple(g)
+    lcms = set()
+    for subset in combinations(support, k_next - 1):
+        lcm = subset[0]
+        for p in subset[1:]:
+            lcm = tuple(max(x, y) for x, y in zip(lcm, p))
+        lcms.add(lcm)
+    lcms = sorted(lcms)
+    if len(lcms) == 1:
+        assert lcms[0] == g
+        return "Exceptional", ()
+    for l1, l2 in combinations(lcms, 2):
+        if not all(x <= y for x, y in zip(l1, l2)) and not all(y <= x for x, y in zip(l1, l2)):
+            return "SyzygyOfTwoGenerators", (l1, l2)
+    proper = [lcm for lcm in lcms if lcm != g]
+    assert len(proper) == 1
+    return "SyzygyWithUnit", (proper[0],)

@@ -303,3 +303,21 @@ def test_invariant_failure_exits_5_without_traceback(monkeypatch, capsys):
     monkeypatch.setattr(importlib.import_module("genfrob.frobenius"), "kth_degrees", fail)
     assert main(["frobenius", "-a", "3,5,8"]) == 5
     assert capsys.readouterr().err == "internal error: invariant broken\n"
+
+
+def test_output_to_a_missing_directory_or_onto_a_directory_exits_2(tmp_path):
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        res = run_cli(["frobenius", "-a", "3,5,8", "-o", str(target)])
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("error: cannot write output file ")
+        assert "Traceback" not in res.stderr
+        assert res.stdout == ""
+
+
+def test_poset_dot_with_k_exits_2(capsys):
+    assert main(["poset", "-a", "3,5,8", "-k", "-2", "--format", "dot"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: DOT output is for the structure poset only; drop -k\n"
+    assert captured.out == ""
+    assert main(["poset", "-a", "3,5,8", "--format", "dot"]) == 0
+    assert capsys.readouterr().out.startswith("digraph hasse {")

@@ -16,6 +16,7 @@ from genfrob import (
     class_label,
     classify,
     divides_mod_L,
+    dominated_points,
     is_exceptional,
     kernel_basis,
     kth_degrees,
@@ -28,7 +29,7 @@ from genfrob import (
     render_monomial,
 )
 
-from .oracles import candidate_lcms_exhaustive
+from .oracles import candidate_lcms_exhaustive, classify_by_support
 
 
 def _orbit_set(basis, gens):
@@ -68,8 +69,8 @@ def test_candidate_lcms_radius_check():
         candidate_lcms(bl, 3, B.weight, 100)
 
 
-def _random_sublattice(rng):
-    """A kernel lattice, or a sublattice of index up to 9, on 2 to 4 variables.
+def _random_sublattice(rng, max_index=9):
+    """A kernel lattice, or a sublattice of index up to max_index, on 2 to 4 variables.
 
     About 30% of the weight vectors contain a 1. A sublattice takes
     an upper triangular integer matrix times the kernel basis, so its
@@ -87,8 +88,8 @@ def _random_sublattice(rng):
         return K
     r = n - 1
     while True:
-        diag = [rng.randint(1, 9 if r == 1 else 3) for _ in range(r)]
-        if math.prod(diag) <= 9:
+        diag = [rng.randint(1, max_index if r == 1 else 3) for _ in range(r)]
+        if math.prod(diag) <= max_index:
             break
     rows = [
         [diag[i] if j == i else rng.randint(-2, 2) if j > i else 0 for j in range(r)]
@@ -130,6 +131,53 @@ def test_candidate_lcms_matches_exhaustive_oracle():
     assert uncapped >= 150
     assert {(n, True, True) for n in (2, 3, 4)} <= {kind[:3] for kind in kinds}
     assert {kind[3] for kind in kinds} == {1, 2, 3, 4, 5}
+
+
+def test_classify_and_is_exceptional_match_dominated_points():
+    # classify reads a generator's dominated points from the support held
+    # for its orbit, shifted to the monomial asked about, and is_exceptional
+    # reads count > k from the thresholds. Both are checked against a fresh
+    # enumeration by dominated_points, on every generator, on a lattice
+    # translate of it, and (is_exceptional) on non-generators and on points
+    # of negative degree.
+    rng = random.Random(9009)
+    kinds = set()
+    cases_seen = set()
+    for _ in range(200):
+        B = _random_sublattice(rng, max_index=6)
+        k = rng.randint(2, 5)
+        gens = minimal_generators(B, k)
+        n = B.n
+        for g in gens.generators:
+            coeffs = [rng.randint(-2, 2) for _ in B.vectors]
+            if not any(coeffs):
+                coeffs[0] = 1
+            l = tuple(sum(c * v[x] for c, v in zip(coeffs, B.vectors)) for x in range(n))
+            g_l = tuple(x + y for x, y in zip(g, l))
+            out = classify(B, g, k, gens)
+            out_l = classify(B, g_l, k, gens)
+            assert (out.case, out.witnesses) == classify_by_support(
+                g, sorted(dominated_points(B, g)), k
+            ), (B, k, g)
+            assert (out_l.case, out_l.witnesses) == classify_by_support(
+                g_l, sorted(dominated_points(B, g_l)), k
+            ), (B, k, g_l)
+            assert out_l.case == out.case
+            assert out_l.witnesses == tuple(
+                tuple(x + y for x, y in zip(w, l)) for w in out.witnesses
+            )
+            cases_seen.add(out.case)
+        units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+        points = list(gens.generators)
+        points += [tuple(x + y for x, y in zip(gens.generators[0], e)) for e in units]
+        points += [tuple(-x for x in e) for e in units]
+        points += [tuple(rng.randint(-3, 4) for _ in range(n)) for _ in range(4)]
+        for p in points:
+            assert is_exceptional(B, p, k) == (len(dominated_points(B, p)) > k), (B, k, p)
+        kinds.add((n, B.index > 1, k))
+    assert cases_seen == {EXCEPTIONAL, SYZYGY_OF_TWO_GENERATORS, SYZYGY_WITH_UNIT}
+    assert {(n, True) for n in (2, 3, 4)} <= {kind[:2] for kind in kinds}
+    assert {kind[2] for kind in kinds} == {2, 3, 4, 5}
 
 
 def test_divides_mod_L_examples():
