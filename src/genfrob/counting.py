@@ -2,10 +2,12 @@
 
 Two independent ways to count points of N^n per quotient class:
 
-- ``thresholds``, the engine: a k-best shortest-path walk over the
-  residue graph of Z^n/L modulo the class of the cheapest generator.
-  One run yields F_1..F_K and m_1..m_K (``kth_degrees``), whether a
-  class has count >= k, and the atoms of the representable monoid.
+- ``thresholds``, the engine: a k-best round robin over the residue
+  graph of Z^n/L modulo the class of the cheapest generator, which adds
+  one generator at a time and goes round each cycle of the permutation
+  it induces, with no heap. One run yields F_1..F_K and m_1..m_K
+  (``kth_degrees``), whether a class has count >= k, and the atoms of
+  the representable monoid.
 - ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
   degree), saturated at a cap. It is the brute-force oracle the engine
   is checked against, and the table from which ``module_poset`` reads
@@ -16,7 +18,7 @@ keep ``dominated_points`` as the reference for supports and counts.
 """
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .lattice import InputError, LatticeBasis, QuotientClass, vsub
@@ -213,23 +215,40 @@ class Thresholds:
 
 
 def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
-    """t_1..t_kmax at every residue node, from one k-best residue-graph walk.
+    """t_1..t_kmax at every residue node, from one k-best round robin.
 
     Let a_s be the smallest weight. Every point of N^n is a multiset M of
     the other generators plus some multiple of e_s, so the count of a
     class c of degree d is the number of multisets M in the same class
     modulo <[e_s]> with deg M <= d. The nodes of the residue graph are
     those a_s * index classes, each encoded as one int: degree residue
-    times the torsion size, plus the torsion code. The edges add one of
-    the other generators; walks take generators in nondecreasing order,
-    so each multiset is one walk.
+    times the torsion size, plus the torsion code. With t_k(r) the k-th
+    smallest degree of such a multiset at node r, the classes of node r
+    with count < k are those of degree t_k(r) - a_s and below, so
+    F_k = max(max_r t_k(r) - a_s, -1) and m_k = min_r t_k(r).
 
-    A Dijkstra search pops each (node, last generator) state at most
-    k_max times, which keeps the k_max cheapest walks into every state.
-    With t_k(r) the k-th smallest degree reached at node r, the classes
-    of node r with count < k are those of degree t_k(r) - a_s and below,
-    so F_k = max(max_r t_k(r) - a_s, -1) and m_k = min_r t_k(r).
-    Every run checks the bound F_k <= m_k + max(F_1, 0).
+    The walk is the k-best form of the round-robin algorithm (Boecker
+    and Liptak, Algorithmica 2007). It adds the other generators one at
+    a time and keeps, per node, the K = k_max smallest degrees of multisets
+    of the generators added so far. Adding a_i permutes the nodes, and a
+    multiset with a copy of a_i is one at the predecessor plus a_i, so
+    the new lists solve t(x) = K-smallest(t_old(x) U (t(pred x) + a_i))
+    round each cycle of the permutation:
+
+    - the first generator's lists are closed-form: the node at position
+      p on node 0's cycle of length L gets p * a_i + j * L * a_i for
+      j < K, and every other node stays empty;
+    - each later generator takes one lap round each cycle that merges
+      every node with its predecessor's list, then keeps going round
+      passing on only what each node has just gained, and the cycle is
+      done when a node gains nothing.
+
+    Passing on only the gains is exact because the K smallest of a union
+    depend only on the K smallest of each part: if P' = K-smallest(P U X),
+    then K-smallest(T U (P' + a)) = K-smallest(K-smallest(T U (P + a))
+    U (X + a)). Each lap adds L * a_i to whatever goes round again, so a
+    cycle is done within about K laps. Every run checks the
+    bound F_k <= m_k + max(F_1, 0).
     """
     if k_max < 1:
         raise InputError("k must be at least 1")
@@ -250,53 +269,77 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
 
     t_s = unit_torsion(s)
     gens = [i for i in range(n) if i != s]
-    steps = [a[i] for i in gens]
-    # trans[j][node]: the node reached by adding generator gens[j]; the
-    # degree overflow past a_s is taken off as multiples of [e_s].
-    perms = {}
+
+    def shift(t_i, q):
+        """Torsion codes after adding t_i - q * t_s, in code order."""
+        delta = [(x - q * y) % m for x, y, m in zip(t_i, t_s, moduli)]
+        return [
+            code_of[tuple((x + y) % m for x, y, m in zip(t, delta, moduli))] for t in torsions
+        ]
+
+    # trans[j][node]: the node reached by adding generator gens[j]. From
+    # residue r it is r + a_i - q * a_s with q = a_i // a_s below the wrap
+    # and one more past it; each multiple of a_s is one [e_s] taken off.
     trans = []
     for i in gens:
         t_i = unit_torsion(i)
-        table = [0] * nodes
-        for r in range(a_s):
-            q, r2 = divmod(r + a[i], a_s)
-            delta = tuple((x - q * y) % m for x, y, m in zip(t_i, t_s, moduli))
-            perm = perms.get(delta)
-            if perm is None:
-                perm = [
-                    code_of[tuple((x + y) % m for x, y, m in zip(t, delta, moduli))]
-                    for t in torsions
-                ]
-                perms[delta] = perm
-            base, base2 = r * tsize, r2 * tsize
-            for c in range(tsize):
-                table[base + c] = base2 + perm[c]
-        trans.append(table)
+        q, rem = divmod(a[i], a_s)
+        low, high = shift(t_i, q), shift(t_i, q + 1)
+        trans.append(
+            [r * tsize + c for r in range(rem, a_s) for c in low]
+            + [r * tsize + c for r in range(rem) for c in high]
+        )
 
-    width = len(gens)
-    pops = [0] * (nodes * width)
     reached = [[] for _ in range(nodes)]
-    unfilled = nodes
-    heap = [(0, 0)]  # (degree, node * width + last generator); the empty walk
-    # Pops come in nondecreasing degree, so the first k_max degrees a node
-    # receives are its k_max smallest, and the walk can stop once all are in.
-    while heap and unfilled:
-        d, state = heapq.heappop(heap)
-        if pops[state] == k_max:
-            continue
-        pops[state] += 1
-        node, j = divmod(state, width)
-        degs = reached[node]
-        if len(degs) < k_max:
-            degs.append(d)
-            if len(degs) == k_max:
-                unfilled -= 1
-        for jj in range(j, width):
-            nxt = trans[jj][node] * width + jj
-            if pops[nxt] < k_max:
-                heapq.heappush(heap, (d + steps[jj], nxt))
-    if unfilled:
-        raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
+    step = a[gens[0]]
+    cycle = [0]
+    x = trans[0][0]
+    while x:
+        cycle.append(x)
+        x = trans[0][x]
+    lap = len(cycle) * step
+    span = k_max * lap
+    for x, d in zip(cycle, range(0, lap, step)):
+        reached[x] = [*range(d, d + span, lap)]
+
+    for i, table in zip(gens[1:], trans[1:]):
+        step = a[i]
+        seen = bytearray(nodes)
+        for start in range(nodes):
+            if seen[start]:
+                continue
+            # First lap, from start's successor round to start's
+            # predecessor: each node merges its predecessor's whole list,
+            # which it has not seen yet.
+            seen[start] = 1
+            prev = reached[start]
+            x = table[start]
+            while x != start:
+                seen[x] = 1
+                old = reached[x]
+                if prev and (len(old) < k_max or prev[0] + step < old[-1]):
+                    prev = reached[x] = sorted(old + [d + step for d in prev])[:k_max]
+                else:
+                    prev = old
+                x = table[x]
+            # From start on, pass on only the degrees just gained. new is
+            # a prefix of old merged with a prefix of ys; counting ties at
+            # its top as old, the gain is ys[:len(new) - kept].
+            carry = prev
+            while carry:
+                old = reached[x]
+                if len(old) == k_max and carry[0] + step >= old[-1]:
+                    break
+                ys = [d + step for d in carry]
+                new = reached[x] = sorted(old + ys)[:k_max]
+                top = new[-1]
+                kept = min(len(new) - bisect_left(ys, top), bisect_right(old, top))
+                carry = ys[: len(new) - kept]
+                x = table[x]
+
+    short = sum(len(degs) < k_max for degs in reached)
+    if short:
+        raise RuntimeError(f"residue-graph walk left {short} of {nodes} nodes short")
     t = Thresholds(basis, reached, a_s, t_s, torsions, code_of)
     f1 = max(t.f[0], 0)
     for k, (f, m) in enumerate(zip(t.f, t.m), start=1):

@@ -5,9 +5,11 @@ solves small linear systems over the rationals. No dynamic programming,
 no imports from the package: expected values frozen in the tests were
 produced by these functions. The exceptions are
 ``lattice_ideal_by_groebner``, which shares the binomial reduction step
-of ``genfrob.ideal`` and runs Buchberger without the chain criterion,
-and ``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
-weight and uses the package's ``dot`` and ``InputError``.
+of ``genfrob.ideal`` and runs Buchberger without the chain criterion;
+``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
+weight and uses the package's ``dot`` and ``InputError``; and
+``thresholds_by_heap``, which wraps its walk in the package's
+``Thresholds``.
 """
 from fractions import Fraction
 from itertools import combinations
@@ -284,3 +286,105 @@ def classify_by_support(g, support, k_next):
     proper = [lcm for lcm in lcms if lcm != g]
     assert len(proper) == 1
     return "SyzygyWithUnit", (proper[0],)
+
+
+def thresholds_by_heap(basis, k_max):
+    """``genfrob.counting.thresholds`` by a k-best Dijkstra walk.
+
+    The engine before its round-robin form, kept as the oracle the round
+    robin is checked against: it builds the same residue graph and
+    returns the package's ``Thresholds``, but finds t_k(r) with a heap.
+
+    Let a_s be the smallest weight. Every point of N^n is a multiset M of
+    the other generators plus some multiple of e_s, so the count of a
+    class c of degree d is the number of multisets M in the same class
+    modulo <[e_s]> with deg M <= d. The nodes of the residue graph are
+    those a_s * index classes, each encoded as one int: degree residue
+    times the torsion size, plus the torsion code. The edges add one of
+    the other generators; walks take generators in nondecreasing order,
+    so each multiset is one walk.
+
+    A Dijkstra search pops each (node, last generator) state at most
+    k_max times, which keeps the k_max cheapest walks into every state.
+    With t_k(r) the k-th smallest degree reached at node r, the classes
+    of node r with count < k are those of degree t_k(r) - a_s and below,
+    so F_k = max(max_r t_k(r) - a_s, -1) and m_k = min_r t_k(r).
+    Every run checks the bound F_k <= m_k + max(F_1, 0).
+    """
+    import heapq
+
+    from genfrob.counting import Thresholds
+    from genfrob.lattice import InputError
+
+    if k_max < 1:
+        raise InputError("k must be at least 1")
+    a = basis.weight.a
+    n = basis.n
+    s = a.index(min(a))
+    a_s = a[s]
+    moduli = basis.torsion_moduli
+    tsize = 1
+    for m in moduli:
+        tsize *= m
+    nodes = a_s * tsize
+    torsions = basis.all_torsions()  # in code order, mixed radix
+    code_of = {t: i for i, t in enumerate(torsions)}
+
+    def unit_torsion(i):
+        return basis.torsion(tuple(int(j == i) for j in range(n)))
+
+    t_s = unit_torsion(s)
+    gens = [i for i in range(n) if i != s]
+    steps = [a[i] for i in gens]
+    # trans[j][node]: the node reached by adding generator gens[j]; the
+    # degree overflow past a_s is taken off as multiples of [e_s].
+    perms = {}
+    trans = []
+    for i in gens:
+        t_i = unit_torsion(i)
+        table = [0] * nodes
+        for r in range(a_s):
+            q, r2 = divmod(r + a[i], a_s)
+            delta = tuple((x - q * y) % m for x, y, m in zip(t_i, t_s, moduli))
+            perm = perms.get(delta)
+            if perm is None:
+                perm = [
+                    code_of[tuple((x + y) % m for x, y, m in zip(t, delta, moduli))]
+                    for t in torsions
+                ]
+                perms[delta] = perm
+            base, base2 = r * tsize, r2 * tsize
+            for c in range(tsize):
+                table[base + c] = base2 + perm[c]
+        trans.append(table)
+
+    width = len(gens)
+    pops = [0] * (nodes * width)
+    reached = [[] for _ in range(nodes)]
+    unfilled = nodes
+    heap = [(0, 0)]  # (degree, node * width + last generator); the empty walk
+    # Pops come in nondecreasing degree, so the first k_max degrees a node
+    # receives are its k_max smallest, and the walk can stop once all are in.
+    while heap and unfilled:
+        d, state = heapq.heappop(heap)
+        if pops[state] == k_max:
+            continue
+        pops[state] += 1
+        node, j = divmod(state, width)
+        degs = reached[node]
+        if len(degs) < k_max:
+            degs.append(d)
+            if len(degs) == k_max:
+                unfilled -= 1
+        for jj in range(j, width):
+            nxt = trans[jj][node] * width + jj
+            if pops[nxt] < k_max:
+                heapq.heappush(heap, (d + steps[jj], nxt))
+    if unfilled:
+        raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
+    t = Thresholds(basis, reached, a_s, t_s, torsions, code_of)
+    f1 = max(t.f[0], 0)
+    for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
+        if f > m + f1:
+            raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
+    return t

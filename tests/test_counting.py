@@ -18,7 +18,7 @@ from genfrob import (
     thresholds,
 )
 
-from .oracles import class_count, count_representations, representations
+from .oracles import class_count, count_representations, representations, thresholds_by_heap
 
 
 def _first_reach(table, basis, k, limit):
@@ -207,19 +207,24 @@ def test_count_table_validation():
         table.count(class_label(B, (2, 0, 0)))  # degree 6 beyond range
 
 
-def _threshold_case(rng):
-    """A kernel lattice, or a sublattice of index 2 to 6, on 2 to 4 variables.
+def _threshold_case(rng, sizes=(2, 3, 3, 4), top=9, max_index=6, twin=0.0):
+    """A kernel lattice, or a sublattice of index 2 to max_index, on n in sizes.
 
-    About 30% of the weight vectors contain a 1. A sublattice takes an
-    upper triangular integer matrix times the kernel basis, so its index
-    is the product of the diagonal; a diagonal (2, 2) with even entries
-    above it gives the non-cyclic torsion Z/2 x Z/2.
+    Weights lie in 2..top, and about 30% of the weight vectors contain
+    a 1; with probability twin another weight is set equal to the
+    smallest. A sublattice takes an upper triangular integer matrix
+    times the kernel basis, so its index is the product of the diagonal;
+    a diagonal (2, 2) with even entries above it gives the non-cyclic
+    torsion Z/2 x Z/2.
     """
-    n = rng.choice((2, 3, 3, 4))
+    n = rng.choice(sizes)
     while True:
-        a = [rng.randint(2, 9) for _ in range(n)]
+        a = [rng.randint(2, top) for _ in range(n)]
         if rng.random() < 0.3:
             a[rng.randrange(n)] = 1
+        if twin and rng.random() < twin:
+            low = a.index(min(a))
+            a[(low + rng.randrange(1, n)) % n] = a[low]
         if math.gcd(*a) == 1:
             break
     K = kernel_basis(WeightVector(tuple(a)))
@@ -227,8 +232,8 @@ def _threshold_case(rng):
         return K
     r = n - 1
     while True:
-        diag = [rng.randint(1, 6 if r == 1 else 3) for _ in range(r)]
-        if 2 <= math.prod(diag) <= 6:
+        diag = [rng.randint(1, max_index if r == 1 else 3) for _ in range(r)]
+        if 2 <= math.prod(diag) <= max_index:
             break
     step = 2 if rng.random() < 0.5 else 1
     rows = [
@@ -295,3 +300,24 @@ def test_thresholds_match_count_table():
     assert any(kind[2] >= 2 for kind in kinds)  # non-cyclic torsion
     assert any(kind[0] == 2 and kind[3] for kind in kinds)
     assert {kind[4] for kind in kinds} == {1, 2, 3, 4, 5}
+
+
+def test_round_robin_matches_heap_walk():
+    # The round-robin engine against the k-best Dijkstra walk it
+    # replaced: F_k, m_k and every node's least class of count >= k.
+    rng = random.Random(1010)
+    kinds = set()
+    for _ in range(1000):
+        B = _threshold_case(rng, sizes=(2, 3, 4, 5, 6), top=12, max_index=16, twin=0.15)
+        K = rng.randint(1, 30)
+        t, h = thresholds(B, K), thresholds_by_heap(B, K)
+        assert (t.f, t.m) == (h.f, h.m), (B, K)
+        for k in range(1, K + 1):
+            assert list(t.least_classes(k)) == list(h.least_classes(k)), (B, k)
+        a = sorted(B.weight.a)
+        kinds.add((B.n, B.index, a[0] == 1, a[0] == a[1], K))
+    assert {kind[0] for kind in kinds} == {2, 3, 4, 5, 6}
+    assert {kind[1] for kind in kinds} >= {1, 2, 7, 9, 12, 16}
+    assert any(kind[2] for kind in kinds)
+    assert any(kind[3] and not kind[2] for kind in kinds)  # e.g. (4, 4, 5)
+    assert {kind[4] for kind in kinds} == set(range(1, 31))

@@ -32,11 +32,26 @@ def test_third_frobenius_3_4_11():
 
 
 def test_two_variable_closed_form():
+    # F_k = k*a*b - a - b and m_k = (k-1)*a*b. With two weights the
+    # engine runs only its closed-form first generator, so this checks
+    # that step apart from both walks.
     for a1, a2 in ((3, 5), (2, 7)):
         B = kernel_basis(WeightVector((a1, a2)))
         for k in range(1, 11):
             assert frobenius(B, k) == k * a1 * a2 - a1 - a2
             assert brute_force_frobenius(B, k) == k * a1 * a2 - a1 - a2
+    rng = random.Random(2002)
+    pairs = set()
+    while len(pairs) < 100:
+        a, b = rng.randint(1, 60), rng.randint(1, 60)
+        if math.gcd(a, b) == 1:
+            pairs.add((a, b))
+    for a, b in sorted(pairs):
+        K = rng.randint(1, 40)
+        for w in ((a, b), (b, a)):
+            f_values, m_values = kth_degrees(kernel_basis(WeightVector(w)), K)
+            assert f_values == tuple(k * a * b - a - b for k in range(1, K + 1)), w
+            assert m_values == tuple((k - 1) * a * b for k in range(1, K + 1)), w
 
 
 def test_second_frobenius_3_5_8_derived():
@@ -167,6 +182,13 @@ def test_engine_large_weights_match_golden_values():
     assert f_values[0] == 335333
     assert (f_values[-1], m_values[-1]) == (373371, 57171)
     assert m_value(B, 20) == 57171
+
+
+def test_engine_ladder_instance_matches_golden_values():
+    # The ROADMAP ladder's top instance; the heap walk gave the same values.
+    B = kernel_basis(WeightVector((10007, 10009, 10037, 10039, 10061)))
+    f_values, m_values = kth_degrees(B, 100)
+    assert (f_values[-1], m_values[-1]) == (3862890, 270823)
 
 
 def test_kth_degrees_rejects_bad_k():
