@@ -8,10 +8,12 @@ internal error (an invariant check failed; the message goes to stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
+from .counting import kth_degrees
 from .counting import m_value  # noqa: F401  (re-exported)
 from .frobenius import brute_force_frobenius, brute_force_m, frobenius, frobenius_and_m
 from .frobenius import sequence_report
@@ -261,10 +263,10 @@ def _cmd_verify(args) -> int:
         raise InputError("k_max must be at least 1")
     basis = _make_basis(args)
     markov = lattice_ideal(basis)
+    f_values = kth_degrees(basis, args.k_max)[0]
     lines = []
     ok = True
-    for k in range(1, args.k_max + 1):
-        fk = frobenius(basis, k)
+    for k, fk in enumerate(f_values, start=1):
         oracle = brute_force_frobenius(basis, k)
         match = fk == oracle
         ok = ok and match
@@ -347,8 +349,14 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused for the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.threads < 1:
         parser.error("--threads must be at least 1")

@@ -13,6 +13,15 @@ Two independent ways to count points of N^n per quotient class:
   is checked against, and the table from which ``module_poset`` reads
   its labels.
 
+Both are worked out once per basis object. The basis keeps its last
+walk, and ``thresholds(basis, K)`` returns it while it covers K; a
+larger K walks once more and replaces it, so ``Thresholds.f`` and
+``.m`` hold at least K entries and readers index them by k - 1. The
+oracle readers share one private table per basis, ``_oracle_table``,
+which grows to the largest degree and cap asked of it; it is never fed
+from the walk, so the engine and the oracles stay independent. The
+public ``count_table`` builds a fresh table of exactly the cap asked.
+
 Fibers are enumerated directly, once per generator orbit. The tests
 keep ``dominated_points`` as the reference for supports and counts.
 """
@@ -36,7 +45,8 @@ class CountTable:
     """Saturating counts of nonnegative representatives per class.
 
     counts[c] = min(#{u in N^n with label u = c}, cap) for every class c
-    of degree 0..max_degree.
+    of degree 0..max_degree. It keeps no reference to the basis, which
+    keeps its oracle table (``_oracle_table``).
     """
 
     def __init__(self, basis: LatticeBasis, max_degree: int, cap: int):
@@ -44,7 +54,6 @@ class CountTable:
             raise InputError("max_degree must be nonnegative")
         if cap < 1:
             raise InputError("cap must be at least 1")
-        self.basis = basis
         self.weight = basis.weight
         self.max_degree = max_degree
         self.cap = cap
@@ -115,6 +124,25 @@ def count_table(basis: LatticeBasis, max_degree: int, cap: int) -> CountTable:
     return CountTable(basis, max_degree, cap)
 
 
+def _oracle_table(basis: LatticeBasis, max_degree: int, cap: int) -> CountTable:
+    """The basis's shared oracle table, at least max_degree deep and cap high.
+
+    On a miss it is rebuilt at the larger degree and the larger cap of
+    the old table and the request. Its counts saturate at its own cap,
+    which may exceed the one asked, so readers test count >= k only.
+    """
+    memo = basis._memo
+    table = memo.get("table")
+    if table is not None and table.max_degree >= max_degree and table.cap >= cap:
+        return table
+    if table is not None:
+        max_degree = max(max_degree, table.max_degree)
+        cap = max(cap, table.cap)
+        del memo["table"], table  # let the old rows go before the new ones are built
+    table = memo["table"] = CountTable(basis, max_degree, cap)
+    return table
+
+
 def degree_fiber(basis: LatticeBasis, degree: int) -> tuple[tuple[int, ...], ...]:
     """All points of N^n with the given weighted degree, sorted."""
     a = basis.weight.a
@@ -167,12 +195,18 @@ class Thresholds:
     torsion t lies at node (r, t - q * t_s), with t_s the torsion of
     [e_s], and its count is the number of walks into that node of degree
     at most d: count >= k exactly when d >= t_k(node). ``f`` and ``m``
-    hold F_1..F_K and m_1..m_K; a k outside 1..K raises KeyError. Built by
-    ``thresholds``.
+    hold F_1..F_K and m_1..m_K for the K of the walk, which may exceed
+    the K asked of ``thresholds``; a k outside 1..K raises KeyError.
+
+    The basis keeps its last walk, so the walk keeps no reference to the
+    basis: the cycle would hold both until a full garbage collection.
     """
 
     def __init__(self, basis: LatticeBasis, reached, a_s: int, t_s, torsions, code_of):
-        self.basis = basis
+        self._moduli = basis.torsion_moduli
+        units = {basis.label(tuple(int(j == i) for j in range(basis.n))) for i in range(basis.n)}
+        # Each unit class [e_i] with the classes [e_i] - [e_j], j != i, for atoms().
+        self._unit_steps = {g: [basis.class_sub(g, h) for h in units if h != g] for g in units}
         self._t = dict(enumerate(zip(*reached), start=1))  # k -> t_k per node
         self._a_s = a_s
         self._t_s = t_s
@@ -183,8 +217,7 @@ class Thresholds:
 
     def _shift(self, torsion, q) -> tuple[int, ...]:
         """torsion + q * t_s."""
-        moduli = self.basis.torsion_moduli
-        return tuple((x + q * y) % m for x, y, m in zip(torsion, self._t_s, moduli))
+        return tuple((x + q * y) % m for x, y, m in zip(torsion, self._t_s, self._moduli))
 
     def at_least(self, c: QuotientClass, k: int) -> bool:
         """True when class c has at least k nonnegative representatives."""
@@ -205,17 +238,27 @@ class Thresholds:
         atoms are the distinct [e_i] from which no other [e_j] can be
         taken away leaving a representable class.
         """
-        basis = self.basis
-        units = {basis.label(tuple(int(j == i) for j in range(basis.n))) for i in range(basis.n)}
         found = [
-            g for g in units
-            if not any(h != g and self.at_least(basis.class_sub(g, h), 1) for h in units)
+            g for g, steps in self._unit_steps.items()
+            if not any(self.at_least(c, 1) for c in steps)
         ]
         return tuple(sorted(found, key=lambda c: (c.degree, c.torsion)))
 
 
+# Largest a_s * index * K, the residue nodes times the list length, that
+# one walk may hold. An entry costs about 70 bytes (an int in a node's
+# list and its slot in the transposed copy), so a walk stays under about
+# 560 MB; (100003, 100019, 100043) with K = 50 needs 5.0M entries.
+MAX_WALK_ENTRIES = 8_000_000
+
+
 def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
-    """t_1..t_kmax at every residue node, from one k-best round robin.
+    """t_1..t_K at every residue node, K >= kmax, from one k-best round robin.
+
+    Each basis object keeps its last walk. It is returned as it is while
+    its K covers kmax; a larger kmax walks once with K = kmax and
+    replaces it. A walk over MAX_WALK_ENTRIES raises InputError before
+    anything is allocated.
 
     Let a_s be the smallest weight. Every point of N^n is a multiset M of
     the other generators plus some multiple of e_s, so the count of a
@@ -252,10 +295,20 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     """
     if k_max < 1:
         raise InputError("k must be at least 1")
+    last = basis._memo.get("walk")
+    if last is not None and len(last.f) >= k_max:
+        return last
     a = basis.weight.a
     n = basis.n
     s = a.index(min(a))
     a_s = a[s]
+    entries = a_s * basis.index * k_max
+    if entries > MAX_WALK_ENTRIES:
+        raise InputError(
+            f"the residue walk for k = {k_max} needs a_s * index * k = {entries} list "
+            f"entries, over the budget of {MAX_WALK_ENTRIES}"
+        )
+    basis._memo.pop("walk", None)  # let the old lists go before the new ones are built
     moduli = basis.torsion_moduli
     tsize = 1
     for m in moduli:
@@ -345,18 +398,19 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
         if f > m + f1:
             raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
+    basis._memo["walk"] = t
     return t
 
 
 def kth_degrees(basis: LatticeBasis, k_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(F_1..F_kmax, m_1..m_kmax) from the residue-graph thresholds."""
     t = thresholds(basis, k_max)
-    return t.f, t.m
+    return t.f[:k_max], t.m[:k_max]
 
 
 def m_value(basis: LatticeBasis, k: int) -> int:
     """Smallest degree at which some class has count >= k."""
-    return kth_degrees(basis, k)[1][-1]
+    return thresholds(basis, k).m[k - 1]
 
 
 def has_nonneg_rep(basis: LatticeBasis, c: QuotientClass) -> bool:

@@ -5,13 +5,14 @@ has fewer than k nonnegative representatives. ``frobenius`` and
 ``sequence_report`` read F_k and m_k off the residue-graph engine
 ``counting.kth_degrees``; ``brute_force_frobenius`` and ``brute_force_m``
 are the independent oracles, plain upward scans of counting tables that
-share no code with the engine.
+share no code with the engine. Both read the basis's one oracle table
+and grow it only when they scan past its end.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import CountTable, kth_degrees, m_value  # noqa: F401  (re-exported)
+from .counting import _oracle_table, kth_degrees, m_value  # noqa: F401  (re-exported)
 from .lattice import InputError, LatticeBasis
 
 
@@ -24,10 +25,10 @@ def _window_scan(basis: LatticeBasis, k: int) -> int:
     a1 = basis.weight.a[0]
     bound = 4 * a1
     while True:
-        table = CountTable(basis, bound, k)
+        table = _oracle_table(basis, bound, k)
         last_bad = -1
         run = 0
-        for d in range(bound + 1):
+        for d in range(table.max_degree + 1):
             if table.fully_covered(d, k):
                 run += 1
                 if run == a1:
@@ -35,7 +36,7 @@ def _window_scan(basis: LatticeBasis, k: int) -> int:
             else:
                 last_bad = d
                 run = 0
-        bound *= 2
+        bound = 2 * table.max_degree
 
 
 def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
@@ -52,11 +53,11 @@ def brute_force_m(basis: LatticeBasis, k: int) -> int:
         raise InputError("k must be at least 1")
     bound = 4 * basis.weight.a[0]
     while True:
-        table = CountTable(basis, bound, k)
-        for d in range(bound + 1):
+        table = _oracle_table(basis, bound, k)
+        for d in range(table.max_degree + 1):
             if any(cnt >= k for _, cnt in table.classes_at(d)):
                 return d
-        bound *= 2
+        bound = 2 * table.max_degree
 
 
 def frobenius_and_m(

@@ -222,6 +222,10 @@ class LatticeBasis:
         object.__setattr__(self, "_moduli", tuple(moduli))
         object.__setattr__(self, "_torsion_rows", tuple(torsion_rows))
         object.__setattr__(self, "_index", index)
+        # Invariants the counting layer works out once per basis object:
+        # the last residue walk and the oracle counting table. Not a
+        # field, so two equal bases stay equal and hash alike.
+        object.__setattr__(self, "_memo", {})
 
     @property
     def n(self) -> int:

@@ -16,7 +16,8 @@ independent oracle ``lcm_generator_classes``. The inductive
 classification splits each generator into an exceptional carry-over,
 the image of a syzygy between two generators, or the image of a syzygy
 with the unit. It and ``is_exceptional`` read the supports and the
-thresholds, so each generator's fiber is enumerated once.
+thresholds, so each generator's fiber is enumerated once, and the
+basis's one walk serves every generator.
 """
 from __future__ import annotations
 
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 
-from .counting import CountTable, fiber, has_nonneg_rep, kth_degrees, thresholds
+from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, dot, vadd, vsub
@@ -167,7 +168,8 @@ def lcm_generator_classes(
 
     The independent oracle for ``minimal_generators``: lcms of the
     k-subsets of the radius k-1 ball that contain the origin, up to
-    degree m_k + max(F_1, 0), minimalised under divisibility modulo L.
+    degree m_k + max(F_1, 0), minimalised under divisibility modulo L
+    read from the basis's oracle counting table.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -177,7 +179,7 @@ def lcm_generator_classes(
     cap = m_values[-1] + max(f_values[0], 0)
     bl = ball(moves(markov), k - 1)
     orbits = {basis.label(g) for g in candidate_lcms(bl, k, basis.weight, cap)}
-    table = CountTable(basis, cap, 1)
+    table = _oracle_table(basis, cap, 1)
     return frozenset(
         cls
         for cls in orbits
@@ -214,7 +216,8 @@ def minimal_generators(
     generators = tuple(r[1] for r in reps)
     supports = tuple(r[2] for r in reps)
     classes = tuple(basis.label(g) for g in generators)
-    if not generators or reps[0][0] != t.m[-1]:
+    m_k = t.m[k - 1]
+    if not generators or reps[0][0] != m_k:
         raise RuntimeError("no generator found at the minimum degree")
     return ModuleGens(
         k=k,
@@ -222,7 +225,7 @@ def minimal_generators(
         supports=supports,
         classes=classes,
         min_degree_witness=generators[0],
-        m_k=t.m[-1],
+        m_k=m_k,
         f_1=t.f[0],
     )
 

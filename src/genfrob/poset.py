@@ -7,11 +7,13 @@ inside the window [m_k, m_k + F_1]; their minimal elements match the
 generator orbits.
 
 Both posets read F_1, representability and the atoms of the monoid of
-representable classes from one ``thresholds(basis, 1)`` walk; module
-posets read their labels from a counting table. In the window both
-member sets are closed under adding a representable class, so y covers
-x exactly when y = x + atom is a member, and a label x is minimal
-exactly when no x - atom is a label.
+representable classes from the basis's one residue walk, which
+``module_poset`` also takes m_k from; module posets read their labels
+from the basis's oracle counting table. In the window both member sets
+are closed under adding a representable class, so y covers x exactly
+when y = x + atom is a member, and a label x is minimal exactly when no
+x - atom is a label. A module poset builds its covers when they are
+first read, since ``verify`` and ``finiteness_report`` never read them.
 ``max_antichain_size`` is Dilworth's theorem through a maximum bipartite
 matching. The transitive reduction and the exhaustive antichain search
 live on as oracles in the test suite.
@@ -19,8 +21,9 @@ live on as oracles in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .counting import CountTable, kth_degrees, m_value, thresholds
+from .counting import _oracle_table, kth_degrees, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass
 
 
@@ -83,7 +86,8 @@ class ModulePoset:
 
     Labels keep their own torsion and carry the degree offset from m_k,
     so equality of module posets is equality of label sets. The classes
-    of degree exactly m_k are stored as embedding witnesses.
+    of degree exactly m_k are stored as embedding witnesses. The basis
+    and the atoms are kept for the covers, which are built on first read.
     """
 
     k: int
@@ -91,17 +95,23 @@ class ModulePoset:
     labels: frozenset
     minimal_elements: frozenset
     min_degree_classes: frozenset
-    covers: tuple[tuple[QuotientClass, QuotientClass], ...]
+    basis: LatticeBasis = field(repr=False, compare=False)
+    atoms: tuple[QuotientClass, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def covers(self) -> tuple[tuple[QuotientClass, QuotientClass], ...]:
+        return _covers(self.basis, self.labels, self.atoms)
 
 
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
-    """Label set of the k-th module, with its minimal elements and covers."""
-    t = thresholds(basis, 1)
-    f1 = t.f[0]
+    """Label set of the k-th module, with its minimal elements; covers on first read."""
     mk = m_value(basis, k)
+    t = thresholds(basis, k)  # the walk m_value just ran
+    f1 = t.f[0]
+    steps = t.atoms()
     if f1 < 0:
-        return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), ())
-    table = CountTable(basis, mk + f1, k)
+        return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), basis, steps)
+    table = _oracle_table(basis, mk + f1, k)
     labels = {
         QuotientClass(d - mk, cls.torsion)
         for d in range(mk, mk + f1 + 1)
@@ -109,12 +119,10 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
         if cnt >= k
     }
     witnesses = frozenset(QuotientClass(mk, x.torsion) for x in labels if x.degree == 0)
-    steps = t.atoms()
     minimal = frozenset(
         x for x in labels if not any(basis.class_sub(x, g) in labels for g in steps)
     )
-    covers = _covers(basis, labels, steps)
-    return ModulePoset(k, mk, frozenset(labels), minimal, witnesses, covers)
+    return ModulePoset(k, mk, frozenset(labels), minimal, witnesses, basis, steps)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -321,3 +322,45 @@ def test_poset_dot_with_k_exits_2(capsys):
     assert captured.out == ""
     assert main(["poset", "-a", "3,5,8", "--format", "dot"]) == 0
     assert capsys.readouterr().out.startswith("digraph hasse {")
+
+
+def test_reused_parser_prints_what_a_fresh_process_prints(monkeypatch, tmp_path, capsys):
+    # main builds its parser once per process; no option of one call may
+    # carry over into the next.
+    import genfrob.cli as cli
+
+    assert main(["frobenius", "-a", "3,5,8"]) == 0
+    capsys.readouterr()
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1))
+    target = tmp_path / "module.txt"
+    sequence = (
+        ["poset", "-k", "2"],
+        ["poset"],
+        ["module", "-k", "3", "-o", str(target)],
+        ["module"],
+        ["frobenius", "--format", "json"],
+        ["frobenius"],
+    )
+    for argv in sequence:
+        argv = [*argv, "-a", "3,5,8"]
+        code = main(argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        got = (code, capsys.readouterr().out, written)
+        fresh = subprocess.run([sys.executable, "-m", "genfrob", *argv],
+                               capture_output=True, text=True)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        assert got == (fresh.returncode, fresh.stdout, written), argv
+        assert got[1] or got[2]
+    assert builds == []
+
+
+def test_walk_over_the_memory_budget_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    assert main(["frobenius", "-a", "3,5", "-k", "100000000"]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the residue walk for k = 100000000 needs")
+    assert "300000000 list entries" in err

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 
@@ -7,6 +9,8 @@ from genfrob import (
     InputError,
     LatticeBasis,
     WeightVector,
+    brute_force_frobenius,
+    brute_force_m,
     class_label,
     count_table,
     degree_fiber,
@@ -14,7 +18,10 @@ from genfrob import (
     fiber,
     has_nonneg_rep,
     kernel_basis,
+    kth_degrees,
+    lcm_generator_classes,
     m_value,
+    module_poset,
     thresholds,
 )
 
@@ -321,3 +328,60 @@ def test_round_robin_matches_heap_walk():
     assert any(kind[2] for kind in kinds)
     assert any(kind[3] and not kind[2] for kind in kinds)  # e.g. (4, 4, 5)
     assert {kind[4] for kind in kinds} == set(range(1, 31))
+
+
+def test_basis_keeps_its_last_walk_and_no_longer():
+    B = kernel_basis(WeightVector((13, 17, 29)))
+    t = thresholds(B, 3)
+    assert thresholds(B, 2) is t and thresholds(B, 3) is t
+    assert len(t.f) == len(t.m) == 3
+    assert kth_degrees(B, 2) == (t.f[:2], t.m[:2])
+    assert [m_value(B, k) for k in (1, 2, 3)] == list(t.m)
+    longer = thresholds(B, 5)
+    assert longer is not t and thresholds(B, 4) is longer
+    assert (longer.f[:3], longer.m[:3]) == (t.f, t.m)
+    assert kth_degrees(B, 5) == (longer.f, longer.m)
+    # The walk belongs to the basis object: an equal basis walks for
+    # itself, and a dropped basis takes its walk and its oracle table
+    # with it at once, with no cycle left for the garbage collector.
+    twin = LatticeBasis(B.weight, B.vectors)
+    assert twin == B and hash(twin) == hash(B)
+    assert thresholds(twin, 1) is not longer
+    assert brute_force_m(B, 2) == t.m[1]
+    gone = [weakref.ref(x) for x in (B, longer)]
+    gc.disable()
+    try:
+        del B, t, longer
+        assert [ref() for ref in gone] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_walk_budget_admits_the_ladder_and_refuses_before_allocating():
+    from genfrob.counting import MAX_WALK_ENTRIES
+
+    assert MAX_WALK_ENTRIES >= 100003 * 50  # (100003, 100019, 100043), K = 50
+    B = kernel_basis(WeightVector((2, 3)))
+    k = MAX_WALK_ENTRIES // 2 + 1
+    with pytest.raises(InputError, match=f"needs a_s \\* index \\* k = {2 * k} list entries"):
+        thresholds(B, k)
+    assert kth_degrees(B, 2) == ((1, 7), (0, 6))
+
+
+def test_shared_oracle_table_answers_as_fresh_tables_do():
+    # The oracle readers share one table per basis, grown to the largest
+    # degree and cap asked of it. A deep cap-1 request comes first, then
+    # higher caps at no greater depth; every answer must match the one
+    # on a fresh basis.
+    K = kernel_basis(WeightVector((7, 9, 11)))
+    for vectors in (K.vectors, (K.vectors[0], tuple(3 * x for x in K.vectors[1]))):
+        shared = LatticeBasis(K.weight, vectors)
+        for read in (
+            lambda B: lcm_generator_classes(B, 3),
+            lambda B: module_poset(B, 3).labels,
+            lambda B: brute_force_frobenius(B, 1),
+            lambda B: brute_force_m(B, 4),
+            lambda B: module_poset(B, 2).labels,
+            lambda B: brute_force_frobenius(B, 3),
+        ):
+            assert read(shared) == read(LatticeBasis(K.weight, vectors)), vectors

@@ -190,3 +190,15 @@ def test_max_antichain_size_known_values():
     assert max_antichain_size(structure_poset(kernel_basis(WeightVector((3, 5, 8))))) == 3
     assert max_antichain_size(structure_poset(kernel_basis(WeightVector((2, 3))))) == 2
     assert max_antichain_size(structure_poset(kernel_basis(WeightVector((1, 2))))) == 0
+
+
+def test_module_poset_builds_its_covers_on_first_read():
+    B = kernel_basis(WeightVector((3, 5, 8)))
+    mp, again = module_poset(B, 3), module_poset(B, 3)
+    assert "covers" not in vars(mp)
+    covers = mp.covers
+    assert mp.covers is covers and "covers" in vars(mp)
+    assert covers and all(v in mp.labels for u, v in covers)
+    # Covers are derived from the labels, so they take no part in equality.
+    assert mp == again and hash(mp) == hash(again) and "covers" not in vars(again)
+    assert again.covers == covers
