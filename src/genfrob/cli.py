@@ -65,10 +65,6 @@ def _label_list(c) -> list:
     return [c.degree, *c.torsion]
 
 
-def _class_key(c):
-    return (c.degree, c.torsion)
-
-
 def _emit(args, text: str) -> None:
     if not args.output:
         sys.stdout.write(text)
@@ -185,7 +181,7 @@ def _cmd_poset(args) -> int:
         labels = poset.elements
     else:
         poset = module_poset(basis, args.k)
-        labels = sorted(poset.labels, key=_class_key)
+        labels = sorted(poset.labels)
     payload = {
         "a": list(basis.weight.a),
         "k": args.k,
@@ -195,7 +191,7 @@ def _cmd_poset(args) -> int:
         },
     }
     if args.k is not None:
-        minimal = sorted(poset.minimal_elements, key=_class_key)
+        minimal = sorted(poset.minimal_elements)
         payload["minimal"] = [_label_list(c) for c in minimal]
         payload["m_k"] = poset.m_k
     if args.format == "json":
@@ -333,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("frobenius", help="k-th Frobenius number"), k=True)
     common(sub.add_parser("sequence", help="F/m/b sequence report"), k_max=True)
     common(sub.add_parser("verify", help="pipeline against the counting and lcm oracles"),
-           k_max=True)
+           k_max=True, formats=("text",))
     return parser
 
 

@@ -13,14 +13,19 @@ Two independent ways to count points of N^n per quotient class:
   is checked against, and the table from which ``module_poset`` reads
   its labels.
 
-Both are worked out once per basis object. The basis keeps its last
-walk, and ``thresholds(basis, K)`` returns it while it covers K; a
-larger K walks once more and replaces it, so ``Thresholds.f`` and
-``.m`` hold at least K entries and readers index them by k - 1. The
-oracle readers share one private table per basis, ``_oracle_table``,
-which grows to the largest degree and cap asked of it; it is never fed
-from the walk, so the engine and the oracles stay independent. The
-public ``count_table`` builds a fresh table of exactly the cap asked.
+Both code a torsion tuple by ``LatticeBasis.torsion_code`` and take
+the unit classes [e_i] from ``LatticeBasis.units``; the lattice layer
+is the one place the coding of Z^n/L is worked out.
+
+The walk and the oracle table are worked out once per basis object.
+The basis keeps its last walk, and ``thresholds(basis, K)`` returns it
+while it covers K; a larger K walks once more and replaces it, so
+``Thresholds.f`` and ``.m`` hold at least K entries and readers index
+them by k - 1. The oracle readers share one private table per basis,
+``_oracle_table``, which grows to the largest degree and cap asked of
+it; it is never fed from the walk, so the engine and the oracles stay
+independent. The public ``count_table`` builds a fresh table of
+exactly the cap asked.
 
 Fibers are enumerated directly, once per generator orbit. The tests
 keep ``dominated_points`` as the reference for supports and counts.
@@ -57,25 +62,13 @@ class CountTable:
         self.weight = basis.weight
         self.max_degree = max_degree
         self.cap = cap
-        moduli = basis.torsion_moduli
-        self._moduli = moduli
-        size = 1
-        for m in moduli:
-            size *= m
-        self._tsize = size
+        self._torsions = basis.torsions
+        self._torsion_code = basis.torsion_code
+        size = len(self._torsions)
         rows = [[0] * size for _ in range(max_degree + 1)]
         rows[0][0] = 1
-        n = basis.n
-        for i in range(n):
-            ai = self.weight.a[i]
-            unit = tuple(int(j == i) for j in range(n))
-            ti = basis.torsion(unit)
-            shift = [
-                self._code(
-                    tuple((t - x) % m for t, x, m in zip(self._decode(code), ti, moduli))
-                )
-                for code in range(size)
-            ]
+        for ai, unit in zip(self.weight.a, basis.units):
+            shift = basis.torsion_shift([-x for x in unit.torsion])
             for d in range(ai, max_degree + 1):
                 prev = rows[d - ai]
                 cur = rows[d]
@@ -86,19 +79,6 @@ class CountTable:
                         cur[code] = s if s < cap else cap
         self._rows = rows
 
-    def _code(self, torsion) -> int:
-        code = 0
-        for t, m in zip(torsion, self._moduli):
-            code = code * m + t
-        return code
-
-    def _decode(self, code) -> tuple[int, ...]:
-        out = []
-        for m in reversed(self._moduli):
-            out.append(code % m)
-            code //= m
-        return tuple(reversed(out))
-
     def count(self, c: QuotientClass) -> int:
         """Saturated count for class c; 0 below degree 0."""
         if c.degree < 0:
@@ -107,13 +87,12 @@ class CountTable:
             raise InputError(
                 f"degree {c.degree} beyond table range {self.max_degree}"
             )
-        return self._rows[c.degree][self._code(c.torsion)]
+        return self._rows[c.degree][self._torsion_code[c.torsion]]
 
     def classes_at(self, degree: int):
         """All classes of the given degree, with their saturated counts."""
-        row = self._rows[degree]
-        for code in range(self._tsize):
-            yield QuotientClass(degree, self._decode(code)), row[code]
+        for tor, cnt in zip(self._torsions, self._rows[degree]):
+            yield QuotientClass(degree, tor), cnt
 
     def fully_covered(self, degree: int, k: int) -> bool:
         """True when every class of this degree has count >= k."""
@@ -198,22 +177,34 @@ class Thresholds:
     hold F_1..F_K and m_1..m_K for the K of the walk, which may exceed
     the K asked of ``thresholds``; a k outside 1..K raises KeyError.
 
+    Only the per-node lists are kept: t_k(node) is reached[node][k - 1].
     The basis keeps its last walk, so the walk keeps no reference to the
     basis: the cycle would hold both until a full garbage collection.
     """
 
-    def __init__(self, basis: LatticeBasis, reached, a_s: int, t_s, torsions, code_of):
+    def __init__(self, basis: LatticeBasis, reached, s: int):
+        a_s = basis.weight.a[s]
+        units = basis.units
+        self._a_s = a_s
+        self._t_s = units[s].torsion
         self._moduli = basis.torsion_moduli
-        units = {basis.label(tuple(int(j == i) for j in range(basis.n))) for i in range(basis.n)}
+        self._torsions = basis.torsions
+        self._torsion_code = basis.torsion_code
         # Each unit class [e_i] with the classes [e_i] - [e_j], j != i, for atoms().
         self._unit_steps = {g: [basis.class_sub(g, h) for h in units if h != g] for g in units}
-        self._t = dict(enumerate(zip(*reached), start=1))  # k -> t_k per node
-        self._a_s = a_s
-        self._t_s = t_s
-        self._torsions = torsions
-        self._code_of = code_of
-        self.f = tuple(max(max(col) - a_s, -1) for col in self._t.values())
-        self.m = tuple(map(min, self._t.values()))
+        self._reached = reached
+        f, m = [], []
+        for col in zip(*reached):  # one column t_k at a time
+            f.append(max(max(col) - a_s, -1))
+            m.append(min(col))
+        self.f = tuple(f)
+        self.m = tuple(m)
+
+    def _column(self, k: int) -> int:
+        """Index of t_k in a node's list."""
+        if not 1 <= k <= len(self.m):
+            raise KeyError(k)
+        return k - 1
 
     def _shift(self, torsion, q) -> tuple[int, ...]:
         """torsion + q * t_s."""
@@ -221,15 +212,18 @@ class Thresholds:
 
     def at_least(self, c: QuotientClass, k: int) -> bool:
         """True when class c has at least k nonnegative representatives."""
+        j = self._column(k)
         q, r = divmod(c.degree, self._a_s)
-        node = r * len(self._torsions) + self._code_of[self._shift(c.torsion, -q)]
-        return c.degree >= self._t[k][node]
+        node = r * len(self._torsions) + self._torsion_code[self._shift(c.torsion, -q)]
+        return c.degree >= self._reached[node][j]
 
     def least_classes(self, k: int):
         """Per node, the class of least degree with count >= k."""
-        tsize = len(self._torsions)
-        for node, d in enumerate(self._t[k]):
-            yield QuotientClass(d, self._shift(self._torsions[node % tsize], d // self._a_s))
+        j = self._column(k)
+        index = len(self._torsions)
+        for node, degs in enumerate(self._reached):
+            d = degs[j]
+            yield QuotientClass(d, self._shift(self._torsions[node % index], d // self._a_s))
 
     def atoms(self) -> tuple[QuotientClass, ...]:
         """Atoms of the monoid of representable classes, sorted.
@@ -238,17 +232,18 @@ class Thresholds:
         atoms are the distinct [e_i] from which no other [e_j] can be
         taken away leaving a representable class.
         """
-        found = [
+        return tuple(sorted(
             g for g, steps in self._unit_steps.items()
             if not any(self.at_least(c, 1) for c in steps)
-        ]
-        return tuple(sorted(found, key=lambda c: (c.degree, c.torsion)))
+        ))
 
 
 # Largest a_s * index * K, the residue nodes times the list length, that
-# one walk may hold. An entry costs about 70 bytes (an int in a node's
-# list and its slot in the transposed copy), so a walk stays under about
-# 560 MB; (100003, 100019, 100043) with K = 50 needs 5.0M entries.
+# one walk may hold. An entry is an int and its slot in a node's list:
+# 40 bytes under tracemalloc, and about 60 bytes of peak RSS with the
+# merges' temporaries ((100003, 100019, 100043) with K = 50 needs 5.0M
+# entries and peaks at 311 MB on CPython 3.11), so a walk stays under
+# about 500 MB.
 MAX_WALK_ENTRIES = 8_000_000
 
 
@@ -265,7 +260,7 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     class c of degree d is the number of multisets M in the same class
     modulo <[e_s]> with deg M <= d. The nodes of the residue graph are
     those a_s * index classes, each encoded as one int: degree residue
-    times the torsion size, plus the torsion code. With t_k(r) the k-th
+    times the index, plus the basis's torsion code. With t_k(r) the k-th
     smallest degree of such a multiset at node r, the classes of node r
     with count < k are those of degree t_k(r) - a_s and below, so
     F_k = max(max_r t_k(r) - a_s, -1) and m_k = min_r t_k(r).
@@ -309,38 +304,25 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
             f"entries, over the budget of {MAX_WALK_ENTRIES}"
         )
     basis._memo.pop("walk", None)  # let the old lists go before the new ones are built
-    moduli = basis.torsion_moduli
-    tsize = 1
-    for m in moduli:
-        tsize *= m
-    nodes = a_s * tsize
-    torsions = basis.all_torsions()  # in code order, mixed radix
-    code_of = {t: i for i, t in enumerate(torsions)}
-
-    def unit_torsion(i):
-        return basis.torsion(tuple(int(j == i) for j in range(n)))
-
-    t_s = unit_torsion(s)
+    index = basis.index
+    nodes = a_s * index
+    units = basis.units
+    t_s = units[s].torsion
     gens = [i for i in range(n) if i != s]
-
-    def shift(t_i, q):
-        """Torsion codes after adding t_i - q * t_s, in code order."""
-        delta = [(x - q * y) % m for x, y, m in zip(t_i, t_s, moduli)]
-        return [
-            code_of[tuple((x + y) % m for x, y, m in zip(t, delta, moduli))] for t in torsions
-        ]
 
     # trans[j][node]: the node reached by adding generator gens[j]. From
     # residue r it is r + a_i - q * a_s with q = a_i // a_s below the wrap
     # and one more past it; each multiple of a_s is one [e_s] taken off.
     trans = []
     for i in gens:
-        t_i = unit_torsion(i)
         q, rem = divmod(a[i], a_s)
-        low, high = shift(t_i, q), shift(t_i, q + 1)
+        low, high = (
+            basis.torsion_shift([x - p * y for x, y in zip(units[i].torsion, t_s)])
+            for p in (q, q + 1)
+        )
         trans.append(
-            [r * tsize + c for r in range(rem, a_s) for c in low]
-            + [r * tsize + c for r in range(rem) for c in high]
+            [r * index + c for r in range(rem, a_s) for c in low]
+            + [r * index + c for r in range(rem) for c in high]
         )
 
     reached = [[] for _ in range(nodes)]
@@ -393,7 +375,7 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     short = sum(len(degs) < k_max for degs in reached)
     if short:
         raise RuntimeError(f"residue-graph walk left {short} of {nodes} nodes short")
-    t = Thresholds(basis, reached, a_s, t_s, torsions, code_of)
+    t = Thresholds(basis, reached, s)
     f1 = max(t.f[0], 0)
     for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
         if f > m + f1:

@@ -7,8 +7,10 @@ of the basis matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import add, mul, neg, sub
+from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -75,13 +77,13 @@ class WeightVector:
         return dot(self.a, p)
 
 
-@dataclass(frozen=True)
-class QuotientClass:
+class QuotientClass(NamedTuple):
     """Canonical label of an element of Z^n modulo a sublattice.
 
     Two points get equal labels exactly when their difference lies in
     the sublattice; the degree field is the weighted degree, the torsion
-    field the residues singled out by the Smith normal form.
+    field the residues singled out by the Smith normal form. Labels
+    order by (degree, torsion).
     """
 
     degree: int
@@ -189,7 +191,9 @@ class LatticeBasis:
 
     Holds n - 1 independent integer vectors, all of weighted degree zero.
     The Smith normal form of the basis matrix is computed once and drives
-    quotient labels, membership, and the sublattice index.
+    quotient labels, membership, and the sublattice index. The coding of
+    the torsion tuples as ints 0..index - 1 and the unit classes [e_i]
+    are worked out on first use and shared by every layer.
     """
 
     weight: WeightVector
@@ -266,12 +270,33 @@ class LatticeBasis:
         tor = tuple((x - y) % m for x, y, m in zip(c.torsion, d.torsion, self._moduli))
         return QuotientClass(c.degree - d.degree, tor)
 
-    def all_torsions(self):
-        """All torsion tuples, one per coset of the kernel lattice."""
+    @cached_property
+    def torsions(self) -> tuple[tuple[int, ...], ...]:
+        """All torsion tuples, one per coset of the kernel lattice, in code
+        order: mixed radix over the moduli, so also lexicographic."""
         out = [()]
         for m in self._moduli:
             out = [t + (r,) for t in out for r in range(m)]
-        return out
+        return tuple(out)
+
+    @cached_property
+    def torsion_code(self) -> dict[tuple[int, ...], int]:
+        """Torsion tuple -> its position in ``torsions``."""
+        return {t: i for i, t in enumerate(self.torsions)}
+
+    @cached_property
+    def units(self) -> tuple[QuotientClass, ...]:
+        """The classes [e_1], ..., [e_n] of the unit vectors."""
+        n = self.n
+        return tuple(self.label(tuple(int(j == i) for j in range(n))) for i in range(n))
+
+    def torsion_shift(self, delta) -> list[int]:
+        """Codes of t + delta for every torsion t, in code order."""
+        code = self.torsion_code
+        return [
+            code[tuple((x + y) % m for x, y, m in zip(t, delta, self._moduli))]
+            for t in self.torsions
+        ]
 
 
 def kernel_basis(a: WeightVector) -> LatticeBasis:

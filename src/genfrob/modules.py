@@ -189,19 +189,14 @@ def lcm_generator_classes(
     )
 
 
-def minimal_generators(
-    basis: LatticeBasis,
-    k: int,
-    markov: MarkovBasis | None = None,
-) -> ModuleGens:
+def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
     """Canonical orbit representatives of the k-th module's generators.
 
     Tests one candidate per residue node, the least class of count >= k
     there: [e_s] is an atom and the other classes of the node are that
     class plus multiples of [e_s], so no other class of the node is
     minimal. The support of a representative r, its dominated lattice
-    points, is {r - u : u in the fiber of its class}. ``markov`` is not
-    needed and is accepted for callers that hold one.
+    points, is {r - u : u in the fiber of its class}.
     """
     t = thresholds(basis, k)
     steps = t.atoms()
@@ -245,7 +240,7 @@ def modified_min_gens(
     if markov is None:
         markov = lattice_ideal(basis)
     if gens is None:
-        gens = minimal_generators(basis, k, markov)
+        gens = minimal_generators(basis, k)
     n = basis.n
     unit = (0,) * n
     out = {unit}

@@ -27,18 +27,10 @@ from .counting import _oracle_table, kth_degrees, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass
 
 
-def _class_sort_key(c: QuotientClass):
-    return (c.degree, c.torsion)
-
-
-def _pair_sort_key(p):
-    return (_class_sort_key(p[0]), _class_sort_key(p[1]))
-
-
 def _covers(basis: LatticeBasis, members, steps) -> tuple:
     """Hasse covers of a member set: the atom steps x -> x + g inside it, sorted."""
     pairs = ((x, y) for x in members for g in steps if (y := basis.class_add(x, g)) in members)
-    return tuple(sorted(pairs, key=_pair_sort_key))
+    return tuple(sorted(pairs))
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ def structure_poset(basis: LatticeBasis) -> StructurePoset:
     f1 = t.f[0]
     if f1 < 0:
         return StructurePoset(basis, f1, (), (), frozenset())
-    torsions = basis.all_torsions()  # lexicographic, so elements come out sorted
+    torsions = basis.torsions  # lexicographic, so elements come out sorted
     elements = tuple(QuotientClass(d, tor) for d in range(f1 + 1) for tor in torsions)
     representable = frozenset(c for c in elements if t.at_least(c, 1))
     covers = _covers(basis, frozenset(elements), t.atoms())
@@ -142,7 +134,7 @@ def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
         raise InputError("k_max must be at least 1")
     f_values = kth_degrees(basis, k_max)[0]
     full = frozenset(
-        QuotientClass(d, tor) for d in range(f_values[0] + 1) for tor in basis.all_torsions()
+        QuotientClass(d, tor) for d in range(f_values[0] + 1) for tor in basis.torsions
     )
     posets = tuple(module_poset(basis, k) for k in range(1, k_max + 1))
     b_values = []

@@ -12,7 +12,7 @@ weight and uses the package's ``dot`` and ``InputError``; and
 ``Thresholds``.
 """
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 
 def representations(a, degree):
@@ -327,7 +327,7 @@ def thresholds_by_heap(basis, k_max):
     for m in moduli:
         tsize *= m
     nodes = a_s * tsize
-    torsions = basis.all_torsions()  # in code order, mixed radix
+    torsions = list(product(*map(range, moduli)))  # in code order, mixed radix
     code_of = {t: i for i, t in enumerate(torsions)}
 
     def unit_torsion(i):
@@ -382,7 +382,7 @@ def thresholds_by_heap(basis, k_max):
                 heapq.heappush(heap, (d + steps[jj], nxt))
     if unfilled:
         raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
-    t = Thresholds(basis, reached, a_s, t_s, torsions, code_of)
+    t = Thresholds(basis, reached, s)
     f1 = max(t.f[0], 0)
     for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
         if f > m + f1:

@@ -148,6 +148,16 @@ def test_bad_basis_file_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_verify_refuses_json_format_exit_2():
+    # verify prints a text report only; --format json must not be accepted
+    # and then ignored.
+    res = run_cli(["verify", "-a", "3,5,8", "--k-max", "1", "--format", "json"])
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "invalid choice: 'json'" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_output_deterministic_across_runs():
     r1 = run_cli(["module", "-a", "3,4,11", "-k", "3", "--format", "json"])
     r2 = run_cli(["module", "-a", "3,4,11", "-k", "3", "--format", "json"])

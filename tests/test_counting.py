@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -355,6 +356,32 @@ def test_basis_keeps_its_last_walk_and_no_longer():
         assert [ref() for ref in gone] == [None, None]
     finally:
         gc.enable()
+
+
+def test_thresholds_refuse_a_k_outside_the_walk():
+    B = kernel_basis(WeightVector((13, 17, 29)))
+    t = thresholds(B, 3)
+    c = class_label(B, (1, 1, 1))
+    for k in (0, len(t.m) + 1):
+        with pytest.raises(KeyError):
+            t.at_least(c, k)
+        with pytest.raises(KeyError):
+            list(t.least_classes(k))
+
+
+def test_walk_keeps_no_second_copy_of_its_lists():
+    # What stays allocated after the walk is its per-node lists; a second
+    # table of the same entries, such as a per-k transpose, would show as
+    # a peak well above it.
+    B = kernel_basis(WeightVector((211, 223, 227)))
+    tracemalloc.start()
+    try:
+        t = thresholds(B, 400)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(t.m) == 400
+    assert peak <= 1.1 * kept, (peak, kept)
 
 
 def test_walk_budget_admits_the_ladder_and_refuses_before_allocating():

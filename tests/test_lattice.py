@@ -1,10 +1,12 @@
 import random
+from itertools import product
 
 import pytest
 
 from genfrob import (
     InputError,
     LatticeBasis,
+    QuotientClass,
     WeightVector,
     class_label,
     kernel_basis,
@@ -137,3 +139,26 @@ def test_index_multiplies_under_scaling():
     v1, v2 = K.vectors
     H = LatticeBasis(w, (v1, tuple(3 * x for x in v2)))
     assert sublattice_index(H) == 3
+
+
+def test_torsion_code_and_unit_classes_of_a_two_modulus_sublattice():
+    K = kernel_basis(WeightVector((3, 5, 8)))
+    B = LatticeBasis(K.weight, (tuple(2 * x for x in K.vectors[0]),
+                                tuple(6 * x for x in K.vectors[1])))
+    moduli = B.torsion_moduli
+    assert len(moduli) == 2
+    assert B.torsions == tuple(product(*map(range, moduli)))
+    assert len(B.torsions) == sublattice_index(B)
+    assert [B.torsion_code[t] for t in B.torsions] == list(range(len(B.torsions)))
+    assert B.units == tuple(class_label(B, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    for delta in ((1, 5), (-1, 7), (0, 0)):
+        shift = B.torsion_shift(delta)
+        for t in B.torsions:
+            moved = tuple((x + y) % m for x, y, m in zip(t, delta, moduli))
+            assert shift[B.torsion_code[t]] == B.torsion_code[moved]
+    # Classes compare and sort by (degree, torsion) and keep their repr.
+    c = QuotientClass(3, (1, 0))
+    assert repr(c) == "QuotientClass(degree=3, torsion=(1, 0))"
+    assert c == QuotientClass(3, (1, 0)) and hash(c) == hash(QuotientClass(3, (1, 0)))
+    classes = [QuotientClass(d, t) for d in (4, -1, 3) for t in reversed(B.torsions)]
+    assert sorted(classes) == sorted(classes, key=lambda x: (x.degree, x.torsion))

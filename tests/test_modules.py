@@ -330,7 +330,7 @@ def test_neighbourhood_reconstruction_known_cases():
         B = kernel_basis(WeightVector(a))
         mb = lattice_ideal(B)
         bl = ball(moves(mb), k - 1)
-        gens = minimal_generators(B, k, mb)
+        gens = minimal_generators(B, k)
         for g, sup in zip(gens.generators, gens.supports):
             assert (0,) * B.n in sup
             in_ball = [p for p in sup if p in bl and any(p)]

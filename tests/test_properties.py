@@ -96,8 +96,7 @@ def test_suite_c_filtration():
     while cases < 100:
         w = random_weights(rng, hi=8)
         B = kernel_basis(w)
-        mb = lattice_ideal(B)
-        levels = {k: minimal_generators(B, k, mb) for k in (1, 2, 3)}
+        levels = {k: minimal_generators(B, k) for k in (1, 2, 3)}
         for k in (1, 2):
             for g in levels[k + 1].generators:
                 assert any(
@@ -130,7 +129,7 @@ def test_suite_e_neighbourhood_reconstruction():
         mb = lattice_ideal(B)
         for k in (1, 2, 3):
             bl = ball(moves(mb), k - 1)
-            gens = minimal_generators(B, k, mb)
+            gens = minimal_generators(B, k)
             for g, sup in zip(gens.generators, gens.supports):
                 assert (0, 0, 0) in sup
                 in_ball = [p for p in sup if p in bl and any(p)]

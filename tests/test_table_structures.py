@@ -93,7 +93,7 @@ def test_table_structures_match_oracles():
             assert set(sp.covers) == hasse_covers(sp.elements, less), B
             assert len(set(sp.covers)) == len(sp.covers)
         for k in range(1, k_max + 1):
-            gens = minimal_generators(B, k, mb)
+            gens = minimal_generators(B, k)
             assert frozenset(gens.classes) == lcm_generator_classes(B, k, mb), (B, k)
             mp = module_poset(B, k)
             if f1 < 0:
@@ -104,7 +104,7 @@ def test_table_structures_match_oracles():
             labels = {
                 QuotientClass(d - mk, t)
                 for d in range(mk, mk + f1 + 1)
-                for t in B.all_torsions()
+                for t in B.torsions
                 if counts.get(QuotientClass(d, t), 0) >= k
             }
             assert mp.labels == labels, (B, k)
