@@ -46,12 +46,24 @@ class Fiber:
     points: tuple[tuple[int, ...], ...]
 
 
+# Largest (max_degree + 1) * index, the degrees times the torsion
+# classes, that one counting table may hold. A cell is a slot in its
+# row's list, and each row is one list: on CPython 3.11 a table on a
+# kernel lattice (index 1) costs 72 bytes a cell under tracemalloc and
+# about 88 bytes of peak RSS, and one of index 50 about 9 bytes, so a
+# table stays under about 350 MB. `verify -a 1001,1003,1007 --k-max 2`
+# needs 512,513 cells; (10007, 10009, 10037) needs more than F_1 =
+# 6,814,761.
+MAX_TABLE_CELLS = 4_000_000
+
+
 class CountTable:
     """Saturating counts of nonnegative representatives per class.
 
     counts[c] = min(#{u in N^n with label u = c}, cap) for every class c
     of degree 0..max_degree. It keeps no reference to the basis, which
-    keeps its oracle table (``_oracle_table``).
+    keeps its oracle table (``_oracle_table``). A table over
+    MAX_TABLE_CELLS raises InputError before anything is allocated.
     """
 
     def __init__(self, basis: LatticeBasis, max_degree: int, cap: int):
@@ -59,12 +71,18 @@ class CountTable:
             raise InputError("max_degree must be nonnegative")
         if cap < 1:
             raise InputError("cap must be at least 1")
+        size = basis.index
+        cells = (max_degree + 1) * size
+        if cells > MAX_TABLE_CELLS:
+            raise InputError(
+                f"a counting table of degrees 0..{max_degree} needs (max_degree + 1) * "
+                f"index = {cells} cells, over the budget of {MAX_TABLE_CELLS}"
+            )
         self.weight = basis.weight
         self.max_degree = max_degree
         self.cap = cap
         self._torsions = basis.torsions
         self._torsion_code = basis.torsion_code
-        size = len(self._torsions)
         rows = [[0] * size for _ in range(max_degree + 1)]
         rows[0][0] = 1
         for ai, unit in zip(self.weight.a, basis.units):

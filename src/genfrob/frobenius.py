@@ -37,6 +37,7 @@ def _window_scan(basis: LatticeBasis, k: int) -> int:
                 last_bad = d
                 run = 0
         bound = 2 * table.max_degree
+        del table  # let the shared table go before it is rebuilt deeper
 
 
 def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
@@ -58,6 +59,7 @@ def brute_force_m(basis: LatticeBasis, k: int) -> int:
             if any(cnt >= k for _, cnt in table.classes_at(d)):
                 return d
         bound = 2 * table.max_degree
+        del table
 
 
 def frobenius_and_m(

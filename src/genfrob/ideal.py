@@ -5,12 +5,15 @@ operations, never general polynomial arithmetic. Buchberger's algorithm
 prunes pairs once, when an element is added, by the criteria of Gebauer
 and Moeller (J. Symbolic Comput. 1988), and skips pairs with coprime
 heads. The lattice ideal of a sublattice basis is obtained by
-size-reducing the basis, saturating its binomials in one round over the
-variables, each with a cheapest-variable reverse-lexicographic order
-(Hosten and Sturmfels, IPCO 1995), then minimalising the generating set:
-each binomial, in increasing degree, is dropped when the moves of those
-kept before it connect its head to its tail (Diaconis and Sturmfels,
-Ann. Statist. 1998).
+size-reducing the basis and saturating its binomials by only as many
+variables as a unit-closure test asks for, each pass a reduced Groebner
+basis with that variable cheapest (Hosten and Sturmfels, IPCO 1995):
+the passes stop as soon as the closure proves that saturating the
+cheapest variable of the target order, in a last pass, gives the whole
+lattice ideal. The generating set is then minimalised: each binomial,
+in increasing degree, is dropped when the moves of those kept before it
+connect its head to its tail (Diaconis and Sturmfels, Ann. Statist.
+1998).
 """
 from __future__ import annotations
 
@@ -264,6 +267,36 @@ def ideal_equal(gens_a, gens_b, order: TermOrder) -> bool:
     )
 
 
+def _divide_out(pair, i):
+    """Divide out the power of variable i common to the two monomials."""
+    h, t = pair
+    c = min(h[i], t[i])
+    if not c:
+        return pair
+    return h[:i] + (h[i] - c,) + h[i + 1 :], t[:i] + (t[i] - c,) + t[i + 1 :]
+
+
+def _unit_closure(pairs, units) -> set:
+    """Variables made units by the binomials once the given ones are.
+
+    When one side of x^u - x^v has all its variables in the set, that
+    side is a unit modulo the binomial, so x^u and x^v are both units
+    and every variable of the other side joins the set.
+    """
+    units = set(units)
+    grew = True
+    while grew:
+        grew = False
+        for h, t in pairs:
+            for u, v in ((h, t), (t, h)):
+                if all(x == 0 or i in units for i, x in enumerate(v)):
+                    new = {i for i, x in enumerate(u) if x} - units
+                    if new:
+                        units |= new
+                        grew = True
+    return units
+
+
 def _strip_common(pair):
     """Divide out the common monomial factor of the two monomials."""
     h, t = pair
@@ -349,33 +382,68 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     """Minimal Markov basis of the lattice ideal of the given sublattice.
 
     Starts from a size-reduced basis of the same lattice (short vectors
-    give small binomials) and saturates their binomials in one round
-    over the variables: pass i computes a reduced Groebner basis in an
-    order with variable i cheapest and strips monomial factors. Every
-    stripped binomial stays in the lattice ideal, and after the passes
-    for a set S of variables the generators span at least the
-    saturation by the product of S, so one round, in any pass order,
-    reaches the lattice ideal I_L whatever lattice basis it starts from.
-    The variable cheapest in ``order`` goes last, and its pass runs in
-    ``order`` itself. When that pass strips nothing, its output already
-    is the reduced Groebner basis of I_L under ``order``; otherwise the
-    stripped set is run once more. That basis is unique, so neither the
-    start basis nor the skipped run changes the result. It is then
-    minimalised in one pass of increasing weighted degree: a binomial
-    lies in the ideal of those kept before it exactly when their moves
-    connect its head to its tail through nonnegative points.
+    give small binomials) and saturates their binomials by a few
+    variables. A pass for variable i computes a reduced Groebner basis
+    in an order with x_i cheapest and divides each element by the power
+    of x_i common to both terms. The binomials are homogeneous in the
+    weight grading, so that gives J : x_i^oo exactly (Sturmfels,
+    *Groebner Bases and Convex Polytopes*, Lemma 12.1). After passes for
+    a set T of variables the binomials thus generate J = J_0 : (x_T)^oo,
+    with J_0 the ideal of the start binomials, and J is saturated by
+    every variable of T.
+
+    The last pass runs in ``order`` itself and saturates its cheapest
+    variable l. While the unit closure U of T + {l} under the current
+    binomials (the lemma below) misses a variable, one more pass is
+    made, for the variable that grows U most (the first on ties).
+
+    Lemma. Let J be contained in I_L and contain binomials whose vectors
+    generate L, and let S be a set of variables. Start with U = S, and
+    whenever a binomial x^u - x^v of J has supp(v) in U, add supp(u) to
+    U. If U reaches every variable, then J : (x_S)^oo = I_L.
+
+    Proof. Every x^w - 1 with w in L lies in J localised at all the
+    variables, since the vectors of J's binomials generate L, and every
+    binomial of I_L is x^v (x^(u - v) - 1). So for f in I_L there is a
+    monomial x^m with x^m f in J. In R_(x_S)/J the variables of S are
+    units, and by induction so is every variable of U: when x^v is a
+    unit, so is x^u = x^v, and so is each variable dividing it. If U is
+    every variable, x^m is a unit there, so f lies in J R_(x_S), whose
+    contraction to R is J : (x_S)^oo. Conversely J : (x_S)^oo lies in
+    I_L : (x_S)^oo = I_L.
+
+    With S = T + {l}, J : (x_S)^oo = (J : (x_T)^oo) : x_l^oo = J : x_l^oo,
+    which the last pass computes, so its output generates I_L. When T
+    holds every variable but l, U = S is every variable, so the loop
+    never makes more than the n runs of a pass per variable.
+
+    Dividing the last pass by powers of x_l alone would give a Groebner
+    basis of J : x_l^oo = I_L under ``order`` (Lemma 12.1 again). It
+    strips every common monomial factor instead; each stripped binomial
+    still lies in I_L and its head divides that one, so the stripped set
+    is a Groebner basis of I_L too, and interreducing it gives the
+    reduced one. That basis is unique, so neither the start basis nor
+    the choice of passes changes the result. It is then minimalised in
+    one pass of increasing weighted degree: a binomial lies in the ideal
+    of those kept before it exactly when their moves connect its head to
+    its tail through nonnegative points.
     """
     if order is None:
         order = TermOrder(basis.weight)
-    last = order.perm[-1]
+    everything = set(range(basis.n))
+    saturated = {order.perm[-1]}
     pairs = [(_pos_part(v), _neg_part(v)) for v in _short_vectors(basis.vectors)]
-    for i in range(basis.n):
-        if i != last:
-            pairs = [_strip_common(p) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
+    while _unit_closure(pairs, saturated) != everything:
+        i = max(
+            everything - saturated,
+            key=lambda j: (len(_unit_closure(pairs, saturated | {j})), -j),
+        )
+        pairs = [_divide_out(p, i) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
+        saturated.add(i)
     gb = _buchberger_pairs(pairs, order)
     stripped = [_strip_common(p) for p in gb]
     if stripped != gb:
-        gb = _buchberger_pairs(stripped, order)
+        gb = _interreduce(stripped, order)
     for h, t in gb:
         if any(x > 0 and y > 0 for x, y in zip(h, t)):
             raise RuntimeError("saturated basis still has a monomial factor")

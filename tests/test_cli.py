@@ -90,6 +90,19 @@ def test_verify_exits_zero(capsys):
     assert "MISMATCH" not in out
 
 
+def test_verify_over_the_table_budget_exits_2(monkeypatch, capsys):
+    # F_1 of (211, 223, 227) is 12,047, so its oracle scan needs a table
+    # of more than 12,000 cells
+    from genfrob import counting
+
+    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", 2000)
+    assert main(["verify", "-a", "211,223,227", "--k-max", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a counting table of degrees 0..")
+    assert err.endswith("cells, over the budget of 2000\n")
+
+
 def test_verify_k_max_below_one_exits_2():
     for k_max in ("0", "-3"):
         res = run_cli(["verify", "-a", "3,5,8", "--k-max", k_max])

@@ -7,6 +7,7 @@ import weakref
 import pytest
 
 from genfrob import (
+    CountTable,
     InputError,
     LatticeBasis,
     WeightVector,
@@ -393,6 +394,27 @@ def test_walk_budget_admits_the_ladder_and_refuses_before_allocating():
     with pytest.raises(InputError, match=f"needs a_s \\* index \\* k = {2 * k} list entries"):
         thresholds(B, k)
     assert kth_degrees(B, 2) == ((1, 7), (0, 6))
+
+
+def test_table_budget_refuses_before_allocating(monkeypatch):
+    from genfrob import counting
+
+    assert counting.MAX_TABLE_CELLS >= 512_513  # verify -a 1001,1003,1007 --k-max 2
+    monkeypatch.setattr(counting, "MAX_TABLE_CELLS", 1000)
+    K = kernel_basis(WeightVector((13, 17, 29)))
+    S = LatticeBasis(K.weight, (tuple(6 * x for x in K.vectors[0]), K.vectors[1]))
+    for B, fits, over in ((K, 999, 100_000), (S, 165, 20_000)):
+        cells = (over + 1) * B.index
+        tracemalloc.start()
+        try:
+            with pytest.raises(InputError, match=f"\\* index = {cells} cells, over the budget of 1000"):
+                CountTable(B, over, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cells, peak  # less than one pointer per cell
+        table = CountTable(B, fits, 2)
+        assert table.count(B.zero_class) == 1
 
 
 def test_shared_oracle_table_answers_as_fresh_tables_do():

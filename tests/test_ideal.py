@@ -18,7 +18,8 @@ from genfrob import (
     lattice_ideal,
     member,
 )
-from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _spair
+from genfrob import ideal
+from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _spair, _unit_closure
 
 from .oracles import groebner_without_chain_criterion, lattice_ideal_by_groebner, representations
 
@@ -180,6 +181,103 @@ def test_lattice_ideal_matches_groebner_oracle_eight_nine_variables():
         got = [(b.head, b.tail) for b in lattice_ideal(B, order).elements]
         assert got == lattice_ideal_by_groebner(B, order), (a, B.vectors, order)
         cases += 1
+
+
+def test_lattice_ideal_matches_groebner_oracle_on_seven_variable_benchmark_weights():
+    # the weights the benchmark's ideal instances are drawn from
+    for a in ((11, 13, 17, 19, 23, 29, 31), (11, 13, 17, 19, 23, 29, 37), (11, 13, 17, 19, 25, 29, 31)):
+        B = kernel_basis(WeightVector(a))
+        got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
+        assert got == lattice_ideal_by_groebner(B), a
+
+
+def test_lattice_ideal_matches_groebner_oracle_on_index_six_sublattice_permuted_order():
+    K = kernel_basis(WeightVector((11, 13, 17, 19, 23, 29, 31)))
+    vecs = list(K.vectors)
+    vecs[1] = tuple(6 * x for x in vecs[1])
+    B = LatticeBasis(K.weight, tuple(vecs))
+    assert B.index == 6
+    order = TermOrder(B.weight, (5, 3, 2, 6, 0, 4, 1))
+    got = [(b.head, b.tail) for b in lattice_ideal(B, order).elements]
+    assert got == lattice_ideal_by_groebner(B, order)
+
+
+# The Markov basis of the 12-variable ladder instance, as the round of
+# one saturation pass per variable gave it. The oracle takes about 12 s
+# here, so the result is pinned instead.
+MARKOV_11_TO_53 = (
+    (-1, 1, 1, -1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-1, 0, 2, 0, -1, 0, 0, 0, 0, 0, 0, 0),
+    (0, -1, 1, 1, -1, 0, 0, 0, 0, 0, 0, 0),
+    (1, 2, 0, 0, 0, 0, 0, -1, 0, 0, 0, 0),
+    (-2, 3, -1, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+    (-1, 0, 1, 0, 1, -1, 0, 0, 0, 0, 0, 0),
+    (2, 0, 0, 1, 0, 0, 0, 0, -1, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 1, -1, 0, 0, 0, 0, 0),
+    (-1, 0, 0, 1, 1, 0, -1, 0, 0, 0, 0, 0),
+    (1, 1, 0, 1, 0, 0, 0, 0, 0, -1, 0, 0),
+    (4, -1, 0, 0, 0, 0, -1, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 1, -1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 0, -1, 0, 2, -1, 0, 0, 0, 0, 0, 0),
+    (3, 1, -1, 0, 0, -1, 0, 0, 0, 0, 0, 0),
+    (1, 1, 0, 0, 1, 0, 0, 0, 0, 0, -1, 0),
+    (-1, 0, 1, 0, 0, 0, 1, -1, 0, 0, 0, 0),
+    (-1, 0, 0, 1, 0, 1, 0, -1, 0, 0, 0, 0),
+    (0, -1, 0, 1, 0, 0, 1, -1, 0, 0, 0, 0),
+    (-2, 1, 0, 2, 0, -1, 0, 0, 0, 0, 0, 0),
+    (-1, 0, 0, 0, 1, 1, 0, 0, -1, 0, 0, 0),
+    (2, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, -1),
+    (-1, 0, 0, 0, 1, 0, 1, 0, 0, -1, 0, 0),
+    (0, -2, 0, 3, 0, 0, -1, 0, 0, 0, 0, 0),
+    (-1, 0, 0, 0, 0, 2, 0, 0, 0, 0, -1, 0),
+    (0, -1, 0, 0, 0, 1, 1, 0, 0, 0, -1, 0),
+    (0, 0, 0, -1, 0, 0, 2, 0, 0, -1, 0, 0),
+)
+
+
+def test_lattice_ideal_twelve_variables_matches_pinned_basis():
+    B = kernel_basis(WeightVector((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)))
+    mb = lattice_ideal(B)
+    assert mb.vectors == MARKOV_11_TO_53
+
+
+def test_unit_closure_two_variables():
+    # x1^3 - x2^2: either variable a unit makes the other one
+    pairs = [((3, 0), (0, 2))]
+    assert _unit_closure(pairs, {1}) == {0, 1}
+    assert _unit_closure(pairs, {0}) == {0, 1}
+    assert _unit_closure(pairs, set()) == set()
+
+
+def test_unit_closure_weights_containing_one():
+    # a = (1, 4, 6): x1^4 - x2 and x1^2 x2 - x3, so any one variable
+    # made a unit makes all three units
+    B = kernel_basis(WeightVector((1, 4, 6)))
+    pairs = [(b.head, b.tail) for b in lattice_ideal(B).elements]
+    assert pairs == [((4, 0, 0), (0, 1, 0)), ((2, 1, 0), (0, 0, 1))]
+    for seed in ({0}, {1}, {2}):
+        assert _unit_closure(pairs, seed) == {0, 1, 2}
+
+
+def test_unit_closure_short_until_a_saturation_pass(monkeypatch):
+    # a = (5, 7, 8): the start binomials x2^3 - x1 x3^2 and x2 x3 - x1^3
+    # have no side in x3 alone, so one pass saturates another variable
+    # before the last pass in the target order
+    B = kernel_basis(WeightVector((5, 7, 8)))
+    start = [((0, 3, 0), (1, 0, 2)), ((0, 1, 1), (3, 0, 0))]
+    assert _unit_closure(start, {2}) == {2}
+    assert _unit_closure(start, {1, 2}) == {0, 1, 2}
+    runs = []
+    original = ideal._buchberger_pairs
+
+    def counted(pairs, order):
+        runs.append(order.perm)
+        return original(pairs, order)
+
+    monkeypatch.setattr(ideal, "_buchberger_pairs", counted)
+    got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
+    assert len(runs) == 2 and runs[-1] == (0, 1, 2)
+    assert got == lattice_ideal_by_groebner(B)
 
 
 def test_buchberger_pairs_matches_groebner_without_pair_pruning():

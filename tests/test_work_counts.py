@@ -6,20 +6,33 @@ Work is counted where it is done, not where it is asked for:
 callers share them. ``counting.fiber`` (one fiber enumeration) is
 wrapped at every place a ``genfrob`` module binds it, and
 ``poset._covers`` (one Hasse cover build) where ``poset`` calls it.
+``ideal._buchberger_pairs`` counts Groebner basis runs.
 """
 import json
+import math
+import random
 import sys
 
 import pytest
 
-from genfrob import WeightVector, counting, finiteness_report, kernel_basis, poset
+from genfrob import (
+    LatticeBasis,
+    TermOrder,
+    WeightVector,
+    counting,
+    finiteness_report,
+    ideal,
+    kernel_basis,
+    lattice_ideal,
+    poset,
+)
 from genfrob.cli import main
 from genfrob.modules import is_exceptional, minimal_generators
 
 
 @pytest.fixture
 def work(monkeypatch):
-    counts = {"walks": 0, "tables": 0, "fibers": 0, "covers": 0}
+    counts = {"walks": 0, "tables": 0, "fibers": 0, "covers": 0, "groebner": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -31,6 +44,7 @@ def work(monkeypatch):
     for cls, key in ((counting.Thresholds, "walks"), (counting.CountTable, "tables")):
         monkeypatch.setattr(cls, "__init__", counted(key, cls.__init__))
     monkeypatch.setattr(poset, "_covers", counted("covers", poset._covers))
+    monkeypatch.setattr(ideal, "_buchberger_pairs", counted("groebner", ideal._buchberger_pairs))
     original = counting.fiber
     for modname, mod in list(sys.modules.items()):
         if modname.split(".")[0] == "genfrob" and vars(mod).get("fiber") is original:
@@ -73,3 +87,41 @@ def test_is_exceptional_shares_one_walk_across_generators(work):
     flags = [is_exceptional(basis, g, 4) for g in gens.generators]
     assert flags == [False, False, True, False, True]
     assert work["walks"] == 1
+
+
+# A round of one saturation pass per variable but the cheapest, plus the
+# pass in the target order, made n Groebner runs: 7 and 12 below.
+
+
+def test_ideal_on_seven_variables_makes_two_groebner_runs(work, capsys):
+    assert main(["ideal", "-a", "11,13,17,19,23,29,31", "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["generators"]) == 21
+    assert work["groebner"] <= 2
+
+
+def test_twelve_variable_markov_basis_makes_one_groebner_run(work):
+    mb = lattice_ideal(kernel_basis(WeightVector((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))))
+    assert len(mb.elements) == 26
+    assert work["groebner"] <= 1
+
+
+def test_markov_bases_never_take_more_groebner_runs_than_variables(work):
+    # kernels and sublattices of index 2-6 under the default or a
+    # permuted order
+    rng = random.Random(1313)
+    cases = 0
+    while cases < 150:
+        n = rng.randint(2, 7)
+        a = tuple(rng.randint(1 if rng.random() < 0.25 else 2, 13 if n <= 4 else 9) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        if rng.random() < 0.6:
+            i, m = rng.randrange(n - 1), rng.randint(2, 6)
+            vecs[i] = [m * x for x in vecs[i]]
+        B = LatticeBasis(WeightVector(a), tuple(tuple(v) for v in vecs))
+        order = TermOrder(B.weight, tuple(rng.sample(range(n), n))) if rng.random() < 0.3 else None
+        work["groebner"] = 0
+        lattice_ideal(B, order)
+        assert 1 <= work["groebner"] <= n, (a, B.vectors, order)
+        cases += 1
