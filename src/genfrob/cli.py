@@ -262,39 +262,28 @@ def _cmd_verify(args) -> int:
     f_values = kth_degrees(basis, args.k_max)[0]
     lines = []
     ok = True
+
+    def check(k, text, match):
+        nonlocal ok
+        ok = ok and match
+        lines.append(f"k={k} {text} {'ok' if match else 'MISMATCH'}")
+
     for k, fk in enumerate(f_values, start=1):
         oracle = brute_force_frobenius(basis, k)
-        match = fk == oracle
-        ok = ok and match
-        lines.append(f"k={k} pipeline F_k={fk} oracle F_k={oracle} "
-                     f"{'ok' if match else 'MISMATCH'}")
+        check(k, f"pipeline F_k={fk} oracle F_k={oracle}", fk == oracle)
         gens = minimal_generators(basis, k)
         mp = module_poset(basis, k)
         # With F_1 = -1 the module poset's window is empty by convention;
         # every class of degree >= m_k is then in the module, and the one
         # class of degree m_k generates it.
         minimal = len(mp.minimal_elements) if mp.labels else 1
-        match2 = len(gens.generators) == minimal
-        ok = ok and match2
-        lines.append(
-            f"k={k} generator orbits={len(gens.generators)} "
-            f"poset minimal elements={minimal} "
-            f"{'ok' if match2 else 'MISMATCH'}"
-        )
+        check(k, f"generator orbits={len(gens.generators)} poset minimal elements={minimal}",
+              len(gens.generators) == minimal)
         oracle_classes = lcm_generator_classes(basis, k, markov)
-        match_lcm = oracle_classes == frozenset(gens.classes)
-        ok = ok and match_lcm
-        lines.append(
-            f"k={k} lcm oracle orbits={len(oracle_classes)} "
-            f"{'ok' if match_lcm else 'MISMATCH'}"
-        )
+        check(k, f"lcm oracle orbits={len(oracle_classes)}",
+              oracle_classes == frozenset(gens.classes))
         m_oracle = brute_force_m(basis, k)
-        match3 = gens.m_k == m_oracle
-        ok = ok and match3
-        lines.append(
-            f"k={k} pipeline m_k={gens.m_k} oracle m_k={m_oracle} "
-            f"{'ok' if match3 else 'MISMATCH'}"
-        )
+        check(k, f"pipeline m_k={gens.m_k} oracle m_k={m_oracle}", gens.m_k == m_oracle)
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 

@@ -21,17 +21,18 @@ The walk and the oracle table are worked out once per basis object.
 The basis keeps its last walk, and ``thresholds(basis, K)`` returns it
 while it covers K; a larger K walks once more and replaces it, so
 ``Thresholds.f`` and ``.m`` hold at least K entries and readers index
-them by k - 1. The oracle readers share one private table per basis,
-``_oracle_table``, which grows to the largest degree and cap asked of
-it; it is never fed from the walk, so the engine and the oracles stay
-independent. The public ``count_table`` builds a fresh table of
-exactly the cap asked.
+them by k - 1. The oracle readers share one private table of exact
+counts per basis, ``_oracle_table``, which answers every k and is
+rebuilt only when a reader needs a deeper degree; it is never fed from
+the walk, so the engine and the oracles stay independent. The public
+``count_table`` builds a fresh table of exactly the cap asked.
 
 Fibers are enumerated directly, once per generator orbit. The tests
 keep ``dominated_points`` as the reference for supports and counts.
 """
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -51,9 +52,10 @@ class Fiber:
 # row's list, and each row is one list: on CPython 3.11 a table on a
 # kernel lattice (index 1) costs 72 bytes a cell under tracemalloc and
 # about 88 bytes of peak RSS, and one of index 50 about 9 bytes, so a
-# table stays under about 350 MB. `verify -a 1001,1003,1007 --k-max 2`
-# needs 512,513 cells; (10007, 10009, 10037) needs more than F_1 =
-# 6,814,761.
+# table stays under about 350 MB. The oracle table's exact counts cost
+# no more at the depths its readers ask: they stay small ints, 173 at
+# most in the 512,513 cells `verify -a 1001,1003,1007 --k-max 2` needs;
+# (10007, 10009, 10037) needs more than F_1 = 6,814,761.
 MAX_TABLE_CELLS = 4_000_000
 
 
@@ -107,37 +109,31 @@ class CountTable:
             )
         return self._rows[c.degree][self._torsion_code[c.torsion]]
 
+    def row(self, degree: int) -> list[int]:
+        """The saturated counts of the classes of this degree, by torsion code."""
+        return self._rows[degree]
+
     def classes_at(self, degree: int):
         """All classes of the given degree, with their saturated counts."""
         for tor, cnt in zip(self._torsions, self._rows[degree]):
             yield QuotientClass(degree, tor), cnt
-
-    def fully_covered(self, degree: int, k: int) -> bool:
-        """True when every class of this degree has count >= k."""
-        return all(c >= k for c in self._rows[degree])
 
 
 def count_table(basis: LatticeBasis, max_degree: int, cap: int) -> CountTable:
     return CountTable(basis, max_degree, cap)
 
 
-def _oracle_table(basis: LatticeBasis, max_degree: int, cap: int) -> CountTable:
-    """The basis's shared oracle table, at least max_degree deep and cap high.
+def _oracle_table(basis: LatticeBasis, max_degree: int) -> CountTable:
+    """The basis's shared table of exact counts, at least max_degree deep.
 
-    On a miss it is rebuilt at the larger degree and the larger cap of
-    the old table and the request. Its counts saturate at its own cap,
-    which may exceed the one asked, so readers test count >= k only.
+    Exact counts answer count >= k for every k, so a miss is only ever a
+    deeper degree: the old table goes before one of that depth is built.
     """
     memo = basis._memo
-    table = memo.get("table")
-    if table is not None and table.max_degree >= max_degree and table.cap >= cap:
-        return table
-    if table is not None:
-        max_degree = max(max_degree, table.max_degree)
-        cap = max(cap, table.cap)
-        del memo["table"], table  # let the old rows go before the new ones are built
-    table = memo["table"] = CountTable(basis, max_degree, cap)
-    return table
+    if "table" not in memo or memo["table"].max_degree < max_degree:
+        memo.pop("table", None)  # let the old rows go before the new ones are built
+        memo["table"] = CountTable(basis, max_degree, sys.maxsize)
+    return memo["table"]
 
 
 def degree_fiber(basis: LatticeBasis, degree: int) -> tuple[tuple[int, ...], ...]:

@@ -5,8 +5,9 @@ has fewer than k nonnegative representatives. ``frobenius`` and
 ``sequence_report`` read F_k and m_k off the residue-graph engine
 ``counting.kth_degrees``; ``brute_force_frobenius`` and ``brute_force_m``
 are the independent oracles, plain upward scans of counting tables that
-share no code with the engine. Both read the basis's one oracle table
-and grow it only when they scan past its end.
+share no code with the engine. Both read their rows from one scan,
+``_rows``, over the basis's oracle table of exact counts, which doubles
+the table's depth only when it reads past its end.
 """
 from __future__ import annotations
 
@@ -16,50 +17,46 @@ from .counting import _oracle_table, kth_degrees, m_value  # noqa: F401  (re-exp
 from .lattice import InputError, LatticeBasis
 
 
-def _window_scan(basis: LatticeBasis, k: int) -> int:
-    """Scan degrees upward until a1 consecutive degrees are fully covered.
+def _rows(basis: LatticeBasis):
+    """Rows 0, 1, 2, ... of exact counts per class, from the basis's oracle table.
 
-    Sound because counts are monotone under adding the first generator:
-    count(c, d) >= count(c - [e1], d - a1).
+    The scan starts on a table 4 * a_1 deep; at its end the table goes
+    and one twice as deep is asked for, and the scan goes on from there.
     """
-    a1 = basis.weight.a[0]
-    bound = 4 * a1
+    depth = 4 * basis.weight.a[0]
+    start = 0
     while True:
-        table = _oracle_table(basis, bound, k)
-        last_bad = -1
-        run = 0
-        for d in range(table.max_degree + 1):
-            if table.fully_covered(d, k):
-                run += 1
-                if run == a1:
-                    return last_bad
-            else:
-                last_bad = d
-                run = 0
-        bound = 2 * table.max_degree
+        table = _oracle_table(basis, depth)
+        for d in range(start, table.max_degree + 1):
+            yield table.row(d)
+        start = table.max_degree + 1
+        depth = 2 * table.max_degree
         del table  # let the shared table go before it is rebuilt deeper
 
 
 def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
-    """Independent oracle: pure counting scan, no degree bound assumed."""
+    """Independent oracle for F_k: scan degrees upward until a_1
+    consecutive degrees have every class at count >= k.
+
+    Sound because counts are monotone under adding the first generator:
+    count(c, d) >= count(c - [e1], d - a1).
+    """
     if k < 1:
         raise InputError("k must be at least 1")
-    return _window_scan(basis, k)
+    a1 = basis.weight.a[0]
+    last_bad = -1
+    for d, row in enumerate(_rows(basis)):
+        if min(row) < k:
+            last_bad = d
+        elif d - last_bad == a1:
+            return last_bad
 
 
 def brute_force_m(basis: LatticeBasis, k: int) -> int:
-    """Independent oracle for m_k: the first degree with a class of count
-    >= k, scanned upward in counting tables of doubling size."""
+    """Independent oracle for m_k: the first degree with a class of count >= k."""
     if k < 1:
         raise InputError("k must be at least 1")
-    bound = 4 * basis.weight.a[0]
-    while True:
-        table = _oracle_table(basis, bound, k)
-        for d in range(table.max_degree + 1):
-            if any(cnt >= k for _, cnt in table.classes_at(d)):
-                return d
-        bound = 2 * table.max_degree
-        del table
+    return next(d for d, row in enumerate(_rows(basis)) if max(row) >= k)
 
 
 def frobenius_and_m(

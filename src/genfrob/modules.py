@@ -179,7 +179,7 @@ def lcm_generator_classes(
     cap = m_values[-1] + max(f_values[0], 0)
     bl = ball(moves(markov), k - 1)
     orbits = {basis.label(g) for g in candidate_lcms(bl, k, basis.weight, cap)}
-    table = _oracle_table(basis, cap, 1)
+    table = _oracle_table(basis, cap)
     return frozenset(
         cls
         for cls in orbits
@@ -206,11 +206,11 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
             continue
         points = fiber(basis, cls).points
         rep = points[0]
-        reps.append((cls.degree, rep, tuple(sorted(vsub(rep, u) for u in points))))
-    reps.sort()
+        reps.append((cls.degree, rep, tuple(sorted(vsub(rep, u) for u in points)), cls))
+    reps.sort()  # reps are distinct, so the classes are never compared
     generators = tuple(r[1] for r in reps)
     supports = tuple(r[2] for r in reps)
-    classes = tuple(basis.label(g) for g in generators)
+    classes = tuple(r[3] for r in reps)
     m_k = t.m[k - 1]
     if not generators or reps[0][0] != m_k:
         raise RuntimeError("no generator found at the minimum degree")

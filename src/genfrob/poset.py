@@ -103,7 +103,7 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     steps = t.atoms()
     if f1 < 0:
         return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), basis, steps)
-    table = _oracle_table(basis, mk + f1, k)
+    table = _oracle_table(basis, mk + f1)
     labels = {
         QuotientClass(d - mk, cls.torsion)
         for d in range(mk, mk + f1 + 1)

@@ -136,6 +136,11 @@ def test_verify_weight_one_sublattice(tmp_path, capsys):
     _assert_verify_all_ok(argv, capsys, 3)
 
 
+def test_verify_scans_past_several_table_doublings(capsys):
+    # the F_1 scan outgrows its oracle table four times, on exact counts
+    _assert_verify_all_ok(["verify", "-a", "211,223,227", "--k-max", "3"], capsys, 3)
+
+
 def test_ideal_json_ten_variables_matches_recorded_output(capsys):
     # stdout of the implementation with the per-pop chain-criterion rescan,
     # started from the unreduced kernel basis

@@ -19,11 +19,15 @@ from genfrob import (
     LatticeBasis,
     TermOrder,
     WeightVector,
+    brute_force_frobenius,
+    brute_force_m,
     counting,
     finiteness_report,
     ideal,
     kernel_basis,
     lattice_ideal,
+    lcm_generator_classes,
+    module_poset,
     poset,
 )
 from genfrob.cli import main
@@ -76,8 +80,22 @@ def test_verify_runs_one_walk_and_builds_no_covers(work, capsys):
     assert main(["verify", "-a", "13,17,29", "--k-max", "4"]) == 0
     capsys.readouterr()
     assert work["walks"] == 1
-    assert work["tables"] <= 8
+    assert work["tables"] <= 5
     assert work["covers"] == 0
+
+
+def test_a_larger_k_rebuilds_no_oracle_table(work):
+    # The oracle table holds exact counts, which answer count >= k for
+    # every k: after the F_1 scan, k = 2..4 rebuild it only where a reader
+    # needs a deeper degree.
+    basis = kernel_basis(WeightVector((13, 17, 29)))
+    brute_force_frobenius(basis, 1)
+    work["tables"] = 0
+    for k in range(2, 5):
+        brute_force_m(basis, k)
+        module_poset(basis, k)
+        lcm_generator_classes(basis, k)
+    assert work["tables"] <= 2
 
 
 def test_is_exceptional_shares_one_walk_across_generators(work):
