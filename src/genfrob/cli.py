@@ -13,9 +13,8 @@ import json
 import os
 import sys
 
-from .counting import kth_degrees
-from .counting import m_value  # noqa: F401  (re-exported)
-from .frobenius import brute_force_frobenius, brute_force_m, frobenius, frobenius_and_m
+from .counting import _oracle_table, kth_degrees, m_value
+from .frobenius import brute_force_frobenius, brute_force_m, frobenius
 from .frobenius import sequence_report
 from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, WeightVector, kernel_basis, sublattice_index
@@ -211,7 +210,8 @@ def _cmd_frobenius(args) -> int:
         degree_cap = int(cap) if cap else None
     except ValueError as exc:
         raise InputError(f"GENFROB_DEGREE_CAP must be an integer, got {cap!r}") from exc
-    fk, mk = frobenius_and_m(basis, args.k, degree_cap=degree_cap)
+    fk = frobenius(basis, args.k, degree_cap=degree_cap)
+    mk = m_value(basis, args.k)
     if args.format == "json":
         payload = {
             "a": list(basis.weight.a),
@@ -259,7 +259,10 @@ def _cmd_verify(args) -> int:
         raise InputError("k_max must be at least 1")
     basis = _make_basis(args)
     markov = lattice_ideal(basis)
-    f_values = kth_degrees(basis, args.k_max)[0]
+    f_values, m_values = kth_degrees(basis, args.k_max)
+    # One oracle table for all: F_k scans read to F_K + a_1, labels and lcm cap to m_K + F_1.
+    f1 = max(f_values[0], 0)
+    _oracle_table(basis, max(f_values[-1] + basis.weight.a[0], m_values[-1] + f1))
     lines = []
     ok = True
 

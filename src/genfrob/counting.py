@@ -27,8 +27,11 @@ rebuilt only when a reader needs a deeper degree; it is never fed from
 the walk, so the engine and the oracles stay independent. The public
 ``count_table`` builds a fresh table of exactly the cap asked.
 
-Fibers are enumerated directly, once per generator orbit. The tests
-keep ``dominated_points`` as the reference for supports and counts.
+Fibers are enumerated directly, once per generator orbit, in
+lexicographic order with no sort (``degree_fiber``, closed form in the
+last two coordinates). The tests keep the plain recursion
+``representations`` as its reference and ``dominated_points`` as the
+reference for supports and counts.
 """
 from __future__ import annotations
 
@@ -36,12 +39,12 @@ import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from .lattice import InputError, LatticeBasis, QuotientClass, vsub
+from .lattice import InputError, LatticeBasis, QuotientClass, vsub, xgcd
 
 
 @dataclass(frozen=True)
 class Fiber:
-    """All nonnegative integer points in one quotient class."""
+    """All nonnegative integer points in one quotient class, in lexicographic order."""
 
     label: QuotientClass
     points: tuple[tuple[int, ...], ...]
@@ -137,26 +140,26 @@ def _oracle_table(basis: LatticeBasis, max_degree: int) -> CountTable:
 
 
 def degree_fiber(basis: LatticeBasis, degree: int) -> tuple[tuple[int, ...], ...]:
-    """All points of N^n with the given weighted degree, sorted."""
-    a = basis.weight.a
-    n = basis.n
-    out = []
-    point = [0] * n
+    """All points of N^n with the given weighted degree, in lexicographic order.
 
-    def rec(i, rem):
-        if i == n - 1:
-            if rem % a[i] == 0:
-                point[i] = rem // a[i]
-                out.append(tuple(point))
-            return
-        for x in range(rem // a[i] + 1):
-            point[i] = x
-            rec(i + 1, rem - x * a[i])
-        point[i] = 0
-
-    if degree >= 0:
-        rec(0, degree)
-    return tuple(sorted(out))
+    The first n - 2 coordinates run upward. The last two solve
+    x * p + y * q = rem, with p, q the last two weights and
+    (g, u, _) = xgcd(p, q): no solution unless g divides rem, and then x
+    runs upward from u * (rem / g) mod (q / g) in steps of q / g while
+    x * p <= rem, with y = (rem - x * p) / q. So no sort is needed;
+    ``fiber``, ``fiber_graph`` and ``minimal_generators`` rely on the order.
+    """
+    *head, p, q = basis.weight.a
+    g, u, _ = xgcd(p, q)
+    partial = [((), degree)] if degree >= 0 else []
+    for ai in head:
+        partial = [(pre + (x,), rem - x * ai) for pre, rem in partial for x in range(rem // ai + 1)]
+    return tuple(
+        pre + (x, (rem - x * p) // q)
+        for pre, rem in partial
+        if rem % g == 0
+        for x in range(u * (rem // g) % (q // g), rem // p + 1, q // g)
+    )
 
 
 def fiber(basis: LatticeBasis, c: QuotientClass) -> Fiber:

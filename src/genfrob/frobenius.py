@@ -20,17 +20,18 @@ from .lattice import InputError, LatticeBasis
 def _rows(basis: LatticeBasis):
     """Rows 0, 1, 2, ... of exact counts per class, from the basis's oracle table.
 
-    The scan starts on a table 4 * a_1 deep; at its end the table goes
-    and one twice as deep is asked for, and the scan goes on from there.
+    The scan starts on the basis's table, or one of a_1 rows (the fewest an
+    F_k scan reads); at its end the table goes, one of twice the rows is
+    asked for, and the scan goes on from there.
     """
-    depth = 4 * basis.weight.a[0]
+    rows = basis.weight.a[0]
     start = 0
     while True:
-        table = _oracle_table(basis, depth)
+        table = _oracle_table(basis, rows - 1)
         for d in range(start, table.max_degree + 1):
             yield table.row(d)
         start = table.max_degree + 1
-        depth = 2 * table.max_degree
+        rows = 2 * start
         del table  # let the shared table go before it is rebuilt deeper
 
 
@@ -59,21 +60,6 @@ def brute_force_m(basis: LatticeBasis, k: int) -> int:
     return next(d for d, row in enumerate(_rows(basis)) if max(row) >= k)
 
 
-def frobenius_and_m(
-    basis: LatticeBasis, k: int, degree_cap: int | None = None
-) -> tuple[int, int]:
-    """(F_k, m_k) from one engine run; degree_cap as in ``frobenius``."""
-    f_values, m_values = kth_degrees(basis, k)
-    fk = f_values[-1]
-    a1 = basis.weight.a[0]
-    if degree_cap is not None and fk > degree_cap - a1:
-        raise InputError(
-            f"degree cap {degree_cap} too small: F_{k} = {fk} needs a cap of "
-            f"at least {fk + a1}"
-        )
-    return fk, m_values[-1]
-
-
 def frobenius(basis: LatticeBasis, k: int, degree_cap: int | None = None) -> int:
     """Largest degree with some class count below k, or -1 if none.
 
@@ -82,7 +68,14 @@ def frobenius(basis: LatticeBasis, k: int, degree_cap: int | None = None) -> int
     subtracting a_1, so such a scan finds F_k exactly when
     F_k <= degree_cap - a_1, and InputError is raised otherwise.
     """
-    return frobenius_and_m(basis, k, degree_cap)[0]
+    fk = kth_degrees(basis, k)[0][-1]
+    a1 = basis.weight.a[0]
+    if degree_cap is not None and fk > degree_cap - a1:
+        raise InputError(
+            f"degree cap {degree_cap} too small: F_{k} = {fk} needs a cap of "
+            f"at least {fk + a1}"
+        )
+    return fk
 
 
 @dataclass(frozen=True)

@@ -467,7 +467,7 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
 
 @dataclass(frozen=True)
 class FiberGraph:
-    """Markov-move graph on the full fiber of one weighted degree."""
+    """Markov-move graph on the full fiber of one weighted degree; vertices sorted."""
 
     degree: int
     vertices: tuple[tuple[int, ...], ...]

@@ -196,7 +196,8 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
     there: [e_s] is an atom and the other classes of the node are that
     class plus multiples of [e_s], so no other class of the node is
     minimal. The support of a representative r, its dominated lattice
-    points, is {r - u : u in the fiber of its class}.
+    points, is {r - u : u in the fiber of its class}; the fiber is sorted,
+    so r is its first point and r - u over it reversed is sorted too.
     """
     t = thresholds(basis, k)
     steps = t.atoms()
@@ -206,7 +207,7 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
             continue
         points = fiber(basis, cls).points
         rep = points[0]
-        reps.append((cls.degree, rep, tuple(sorted(vsub(rep, u) for u in points)), cls))
+        reps.append((cls.degree, rep, tuple(vsub(rep, u) for u in reversed(points)), cls))
     reps.sort()  # reps are distinct, so the classes are never compared
     generators = tuple(r[1] for r in reps)
     supports = tuple(r[2] for r in reps)

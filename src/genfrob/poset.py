@@ -59,8 +59,6 @@ def structure_poset(basis: LatticeBasis) -> StructurePoset:
     """Full structure poset; its Hasse covers are the atom steps x -> x + g."""
     t = thresholds(basis, 1)
     f1 = t.f[0]
-    if f1 < 0:
-        return StructurePoset(basis, f1, (), (), frozenset())
     torsions = basis.torsions  # lexicographic, so elements come out sorted
     elements = tuple(QuotientClass(d, tor) for d in range(f1 + 1) for tor in torsions)
     representable = frozenset(c for c in elements if t.at_least(c, 1))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -40,6 +41,14 @@ def test_module_json_generators_match_known_orbits(capsys):
     got = {class_label(B, parse_monomial(g, 3)) for g in payload["generators"]}
     want = {class_label(B, (5, 0, 0)), class_label(B, (4, 2, 0))}
     assert got == want
+
+
+def test_ladder_module_json_matches_recorded_output(capsys):
+    # sha256 of the stdout recorded with the fibers enumerated by a full
+    # recursion and sorted, supports sorted again per generator
+    assert main(["module", "-a", "1001,1003,1007", "-k", "30", "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "3477673b5807aa90bc2e61a311a318bb97caef1120b759553a5ee2327e526cd5"
 
 
 def test_invalid_weights_exit_2():
@@ -92,15 +101,25 @@ def test_verify_exits_zero(capsys):
 
 def test_verify_over_the_table_budget_exits_2(monkeypatch, capsys):
     # F_1 of (211, 223, 227) is 12,047, so its oracle scan needs a table
-    # of more than 12,000 cells
+    # of more than 12,000 cells; verify asks for that depth at once, so
+    # no smaller table is built before the refusal
     from genfrob import counting
 
+    builds = []
+    init = counting.CountTable.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(counting.CountTable, "__init__", counted)
     monkeypatch.setattr(counting, "MAX_TABLE_CELLS", 2000)
     assert main(["verify", "-a", "211,223,227", "--k-max", "1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: a counting table of degrees 0..")
+    assert err.startswith("error: a counting table of degrees 0..12258 ")
     assert err.endswith("cells, over the budget of 2000\n")
+    assert len(builds) == 1
 
 
 def test_verify_k_max_below_one_exits_2():
@@ -137,7 +156,8 @@ def test_verify_weight_one_sublattice(tmp_path, capsys):
 
 
 def test_verify_scans_past_several_table_doublings(capsys):
-    # the F_1 scan outgrows its oracle table four times, on exact counts
+    # verify sizes its one oracle table from the engine's F_k and m_k, so
+    # no scan here outgrows it; the doubling scan is covered in test_counting
     _assert_verify_all_ok(["verify", "-a", "211,223,227", "--k-max", "3"], capsys, 3)
 
 

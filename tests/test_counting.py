@@ -200,9 +200,23 @@ def test_cap_saturates():
 
 
 def test_degree_fiber_matches_oracle():
-    B = kernel_basis(WeightVector((3, 4, 11)))
-    for d in (0, 7, 15, 22):
-        assert list(degree_fiber(B, d)) == representations((3, 4, 11), d)
+    # seeded weights with two to five variables, some containing 1 and some
+    # with equal last two weights (the pair degree_fiber solves in closed form)
+    rng = random.Random(15)
+    cases = [(3, 4, 11), (1, 1), (2, 1), (1, 2), (2, 2, 3), (3, 5, 5)]
+    while len(cases) < 150:
+        a = [rng.randint(1, 30) for _ in range(rng.randint(2, 5))]
+        if rng.random() < 0.2:
+            a[rng.randrange(len(a))] = 1
+        if rng.random() < 0.3:
+            a[-1] = a[-2]
+        if math.gcd(*a) == 1:
+            cases.append(tuple(a))
+    assert {len(a) for a in cases} == {2, 3, 4, 5}
+    for a in cases:
+        B = kernel_basis(WeightVector(a))
+        for d in range(-1, 80):
+            assert list(degree_fiber(B, d)) == representations(a, d), (a, d)
 
 
 def test_count_table_validation():
@@ -418,7 +432,7 @@ def test_table_budget_refuses_before_allocating(monkeypatch):
 
 
 def test_oracle_scan_lets_each_table_go_before_the_next():
-    # The F_1 scan on (211, 223, 227) outgrows its table about four times.
+    # The F_1 scan on (211, 223, 227) outgrows its table six times.
     # Holding the old table while the next one is built would show as a
     # peak well above the one table the basis keeps afterwards.
     B = kernel_basis(WeightVector((211, 223, 227)))
