@@ -75,8 +75,60 @@ def _emit(args, text: str) -> None:
         raise InputError(f"cannot write output file {args.output}: {exc}") from exc
 
 
+_compact = json.JSONEncoder(separators=(",", ":")).encode
+_string = json.encoder.encode_basestring_ascii
+_INT_TREE_CHARS = str.maketrans("", "", "0123456789-,[]")
+
+
 def _json_dump(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """`json.dumps(obj, indent=2) + "\\n"`, byte for byte (dict keys must be str).
+
+    Integer-list trees, the bulk of every payload, are encoded in C and
+    indented with str.replace; only dicts and other lists recurse.
+    """
+    return _indented(obj, "") + "\n"
+
+
+def _indented(obj, pad: str) -> str:
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        items = [f"{_string(k)}: {_indented(v, inner)}" for k, v in obj.items()]
+        return _block("{", items, pad, "}")
+    if isinstance(obj, (list, tuple)):
+        return _int_lists(obj, pad) or _block("[", [_indented(v, inner) for v in obj], pad, "]")
+    return json.dumps(obj)  # a scalar reads the same indented or not
+
+
+def _block(opening: str, items: list, pad: str, closing: str) -> str:
+    if not items:
+        return opening + closing
+    return f"{opening}\n{pad}  " + f",\n{pad}  ".join(items) + f"\n{pad}{closing}"
+
+
+def _int_lists(obj, pad: str) -> str | None:
+    """The indented text of a list whose ints all lie at one depth, with no
+    empty list inside; None for any other list."""
+    s = _compact(obj)
+    if s.translate(_INT_TREE_CHARS) or "[]" in s:
+        return None
+    # Every comma must close as many lists as it opens: then every int lies
+    # at the depth of the first, the length of the leading run of "[".
+    j = 1
+    while (closes := s.count("]" * j + ",")) or s.count("," + "[" * j):
+        if not closes == s.count("," + "[" * j) == s.count("]" * j + "," + "[" * j):
+            return None
+        j += 1
+    depth = len(s) - len(s.lstrip("["))
+    ind = [pad + "  " * i for i in range(depth + 1)]
+    opened, closed = [""], [""]  # the text of j openings up to an int, of j closings after one
+    for j in range(1, depth + 1):
+        opened.append("[\n" + ind[depth - j + 1] + opened[-1])
+        closed.append(closed[-1] + "\n" + ind[depth - j] + "]")
+    body = s[depth:-depth].replace(",", ",\n" + ind[depth])
+    for j in range(depth - 1, 0, -1):
+        body = body.replace("]" * j + ",\n" + ind[depth] + "[" * j,
+                            closed[j] + ",\n" + ind[depth - j] + opened[j])
+    return opened[depth] + body + closed[depth]
 
 
 def _cmd_basis(args) -> int:

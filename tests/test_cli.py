@@ -206,11 +206,41 @@ def test_output_deterministic_across_runs():
     assert r3.stdout == r1.stdout
 
 
-def test_json_round_trips_byte_identically():
+def test_json_round_trips_byte_identically(tmp_path, capsys):
+    # every JSON command, on a kernel lattice, a sublattice file and a
+    # weight-1 input, prints exactly json.dumps(payload, indent=2) + "\n"
     res = run_cli(["sequence", "-a", "3,5,8", "--k-max", "4", "--format", "json"])
     assert res.returncode == 0
-    reparsed = json.dumps(json.loads(res.stdout), indent=2) + "\n"
-    assert reparsed == res.stdout
+    assert json.dumps(json.loads(res.stdout), indent=2) + "\n" == res.stdout
+    sub = tmp_path / "basis.txt"
+    sub.write_text("1 2 -1\n8 -6 0\n")  # index 2 in the kernel of (3,4,11)
+    commands = [
+        ["basis"], ["ideal"], ["ball", "-k", "2"], ["module"], ["module", "-k", "3"],
+        ["poset"], ["poset", "-k", "2"], ["frobenius", "-k", "2"], ["sequence", "--k-max", "4"],
+    ]
+    inputs = [["-a", "3,4,11"], ["-a", "3,4,11", "--basis", str(sub)], ["-a", "1,2"]]
+    for command in commands:
+        for given in inputs:
+            assert main([*command, *given, "--format", "json"]) == 0
+            out = capsys.readouterr().out
+            assert json.dumps(json.loads(out), indent=2) + "\n" == out, (command, given)
+    assert main(["module", "-a", "3,4,11", "-k", "3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["classification"]
+    assert main(["poset", "-a", "1,2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["poset"] == {"labels": [], "hasse": []}
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["poset", "-a", "211,223,227", "-k", "3"],
+     "93dc13e54377a368fb1b3e01f0feaaf5f6196990016187f1d8b3a58e0410bf3f"),
+    (["poset", "-a", "101,103,107"],
+     "d6595a34e355cfa330d7f48070c577c6cb6fe70b26adfa12490675f59d29f1f8"),
+], ids=["211,223,227-k3", "101,103,107"])
+def test_ladder_poset_json_matches_recorded_output(argv, digest, capsys):
+    # sha256 of the stdout recorded when json.dumps(payload, indent=2)
+    # wrote every payload
+    assert main([*argv, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_degree_cap_env_var():
