@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import InputError, LatticeBasis, QuotientClass, vsub, xgcd
 
 
-@dataclass(frozen=True)
-class Fiber:
+class Fiber(NamedTuple):
     """All nonnegative integer points in one quotient class, in lexicographic order."""
 
     label: QuotientClass

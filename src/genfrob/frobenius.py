@@ -11,7 +11,7 @@ the table's depth only when it reads past its end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counting import _oracle_table, kth_degrees, m_value  # noqa: F401  (re-exported)
 from .lattice import InputError, LatticeBasis
@@ -78,8 +78,7 @@ def frobenius(basis: LatticeBasis, k: int, degree_cap: int | None = None) -> int
     return fk
 
 
-@dataclass(frozen=True)
-class FrobeniusReport:
+class FrobeniusReport(NamedTuple):
     """Sequence analytics for F_k and m_k up to k_max."""
 
     k_max: int

@@ -18,31 +18,36 @@ connect its head to its tail (Diaconis and Sturmfels, Ann. Statist.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from itertools import permutations
 from operator import add, ge, itemgetter, neg, sub
+from typing import NamedTuple
 
 from .counting import degree_fiber
-from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, dot, vadd, vneg, vsub
+from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _read_only
+from .lattice import dot, vadd, vneg, vsub
 
 
-@dataclass(frozen=True)
-class TermOrder:
+class _TermOrderFields(NamedTuple):
+    weight: WeightVector
+    perm: tuple[int, ...]
+
+
+class TermOrder(_TermOrderFields):
     """Weighted graded reverse-lexicographic order.
 
     perm lists the variables from most expensive to cheapest; ties in
     weighted degree break by reverse lexicography over that sequence.
     """
 
-    weight: WeightVector
-    perm: tuple[int, ...] = ()
+    __setattr__ = _read_only
 
-    def __post_init__(self):
-        perm = self.perm or tuple(range(self.weight.n))
-        object.__setattr__(self, "perm", perm)
-        if sorted(perm) != list(range(self.weight.n)):
+    def __new__(cls, weight: WeightVector, perm: tuple[int, ...] = ()):
+        perm = perm or tuple(range(weight.n))
+        if sorted(perm) != list(range(weight.n)):
             raise InputError(f"perm {perm} is not a permutation")
-        object.__setattr__(self, "_cheapest_first", itemgetter(*reversed(perm)))
+        self = super().__new__(cls, weight, perm)
+        vars(self)["_cheapest_first"] = itemgetter(*reversed(perm))
+        return self
 
     def key(self, u):
         """Sort key: ascending key means ascending monomial order."""
@@ -65,8 +70,12 @@ def _neg_part(v):
     return tuple(-x if x < 0 else 0 for x in v)
 
 
-@dataclass(frozen=True)
-class Binomial:
+class _BinomialFields(NamedTuple):
+    head: tuple[int, ...]
+    tail: tuple[int, ...]
+
+
+class Binomial(_BinomialFields):
     """Difference of two monomials, head minus tail.
 
     Markov basis elements always have disjoint supports, so the head and
@@ -74,14 +83,14 @@ class Binomial:
     vector; intermediate reduction results may share a monomial factor.
     """
 
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.head == self.tail:
+    def __new__(cls, head: tuple[int, ...], tail: tuple[int, ...]):
+        if head == tail:
             raise InputError("zero binomial")
-        if any(x < 0 for x in self.head) or any(x < 0 for x in self.tail):
+        if any(x < 0 for x in head) or any(x < 0 for x in tail):
             raise InputError("binomial monomials must have nonnegative exponents")
+        return super().__new__(cls, head, tail)
 
     @property
     def vector(self) -> tuple[int, ...]:
@@ -358,20 +367,31 @@ def _connected(u, v, moves) -> bool:
     return u == v
 
 
-@dataclass(frozen=True)
-class MarkovBasis:
-    """Minimal binomial generating set of a lattice ideal."""
-
+class _MarkovBasisFields(NamedTuple):
     basis: LatticeBasis
     elements: tuple[Binomial, ...]
-    order_used: TermOrder = field(compare=False)
 
-    def __post_init__(self):
-        for b in self.elements:
+
+class MarkovBasis(_MarkovBasisFields):
+    """Minimal binomial generating set of a lattice ideal.
+
+    ``order_used`` is kept beside the fields and takes no part in equality.
+    """
+
+    __setattr__ = _read_only
+
+    def __new__(cls, basis: LatticeBasis, elements: tuple[Binomial, ...], order_used: TermOrder):
+        for b in elements:
             if not b.is_pure:
                 raise InputError("Markov element with shared monomial factor")
-            if not self.basis.contains(b.vector):
+            if not basis.contains(b.vector):
                 raise InputError(f"Markov vector {b.vector} outside the lattice")
+        self = super().__new__(cls, basis, elements)
+        vars(self)["order_used"] = order_used
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.order_used)
 
     @property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -465,8 +485,7 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept), order)
 
 
-@dataclass(frozen=True)
-class FiberGraph:
+class FiberGraph(NamedTuple):
     """Markov-move graph on the full fiber of one weighted degree; vertices sorted."""
 
     degree: int

@@ -6,7 +6,6 @@ of the basis matrix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 from operator import add, mul, neg, sub
@@ -48,23 +47,32 @@ def xgcd(a, b):
     return g, x, y
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Positive integer weights (a1, ..., an) with gcd 1 and n >= 2."""
+def _read_only(self, name, value):
+    """``__setattr__`` of the records that keep a ``__dict__``: assignment is refused."""
+    raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
+
+class _WeightVectorFields(NamedTuple):
     a: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        if len(self.a) < 2:
+
+class WeightVector(_WeightVectorFields):
+    """Positive integer weights (a1, ..., an) with gcd 1 and n >= 2."""
+
+    __slots__ = ()
+
+    def __new__(cls, a):
+        a = tuple(int(x) for x in a)
+        if len(a) < 2:
             raise InputError("need at least two weights")
-        if any(x < 1 for x in self.a):
+        if any(x < 1 for x in a):
             raise InputError("weights must be positive integers")
         g = 0
-        for x in self.a:
+        for x in a:
             g = gcd(g, x)
         if g != 1:
             raise InputError(f"weights must be coprime overall, gcd is {g}")
+        return super().__new__(cls, a)
 
     @property
     def n(self) -> int:
@@ -185,7 +193,6 @@ def _smith_diagonal(mat):
     return diag, [tuple(row) for row in R]
 
 
-@dataclass(frozen=True)
 class LatticeBasis:
     """Basis of a finite-index sublattice of the weighted kernel lattice.
 
@@ -194,15 +201,22 @@ class LatticeBasis:
     quotient labels, membership, and the sublattice index. The coding of
     the torsion tuples as ints 0..index - 1 and the unit classes [e_i]
     are worked out on first use and shared by every layer.
+
+    A plain class rather than a tuple, so that it can be weakly
+    referenced: equality, hashing and pickling go by the two fields
+    ``weight`` and ``vectors`` alone, and no attribute can be assigned.
     """
 
-    weight: WeightVector
-    vectors: tuple[tuple[int, ...], ...]
+    def __init__(self, weight: WeightVector, vectors):
+        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        vars(self).update(weight=weight, vectors=vectors)
+        # perfbench/layertrace.py counts and times basis builds by wrapping
+        # __post_init__ on the class, so every build goes through it.
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.weight.n
-        vecs = tuple(tuple(int(x) for x in v) for v in self.vectors)
-        object.__setattr__(self, "vectors", vecs)
+        vecs = self.vectors
         if len(vecs) != n - 1:
             raise InputError(f"expected {n - 1} basis vectors, got {len(vecs)}")
         for v in vecs:
@@ -223,13 +237,28 @@ class LatticeBasis:
             if d > 1:
                 moduli.append(d)
                 torsion_rows.append(row)
-        object.__setattr__(self, "_moduli", tuple(moduli))
-        object.__setattr__(self, "_torsion_rows", tuple(torsion_rows))
-        object.__setattr__(self, "_index", index)
-        # Invariants the counting layer works out once per basis object:
-        # the last residue walk and the oracle counting table. Not a
-        # field, so two equal bases stay equal and hash alike.
-        object.__setattr__(self, "_memo", {})
+        # _memo holds the invariants the counting layer works out once per
+        # basis object: the last residue walk and the oracle counting
+        # table. Not a field, so two equal bases stay equal and hash alike.
+        vars(self).update(
+            _moduli=tuple(moduli), _torsion_rows=tuple(torsion_rows), _index=index, _memo={}
+        )
+
+    __setattr__ = _read_only
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.weight, self.vectors) == (other.weight, other.vectors)
+
+    def __hash__(self):
+        return hash((self.weight, self.vectors))
+
+    def __repr__(self):
+        return f"LatticeBasis(weight={self.weight!r}, vectors={self.vectors!r})"
+
+    def __reduce__(self):
+        return LatticeBasis, (self.weight, self.vectors)
 
     @property
     def n(self) -> int:

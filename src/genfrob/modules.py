@@ -22,9 +22,9 @@ basis's one walk serves every generator.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
+from typing import NamedTuple
 
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
@@ -138,8 +138,7 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     return tuple(sorted(found))
 
 
-@dataclass(frozen=True)
-class ModuleGens:
+class ModuleGens(NamedTuple):
     """Minimal generating data of the k-th module, one orbit per entry.
 
     Representatives are the lexicographically smallest translates that
@@ -256,8 +255,7 @@ def modified_min_gens(
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class GeneratorClassification:
+class GeneratorClassification(NamedTuple):
     """Inductive case of one minimal generator, with its certificates."""
 
     case: str

@@ -2,22 +2,26 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .ideal import MarkovBasis, signed_moves
 from .lattice import InputError, LatticeBasis, vadd, vsub
 
 
-@dataclass(frozen=True)
-class MoveSet:
-    """Markov move vectors closed under negation."""
-
+class _MoveSetFields(NamedTuple):
     basis: LatticeBasis
     moves: frozenset
 
-    def __post_init__(self):
-        if not self.moves:
+
+class MoveSet(_MoveSetFields):
+    """Markov move vectors closed under negation."""
+
+    __slots__ = ()
+
+    def __new__(cls, basis: LatticeBasis, moves: frozenset):
+        if not moves:
             raise InputError("empty move set")
+        return super().__new__(cls, basis, moves)
 
 
 class Ball:

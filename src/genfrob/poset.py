@@ -20,11 +20,11 @@ live on as oracles in the test suite.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .counting import _oracle_table, kth_degrees, m_value, thresholds
-from .lattice import InputError, LatticeBasis, QuotientClass
+from .lattice import InputError, LatticeBasis, QuotientClass, _read_only
 
 
 def _covers(basis: LatticeBasis, members, steps) -> tuple:
@@ -33,22 +33,18 @@ def _covers(basis: LatticeBasis, members, steps) -> tuple:
     return tuple(sorted(pairs))
 
 
-@dataclass(frozen=True)
-class StructurePoset:
+class StructurePoset(NamedTuple):
     basis: LatticeBasis
     f1: int
     elements: tuple[QuotientClass, ...]
     covers: tuple[tuple[QuotientClass, QuotientClass], ...]
     representable: frozenset
-    _element_set: frozenset = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_element_set", frozenset(self.elements))
 
     def leq(self, b: QuotientClass, a: QuotientClass) -> bool:
         """b <= a in the structure order."""
         for c in (a, b):
-            if c not in self._element_set:
+            # The elements: every torsion tuple at each degree 0..F_1.
+            if not 0 <= c.degree <= self.f1 or c.torsion not in self.basis.torsion_code:
                 raise InputError(f"class {c} is outside the poset window")
         if a == b:
             return True
@@ -70,23 +66,33 @@ def leq(poset: StructurePoset, b: QuotientClass, a: QuotientClass) -> bool:
     return poset.leq(b, a)
 
 
-@dataclass(frozen=True)
-class ModulePoset:
-    """Labels of the k-th module inside the structure poset.
-
-    Labels keep their own torsion and carry the degree offset from m_k,
-    so equality of module posets is equality of label sets. The classes
-    of degree exactly m_k are stored as embedding witnesses. The basis
-    and the atoms are kept for the covers, which are built on first read.
-    """
-
+class _ModulePosetFields(NamedTuple):
     k: int
     m_k: int
     labels: frozenset
     minimal_elements: frozenset
     min_degree_classes: frozenset
-    basis: LatticeBasis = field(repr=False, compare=False)
-    atoms: tuple[QuotientClass, ...] = field(repr=False, compare=False)
+
+
+class ModulePoset(_ModulePosetFields):
+    """Labels of the k-th module inside the structure poset.
+
+    Labels keep their own torsion and carry the degree offset from m_k,
+    so equality of module posets is equality of label sets. The classes
+    of degree exactly m_k are stored as embedding witnesses. The basis
+    and the atoms are kept beside the fields, out of equality, for the
+    covers, which are built on first read.
+    """
+
+    __setattr__ = _read_only
+
+    def __new__(cls, k, m_k, labels, minimal_elements, min_degree_classes, basis, atoms):
+        self = super().__new__(cls, k, m_k, labels, minimal_elements, min_degree_classes)
+        vars(self).update(basis=basis, atoms=atoms)
+        return self
+
+    def __getnewargs__(self):
+        return (*self, self.basis, self.atoms)
 
     @cached_property
     def covers(self) -> tuple[tuple[QuotientClass, QuotientClass], ...]:
@@ -115,8 +121,7 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     return ModulePoset(k, mk, frozenset(labels), minimal, witnesses, basis, steps)
 
 
-@dataclass(frozen=True)
-class FinitenessReport:
+class FinitenessReport(NamedTuple):
     """Module posets for k = 1..k_max and the induced b-value analytics."""
 
     k_max: int

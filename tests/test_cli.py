@@ -442,3 +442,19 @@ def test_walk_over_the_memory_budget_exits_2_at_once(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the residue walk for k = 100000000 needs")
     assert "300000000 list entries" in err
+
+
+def test_import_pulls_in_neither_dataclasses_nor_inspect():
+    # Both cost startup time on every call. The modules already loaded
+    # before the import, by site hooks among others, do not count.
+    code = (
+        "import sys\n"
+        "bare = set(sys.modules)\n"
+        "import genfrob.cli\n"
+        "print(*sorted(set(sys.modules) - bare))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    added = set(res.stdout.split())
+    assert "genfrob.cli" in added
+    assert not added & {"dataclasses", "inspect"}

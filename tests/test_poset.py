@@ -44,6 +44,33 @@ def test_leq_rejects_classes_outside_window():
         leq(sp, QuotientClass(0, ()), QuotientClass(9, ()))
 
 
+def test_leq_window_on_a_proper_sublattice():
+    w = WeightVector((2, 3, 5))
+    K = kernel_basis(w)
+    H = LatticeBasis(w, (K.vectors[0], tuple(3 * x for x in K.vectors[1])))
+    sp = structure_poset(H)
+    assert (sp.f1, H.torsion_moduli) == (11, (3,))
+    assert all(leq(sp, c, c) for c in sp.elements)
+    zero = QuotientClass(0, (0,))
+    # Invalid torsion tuples inside the degree window, then degrees outside it.
+    outside = [QuotientClass(5, t) for t in ((3,), (-1,), (), (0, 0))]
+    outside += [QuotientClass(-1, (0,)), QuotientClass(12, (0,))]
+    for c in outside:
+        for b, a in ((zero, c), (c, zero)):
+            with pytest.raises(InputError):
+                leq(sp, b, a)
+
+
+def test_leq_rejects_every_class_when_f1_is_negative():
+    for w in ((1, 2), (3, 1, 7)):
+        sp = structure_poset(kernel_basis(WeightVector(w)))
+        assert sp.f1 == -1
+        for d in (-1, 0, 1):
+            c = QuotientClass(d, ())
+            with pytest.raises(InputError):
+                leq(sp, c, c)
+
+
 def test_structure_poset_empty_when_f1_negative():
     sp = structure_poset(kernel_basis(WeightVector((1, 2))))
     assert sp.f1 == -1
