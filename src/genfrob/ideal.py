@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .counting import degree_fiber
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _read_only
-from .lattice import dot, vadd, vneg, vsub
+from .lattice import dot, vneg, vsub
 
 
 class _TermOrderFields(NamedTuple):
@@ -108,62 +108,65 @@ class Binomial(_BinomialFields):
         return cls(m, p)
 
 
-def _reduce_monomial(u, gb, skip=None):
-    """One reduction step of monomial u by the first applicable element."""
-    for idx, (gh, gt) in enumerate(gb):
-        if idx != skip and all(map(ge, u, gh)):
-            return tuple(map(add, map(sub, u, gh), gt)), True
-    return u, False
+def _support(u) -> int:
+    """Bitmask of the variables with a positive exponent in u, a byte each."""
+    return int.from_bytes(bytes(map(bool, u)), "little")
 
 
-def _normal_form(pair, gb, order, skip=None):
-    """Full normal form of a binomial pair; None when it reduces to zero."""
-    key = order.key
+def _record(h, t):
+    """Reducer record of the pair: head, tail - head and the head's support."""
+    return h, tuple(map(sub, t, h)), _support(h)
+
+
+def _reduce_step(u, reducers):
+    """u reduced once by the first reducer whose head divides it, or None.
+
+    A head whose support is not inside u's is skipped on its mask alone.
+    """
+    outside = ~_support(u)
+    for gh, step, gm in reducers:
+        if not gm & outside and all(map(ge, u, gh)):
+            return tuple(map(add, u, step))
+    return None
+
+
+def _reduced(u, reducers):
+    """Normal form of the monomial u: reduced until no head divides it."""
+    while (w := _reduce_step(u, reducers)) is not None:
+        u = w
+    return u
+
+
+def _normal_form(pair, reducers, order):
+    """Full normal form of a homogeneous binomial pair, head first; None at zero.
+
+    Both monomials have one weighted degree, and reductions keep it, so
+    they compare by reverse lexicography alone: the larger one has the
+    lexicographically smaller exponents, read cheapest variable first.
+    """
+    cheapest_first = order._cheapest_first
     u, v = pair
-    if u == v:
-        return None
-    kv = key(v)
-    while True:
-        u, changed = _reduce_monomial(u, gb, skip)
-        if not changed:
-            break
-        if u == v:
-            return None
-        ku = key(u)
-        if kv > ku:
-            u, v, kv = v, u, ku
-    while True:
-        v, changed = _reduce_monomial(v, gb, skip)
-        if not changed:
-            break
-        if u == v:
-            return None
-    return (u, v)
+    cu, cv = cheapest_first(u), cheapest_first(v)
+    if cu > cv:
+        u, v, cv = v, u, cu
+    while u != v:
+        w = _reduce_step(u, reducers)
+        if w is None:
+            return u, _reduced(v, reducers)
+        u, cu = w, cheapest_first(w)
+        if cu > cv:
+            u, v, cv = v, u, cu
+    return None
 
 
 def _lcm(u, v):
     return tuple(map(max, u, v))
 
 
-def _spair(f, g):
-    fh, ft = f
-    gh, gt = g
-    lcm = _lcm(fh, gh)
-    left = tuple(map(add, map(sub, lcm, fh), ft))
-    right = tuple(map(add, map(sub, lcm, gh), gt))
-    if left == right:
-        return None
-    return left, right
-
-
-def _oriented(pair, order):
-    u, v = pair
-    return (v, u) if order.greater(v, u) else pair
-
-
 def _buchberger_pairs(pairs, order):
-    """Reduced Groebner basis of the ideal generated by binomial pairs.
+    """Reduced Groebner basis of the ideal generated by homogeneous binomial pairs.
 
+    Each pair must have one weighted degree (see ``_normal_form``).
     S-pairs are taken in increasing order of their lcm. Pairs are pruned
     once, when an element h is added, by the criteria of Gebauer and
     Moeller (J. Symbolic Comput. 1988):
@@ -173,102 +176,128 @@ def _buchberger_pairs(pairs, order):
       pair properly divides its lcm;
     - F: of the new pairs with equal lcms one is formed, and none when
       one of them has coprime heads (those reduce to zero).
+    Criterion M takes the distinct new lcms in increasing total degree
+    and tests each only against those kept as minimal before it. A proper
+    divisor has a strictly smaller total degree, so it comes earlier; and
+    when one exists, a minimal one divides it, which is kept and divides
+    the lcm too, since divisibility is transitive.
     An element whose head the head of h divides leaves the reducer
-    list; its pending pairs stay.
+    list; its pending pairs stay. Every element keeps the support mask
+    of its head, and each pending pair that of its lcm: a monomial whose
+    support is not inside another's does not divide it, which skips most
+    divisibility tests on the masks alone.
     """
     key = order.key
-    G = []
+    elements = []  # reducer records of every element added
     active = []  # indices of the reducers, in the order they were added
-    reducers = []  # their pairs
-    live = {}  # pending pair (i, j) -> lcm of the heads
+    reducers = []  # their records
+    live = {}  # pending pair (i, j) -> (lcm of the heads, its support)
     queue = []
 
     def add_element(nf):
-        new = len(G)
-        G.append(nf)
-        h = nf[0]
-        for (i, j), lcm in list(live.items()):
-            if (
-                all(map(ge, lcm, h))
-                and lcm != _lcm(G[i][0], h)
-                and lcm != _lcm(G[j][0], h)
-            ):
-                del live[i, j]  # criterion B
-        first = {}  # lcm with h -> the first reducer giving it
+        new = len(elements)
+        record = _record(*nf)
+        h, _, hm = record
+        elements.append(record)
+        dead = [
+            (i, j)
+            for (i, j), (lcm, lm) in live.items()
+            if not hm & ~lm
+            and all(map(ge, lcm, h))
+            and lcm != _lcm(elements[i][0], h)
+            and lcm != _lcm(elements[j][0], h)
+        ]
+        for ij in dead:
+            del live[ij]  # criterion B
+        first = {}  # lcm with h -> (the first reducer giving it, its support)
         coprime = set()  # lcms of the pairs with coprime heads
         for i in active:
-            gh = G[i][0]
-            lcm = _lcm(gh, h)
-            first.setdefault(lcm, i)
-            if not any(map(min, gh, h)):
+            gh, _, gm = elements[i]
+            lcm = tuple(map(max, gh, h))
+            if lcm not in first:
+                first[lcm] = (i, gm | hm)
+            if not gm & hm:
                 coprime.add(lcm)
-        for lcm, i in first.items():
-            if lcm in coprime:
-                continue  # criterion F, or coprime heads
-            if any(other != lcm and all(map(ge, lcm, other)) for other in first):
-                continue  # criterion M
-            live[i, new] = lcm
-            heapq.heappush(queue, (key(lcm), i, new))
-        active[:] = [i for i in active if not all(map(ge, G[i][0], h))]
+        minimal = []  # (lcm, support) of the new lcms no other divides
+        for lcm in sorted(first, key=sum):
+            i, lm = first[lcm]
+            outside = ~lm
+            for m, mm in minimal:
+                if not mm & outside and all(map(ge, lcm, m)):
+                    break  # criterion M
+            else:
+                minimal.append((lcm, lm))
+                if lcm not in coprime:  # else criterion F, or coprime heads
+                    live[i, new] = (lcm, lm)
+                    heapq.heappush(queue, (key(lcm), i, new))
+        outside = ~hm
+        active[:] = [
+            i for i in active if elements[i][2] & outside or not all(map(ge, elements[i][0], h))
+        ]
         active.append(new)
-        reducers[:] = [G[i] for i in active]
+        reducers[:] = [elements[i] for i in active]
 
     for p in sorted(set(pairs), key=lambda p: (key(p[0]), key(p[1]))):
         nf = _normal_form(p, reducers, order)
         if nf is not None:
-            add_element(_oriented(nf, order))
+            add_element(nf)
     while queue:
         _, i, j = heapq.heappop(queue)
-        if live.pop((i, j), None) is None:
+        pending = live.pop((i, j), None)
+        if pending is None:
             continue  # dropped by criterion B
-        s = _spair(G[i], G[j])
-        if s is None:
-            continue
-        nf = _normal_form(_oriented(s, order), reducers, order)
+        lcm = pending[0]
+        left = tuple(map(add, lcm, elements[i][1]))
+        right = tuple(map(add, lcm, elements[j][1]))
+        nf = _normal_form((left, right), reducers, order)
         if nf is not None:
-            add_element(_oriented(nf, order))
-    return _interreduce(reducers, order)
+            add_element(nf)
+    return _interreduce([(h, tuple(map(add, h, step))) for h, step, _ in reducers], order)
 
 
 def _interreduce(G, order):
-    """Minimalise heads, then fully tail-reduce; canonical sorted output."""
+    """Reduced Groebner basis from a homogeneous Groebner basis G, sorted.
+
+    Keeps the minimal heads, in increasing order, with their tails; those
+    elements are still a Groebner basis of the ideal, so each tail has one
+    normal form modulo them, and one pass of tail reductions gives the
+    reduced basis. An element never reduces its own tail: the tail has
+    the head's degree, so the head divides it only when they are equal.
+    """
     key = order.key
     keep = []
-    for h, t in sorted(set(G), key=lambda p: (key(p[0]), key(p[1]))):
-        if any(all(map(ge, h, kh)) for kh, _ in keep):
+    for h, t in sorted(set(G), key=lambda p: key(p[0])):
+        record = _record(h, t)
+        outside = ~record[2]
+        if any(not km & outside and all(map(ge, h, kh)) for kh, _, km in keep):
             continue
-        keep.append((h, t))
-    while True:
-        changed = False
-        out = []
-        for i, pair in enumerate(keep):
-            nf = _normal_form(pair, keep, order, skip=i)
-            if nf is None:
-                changed = True
-                continue
-            if nf != pair:
-                changed = True
-            out.append(nf)
-        keep = out
-        if not changed:
-            break
-    return sorted(set(keep), key=lambda p: (key(p[0]), key(p[1])))
+        keep.append(record)
+    return [(h, _reduced(tuple(map(add, h, step)), keep)) for h, step, _ in keep]
+
+
+def _homogeneous(gens, order):
+    """The generators as pairs; InputError when head and tail differ in degree."""
+    a = order.weight.a
+    pairs = [(g.head, g.tail) for g in gens]
+    for h, t in pairs:
+        if dot(a, h) != dot(a, t):
+            raise InputError(f"binomial {h} - {t} is not homogeneous in the weight grading")
+    return pairs
 
 
 def buchberger(gens, order: TermOrder) -> tuple[Binomial, ...]:
-    """Reduced Groebner basis of the ideal generated by the binomials."""
-    oriented = [_oriented((g.head, g.tail), order) for g in gens]
-    return tuple(Binomial(h, t) for h, t in _buchberger_pairs(oriented, order))
+    """Reduced Groebner basis of the ideal generated by homogeneous binomials."""
+    return tuple(Binomial(h, t) for h, t in _buchberger_pairs(_homogeneous(gens, order), order))
 
 
 def _reduces_to_zero(pair, gb_pairs, order) -> bool:
-    return _normal_form(pair, gb_pairs, order) is None
+    return _normal_form(pair, [_record(h, t) for h, t in gb_pairs], order) is None
 
 
 def ideal_equal(gens_a, gens_b, order: TermOrder) -> bool:
-    """True when the two binomial generating sets span the same ideal."""
-    pa = [(g.head, g.tail) for g in gens_a]
-    pb = [(g.head, g.tail) for g in gens_b]
+    """True when the two sets of homogeneous binomials span the same ideal."""
+    pa = _homogeneous(gens_a, order)
+    pb = _homogeneous(gens_b, order)
     ga = _buchberger_pairs(pa, order)
     gb = _buchberger_pairs(pb, order)
     return all(_reduces_to_zero(p, ga, order) for p in pb) and all(
@@ -345,7 +374,7 @@ def signed_moves(vectors) -> frozenset:
 def _steps(u, moves):
     """The nonnegative points one move away from u."""
     for mv in moves:
-        w = vadd(u, mv)
+        w = tuple(map(add, u, mv))
         if min(w) >= 0:
             yield w
 
@@ -476,12 +505,12 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     # most its own, and a later one of equal degree needed to generate
     # it would itself have been dropped.
     kept: list = []
-    moves: frozenset = frozenset()
+    moves: set = set()
     for h, t in sorted(gb, key=degree_key):
         if _connected(h, t, moves):
             continue
         kept.append((h, t))
-        moves = signed_moves(vsub(p, q) for p, q in kept)
+        moves |= signed_moves([vsub(h, t)])
     return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept), order)
 
 

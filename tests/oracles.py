@@ -4,8 +4,9 @@ Everything here enumerates nonnegative integer vectors directly and
 solves small linear systems over the rationals. No dynamic programming,
 no imports from the package: expected values frozen in the tests were
 produced by these functions. The exceptions are
-``lattice_ideal_by_groebner``, which shares the binomial reduction step
-of ``genfrob.ideal`` and runs Buchberger without the chain criterion;
+``lattice_ideal_by_groebner``, which takes the package's ``TermOrder``
+(the order's key) and runs Buchberger without the chain criterion on
+its own plain reduction, S-pairs and interreduction;
 ``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
 weight and uses the package's ``dot`` and ``InputError``; and
 ``thresholds_by_heap``, which wraps its walk in the package's
@@ -155,14 +156,83 @@ def max_antichain_by_search(elements, less):
     return best
 
 
+def reduce_monomial(u, gb, skip=None):
+    """One reduction step of monomial u by the first applicable element."""
+    for idx, (gh, gt) in enumerate(gb):
+        if idx != skip and all(x >= y for x, y in zip(u, gh)):
+            return tuple(x - y + z for x, y, z in zip(u, gh, gt)), True
+    return u, False
+
+
+def normal_form(pair, gb, order, skip=None):
+    """Full normal form of a binomial pair, by a linear scan of gb and the
+    full order key; None when it reduces to zero."""
+    key = order.key
+    u, v = pair
+    if u == v:
+        return None
+    kv = key(v)
+    while True:
+        u, changed = reduce_monomial(u, gb, skip)
+        if not changed:
+            break
+        if u == v:
+            return None
+        ku = key(u)
+        if kv > ku:
+            u, v, kv = v, u, ku
+    while True:
+        v, changed = reduce_monomial(v, gb, skip)
+        if not changed:
+            break
+        if u == v:
+            return None
+    return (u, v)
+
+
+def spair(f, g):
+    """S-pair of two binomial pairs, or None when its two terms agree."""
+    (fh, ft), (gh, gt) = f, g
+    lcm = tuple(max(x, y) for x, y in zip(fh, gh))
+    left = tuple(x - y + z for x, y, z in zip(lcm, fh, ft))
+    right = tuple(x - y + z for x, y, z in zip(lcm, gh, gt))
+    if left == right:
+        return None
+    return left, right
+
+
+def interreduce(G, order):
+    """Minimalise heads, then tail-reduce whole passes until one changes
+    nothing; canonical sorted output."""
+    key = order.key
+    keep = []
+    for h, t in sorted(set(G), key=lambda p: (key(p[0]), key(p[1]))):
+        if any(all(x >= y for x, y in zip(h, kh)) for kh, _ in keep):
+            continue
+        keep.append((h, t))
+    while True:
+        changed = False
+        out = []
+        for i, pair in enumerate(keep):
+            nf = normal_form(pair, keep, order, skip=i)
+            if nf is None:
+                changed = True
+                continue
+            if nf != pair:
+                changed = True
+            out.append(nf)
+        keep = out
+        if not changed:
+            break
+    return sorted(set(keep), key=lambda p: (key(p[0]), key(p[1])))
+
+
 def groebner_without_chain_criterion(pairs, order):
     """Reduced Groebner basis by Buchberger with only the coprime-heads skip.
 
     S-pairs are reduced in increasing order of their lcm.
     """
     import heapq
-
-    from genfrob.ideal import _interreduce, _normal_form, _spair
 
     G = []
     queue = []
@@ -179,15 +249,15 @@ def groebner_without_chain_criterion(pairs, order):
         _, i, j = heapq.heappop(queue)
         if all(x == 0 or y == 0 for x, y in zip(G[i][0], G[j][0])):
             continue
-        s = _spair(G[i], G[j])
+        s = spair(G[i], G[j])
         if s is None:
             continue
         if order.greater(s[1], s[0]):
             s = (s[1], s[0])
-        nf = _normal_form(s, G, order)
+        nf = normal_form(s, G, order)
         if nf is not None:
             add(nf)
-    return _interreduce(G, order)
+    return interreduce(G, order)
 
 
 def lattice_ideal_by_groebner(basis, order=None):
@@ -198,7 +268,7 @@ def lattice_ideal_by_groebner(basis, order=None):
     basis, in increasing degree, unless it reduces to zero modulo a
     Groebner basis of those kept before it.
     """
-    from genfrob.ideal import TermOrder, _normal_form
+    from genfrob.ideal import TermOrder
 
     if order is None:
         order = TermOrder(basis.weight)
@@ -222,7 +292,7 @@ def lattice_ideal_by_groebner(basis, order=None):
     a = basis.weight.a
     kept = []
     for p in sorted(gb, key=lambda p: (sum(x * y for x, y in zip(a, p[0])), order.key(p[0]), order.key(p[1]))):
-        if kept and _normal_form(p, groebner_without_chain_criterion(kept, order), order) is None:
+        if kept and normal_form(p, groebner_without_chain_criterion(kept, order), order) is None:
             continue
         kept.append(p)
     return kept

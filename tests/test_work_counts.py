@@ -6,7 +6,8 @@ Work is counted where it is done, not where it is asked for:
 callers share them. ``counting.fiber`` (one fiber enumeration) is
 wrapped at every place a ``genfrob`` module binds it, and
 ``poset._covers`` (one Hasse cover build) where ``poset`` calls it.
-``ideal._buchberger_pairs`` counts Groebner basis runs.
+``ideal._buchberger_pairs`` counts Groebner basis runs, and
+``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
 """
 import json
 import math
@@ -143,3 +144,34 @@ def test_markov_bases_never_take_more_groebner_runs_than_variables(work):
         lattice_ideal(B, order)
         assert 1 <= work["groebner"] <= n, (a, B.vectors, order)
         cases += 1
+
+
+def test_interreduce_makes_one_tail_normal_form_per_element_kept(monkeypatch):
+    # Every caller passes a Groebner basis, so after head minimalisation
+    # each tail has one normal form and a single pass reaches it; a
+    # repeated pass would make 145 and 376 here.
+    depth, counts = [0], {"tails": 0, "kept": 0}
+    original_interreduce, original_reduced = ideal._interreduce, ideal._reduced
+
+    def interreduce(G, order):
+        depth[0] += 1
+        try:
+            out = original_interreduce(G, order)
+        finally:
+            depth[0] -= 1
+        counts["kept"] += len(out)
+        return out
+
+    def reduced(u, reducers):
+        counts["tails"] += depth[0] > 0
+        return original_reduced(u, reducers)
+
+    monkeypatch.setattr(ideal, "_interreduce", interreduce)
+    monkeypatch.setattr(ideal, "_reduced", reduced)
+    for a, elements, tails in (
+        ((11, 13, 17, 19, 23, 29, 31), 21, 91),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 26, 188),
+    ):
+        counts.update(tails=0, kept=0)
+        assert len(lattice_ideal(kernel_basis(WeightVector(a))).elements) == elements
+        assert counts == {"tails": tails, "kept": tails}, a
