@@ -230,9 +230,8 @@ def _buchberger_pairs(pairs, order):
                 if lcm not in coprime:  # else criterion F, or coprime heads
                     live[i, new] = (lcm, lm)
                     heapq.heappush(queue, (key(lcm), i, new))
-        outside = ~hm
         active[:] = [
-            i for i in active if elements[i][2] & outside or not all(map(ge, elements[i][0], h))
+            i for i in active if hm & ~elements[i][2] or not all(map(ge, elements[i][0], h))
         ]
         active.append(new)
         reducers[:] = [elements[i] for i in active]
@@ -252,17 +251,16 @@ def _buchberger_pairs(pairs, order):
         nf = _normal_form((left, right), reducers, order)
         if nf is not None:
             add_element(nf)
-    return _interreduce([(h, tuple(map(add, h, step))) for h, step, _ in reducers], order)
+    # A reducer head is a normal form of those before it, and the heads it
+    # divides leave the list: the reducers' heads are already minimal.
+    return _interreduce(reducers, order)
 
 
-def _interreduce(G, order):
-    """Reduced Groebner basis from a homogeneous Groebner basis G, sorted.
+def _minimal_heads(G, order):
+    """Reducer records of the pairs whose heads no other head divides.
 
-    Keeps the minimal heads, in increasing order, with their tails; those
-    elements are still a Groebner basis of the ideal, so each tail has one
-    normal form modulo them, and one pass of tail reductions gives the
-    reduced basis. An element never reduces its own tail: the tail has
-    the head's degree, so the head divides it only when they are equal.
+    In increasing order a proper divisor comes first, so each head is
+    tested only against those kept before it.
     """
     key = order.key
     keep = []
@@ -272,7 +270,19 @@ def _interreduce(G, order):
         if any(not km & outside and all(map(ge, h, kh)) for kh, _, km in keep):
             continue
         keep.append(record)
-    return [(h, _reduced(tuple(map(add, h, step)), keep)) for h, step, _ in keep]
+    return keep
+
+
+def _interreduce(records, order):
+    """Reduced Groebner basis, sorted, from the records of a homogeneous one.
+
+    The records' heads must be minimal. Each tail has one normal form
+    modulo them, so one pass of tail reductions gives the reduced basis.
+    An element never reduces its own tail: the tail has the head's
+    degree, so the head divides it only when they are equal.
+    """
+    records = sorted(records, key=lambda r: order.key(r[0]))
+    return [(h, _reduced(tuple(map(add, h, step)), records)) for h, step, _ in records]
 
 
 def _homogeneous(gens, order):
@@ -492,7 +502,7 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     gb = _buchberger_pairs(pairs, order)
     stripped = [_strip_common(p) for p in gb]
     if stripped != gb:
-        gb = _interreduce(stripped, order)
+        gb = _interreduce(_minimal_heads(stripped, order), order)
     for h, t in gb:
         if any(x > 0 and y > 0 for x, y in zip(h, t)):
             raise RuntimeError("saturated basis still has a monomial factor")

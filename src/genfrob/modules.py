@@ -12,12 +12,16 @@ lexicographically smallest nonnegative point of its class.
 
 The paper's construction, lcms of k ball points around the origin
 minimalised under divisibility up to the lattice action, is kept as the
-independent oracle ``lcm_generator_classes``. The inductive
-classification splits each generator into an exceptional carry-over,
-the image of a syzygy between two generators, or the image of a syzygy
-with the unit. It and ``is_exceptional`` read the supports and the
-thresholds, so each generator's fiber is enumerated once, and the
-basis's one walk serves every generator.
+independent oracle ``lcm_generator_classes``. It labels only the
+coordinatewise-minimal lcms, which ``minimal_lcms`` finds one ball point
+at a time, so its cost grows with that antichain, not with the number
+of k-subsets; ``candidate_lcms``, every lcm, is the tests' reference.
+
+The inductive classification splits each generator into an exceptional
+carry-over, the image of a syzygy between two generators, or the image
+of a syzygy with the unit. It and ``is_exceptional`` read the supports
+and the thresholds, so each generator's fiber is enumerated once, and
+the basis's one walk serves every generator.
 """
 from __future__ import annotations
 
@@ -138,6 +142,64 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     return tuple(sorted(found))
 
 
+def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
+    """The coordinatewise-minimal elements of ``candidate_lcms``, sorted.
+
+    Found level by level as in Lemma 2 of ``lcm_generator_classes``.
+    Each kept p+ is a thermometer code: coordinate i has one bit per
+    distinct nonzero value of p+_i, and a value sets the bits of every
+    value up to it. Then max is ``|`` and q <= L is ``not q & ~L``.
+    Each level keeps its antichain by a filter in increasing degree: a
+    point dominated by another has a strictly larger degree, so only the
+    points kept before it can dominate it.
+    """
+    if bl.radius != k - 1:
+        raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
+    pos = [tuple(max(x, 0) for x in p) for p in bl.points if any(p)]
+    if len(pos) < k - 1:
+        raise InputError(f"ball has too few points for {k}-subsets")
+    a = weight.a
+    pos = [q for q in pos if dot(a, q) <= degree_cap]
+    values = [sorted({0, *(q[i] for q in pos)}) for i in range(len(a))]
+    offsets = [0]
+    for vals in values:
+        offsets.append(offsets[-1] + len(vals) - 1)
+    # per coordinate: offset, bit mask, values and their degrees, by rank
+    fields = [
+        (off, (1 << len(v) - 1) - 1, v, [ai * x for x in v])
+        for off, v, ai in zip(offsets, values, a)
+    ]
+
+    def decode(code):
+        return tuple(v[(code >> off & mask).bit_count()] for off, mask, v, _ in fields)
+
+    def degree(code):
+        return sum(d[(code >> off & mask).bit_count()] for off, mask, _, d in fields)
+
+    mult: dict[int, int] = {}
+    for q in pos:
+        code = sum(((1 << values[i].index(x)) - 1) << offsets[i] for i, x in enumerate(q))
+        mult[code] = mult.get(code, 0) + 1
+    level = [0]  # M_0: the origin, which dominates no kept point
+    for j in range(k - 1):
+        found = set()
+        for lcm in level:
+            dominated = 0
+            for q, m in mult.items():
+                if q & ~lcm:
+                    found.add(lcm | q)
+                else:
+                    dominated += m
+            if dominated > j:
+                found.add(lcm)
+        by_degree = sorted((d, c) for c in found if (d := degree(c)) <= degree_cap)
+        level = []
+        for _, c in by_degree:
+            if all(m & ~c for m in level):
+                level.append(c)
+    return tuple(sorted(map(decode, level)))
+
+
 class ModuleGens(NamedTuple):
     """Minimal generating data of the k-th module, one orbit per entry.
 
@@ -168,7 +230,32 @@ def lcm_generator_classes(
     The independent oracle for ``minimal_generators``: lcms of the
     k-subsets of the radius k-1 ball that contain the origin, up to
     degree m_k + max(F_1, 0), minimalised under divisibility modulo L
-    read from the basis's oracle counting table.
+    read from the basis's oracle counting table. Only the
+    coordinatewise-minimal lcms are found (``minimal_lcms``) and
+    labelled; by Lemma 1 that gives the same orbits.
+
+    Lemma 1. If L1 < L2 are candidate lcms, then [L2] - [L1] = [L2 - L1]
+    is representable and, of positive degree, nonzero, so [L2] is not
+    minimal. If [L2] rules out a class c (c - [L2] representable, c !=
+    [L2]), then c - [L1] is a sum of two representable classes and of
+    positive degree, so [L1] rules out c too. Every candidate dominates
+    a minimal one, so minimalising the classes of the minimal lcms gives
+    the same set as minimalising those of all candidates.
+
+    Lemma 2. Let the kept points be the p+ = max(p, 0) of the nonzero
+    ball points with deg(p+) <= cap, with multiplicity, and let M_j be
+    the minimal L with deg L <= cap dominating at least j of them. Then
+    M_0 = {0} and M_(j+1) is the set of minimal elements of the L in M_j
+    that dominate at least j+1 points together with the max(L, q) for L
+    in M_j and a kept q not <= L, of degree <= cap; M_(k-1) is the set
+    of minimal candidate lcms.
+    Proof. A minimal L dominating j points is the max of any j of them,
+    which lies below L and dominates as many; so M_j holds the minimal
+    lcms of j-subsets under the cap. Each listed point dominates j+1
+    points. A minimal X of level j+1 lies above some L in M_j; if L
+    dominates j+1 points then X = L, and otherwise X dominates a point
+    q not <= L, so X >= max(L, q), a listed point, and X equals it.
+    Degree grows with the point, so pruning at the cap loses nothing.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -177,7 +264,7 @@ def lcm_generator_classes(
     f_values, m_values = kth_degrees(basis, k)
     cap = m_values[-1] + max(f_values[0], 0)
     bl = ball(moves(markov), k - 1)
-    orbits = {basis.label(g) for g in candidate_lcms(bl, k, basis.weight, cap)}
+    orbits = {basis.label(g) for g in minimal_lcms(bl, k, basis.weight, cap)}
     table = _oracle_table(basis, cap)
     return frozenset(
         cls

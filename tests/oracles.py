@@ -8,9 +8,11 @@ produced by these functions. The exceptions are
 (the order's key) and runs Buchberger without the chain criterion on
 its own plain reduction, S-pairs and interreduction;
 ``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
-weight and uses the package's ``dot`` and ``InputError``; and
-``thresholds_by_heap``, which wraps its walk in the package's
-``Thresholds``.
+weight and uses the package's ``dot`` and ``InputError``;
+``lcm_generator_classes_all_candidates``, the lcm construction over
+every candidate lcm of the package's ``candidate_lcms`` and its
+counting table; and ``thresholds_by_heap``, which wraps its walk in the
+package's ``Thresholds``.
 """
 from fractions import Fraction
 from itertools import combinations, product
@@ -328,6 +330,29 @@ def candidate_lcms_exhaustive(bl, k, weight, degree_cap):
 
     rec(0, 0, zero)
     return tuple(sorted(found))
+
+
+def lcm_generator_classes_all_candidates(basis, k, markov=None):
+    """``genfrob.lcm_generator_classes`` over every candidate lcm.
+
+    Labels each lcm of ``candidate_lcms`` under the cap m_k + max(F_1, 0),
+    then keeps the classes c with no other class c2 among them such that
+    c - c2 has a nonnegative representative, read from a counting table.
+    """
+    from genfrob import ball, candidate_lcms, count_table, kth_degrees, lattice_ideal, moves
+
+    if markov is None:
+        markov = lattice_ideal(basis)
+    f_values, m_values = kth_degrees(basis, k)
+    cap = m_values[-1] + max(f_values[0], 0)
+    bl = ball(moves(markov), k - 1)
+    orbits = {basis.label(g) for g in candidate_lcms(bl, k, basis.weight, cap)}
+    table = count_table(basis, cap, 1)
+    return frozenset(
+        c
+        for c in orbits
+        if not any(c2 != c and table.count(basis.class_sub(c, c2)) >= 1 for c2 in orbits)
+    )
 
 
 def classify_by_support(g, support, k_next):

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 
 import pytest
@@ -327,6 +328,29 @@ def test_buchberger_pairs_matches_groebner_without_pair_pruning():
         got = _buchberger_pairs(pairs, order)
         assert got == groebner_without_chain_criterion(pairs, order), (a, order.perm, pairs)
         cases += 1
+
+
+def test_buchberger_pairs_hands_the_tail_pass_minimal_heads(monkeypatch):
+    # The tail pass takes the reducer list as it stands, so every new head
+    # must drop the reducers whose heads it divides.
+    heads = []
+    original = ideal._interreduce
+
+    def interreduce(records, order):
+        heads.append([r[0] for r in records])
+        return original(records, order)
+
+    monkeypatch.setattr(ideal, "_interreduce", interreduce)
+    order = TermOrder(WeightVector((2, 4, 4, 3, 2, 3, 1)), (3, 5, 4, 0, 1, 6, 2))
+    pairs = [
+        ((1, 1, 1, 0, 1, 1, 0), (1, 1, 0, 1, 1, 1, 1)),
+        ((0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0)),
+        ((1, 1, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 0, 1)),
+    ]
+    assert len(_buchberger_pairs(pairs, order)) == 6
+    lattice_ideal(kernel_basis(WeightVector((11, 13, 17, 19, 23, 29, 31))))
+    for hs in heads:
+        assert not [(g, h) for g in hs for h in hs if g != h and all(map(operator.ge, h, g))]
 
 
 def test_buchberger_pairs_output_is_reduced_groebner_basis():

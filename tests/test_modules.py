@@ -1,6 +1,7 @@
 import math
 import random
 from math import comb
+from operator import le
 
 import pytest
 
@@ -21,6 +22,7 @@ from genfrob import (
     kernel_basis,
     kth_degrees,
     lattice_ideal,
+    lcm_generator_classes,
     minimal_generators,
     modified_min_gens,
     moves,
@@ -29,7 +31,13 @@ from genfrob import (
     render_monomial,
 )
 
-from .oracles import candidate_lcms_exhaustive, classify_by_support
+from genfrob.modules import minimal_lcms
+
+from .oracles import (
+    candidate_lcms_exhaustive,
+    classify_by_support,
+    lcm_generator_classes_all_candidates,
+)
 
 
 def _orbit_set(basis, gens):
@@ -131,6 +139,48 @@ def test_candidate_lcms_matches_exhaustive_oracle():
     assert uncapped >= 150
     assert {(n, True, True) for n in (2, 3, 4)} <= {kind[:3] for kind in kinds}
     assert {kind[3] for kind in kinds} == {1, 2, 3, 4, 5}
+
+
+def test_minimal_lcms_are_the_minimal_candidate_lcms():
+    # Kernels and sublattices of index 2-3, k = 1..6, at the real cap and,
+    # where the ball is small, with no cap. Balls over 150 points are
+    # skipped to keep candidate_lcms fast. lcm_generator_classes, which
+    # labels only the minimal lcms, is checked against the construction
+    # that labels every candidate.
+    rng = random.Random(1919)
+    cases = uncapped = 0
+    kinds = set()
+    while cases < 200:
+        B = _random_sublattice(rng, max_index=3)
+        k = rng.randint(1, 6)
+        mb = lattice_ideal(B)
+        bl = ball(moves(mb), k - 1)
+        if len(bl) > 150:
+            continue
+        f, m = kth_degrees(B, k)
+        caps = [m[-1] + max(f[0], 0)]
+        if comb(len(bl) - 1, k - 1) <= 20_000:
+            caps.append(10**9)
+            uncapped += 1
+        for cap in caps:
+            lcms = candidate_lcms(bl, k, B.weight, cap)
+            minimal = tuple(L for L in lcms if not any(M != L and all(map(le, M, L)) for M in lcms))
+            assert minimal_lcms(bl, k, B.weight, cap) == minimal, (B, k, cap)
+        assert lcm_generator_classes(B, k, mb) == lcm_generator_classes_all_candidates(B, k, mb), (
+            B,
+            k,
+        )
+        kinds.add((B.index, k))
+        cases += 1
+    assert uncapped >= 100
+    assert {(index, k) for index in (1, 2, 3) for k in range(1, 7)} <= kinds
+
+
+def test_minimal_lcms_radius_check():
+    B = kernel_basis(WeightVector((3, 5, 8)))
+    bl = ball(moves(lattice_ideal(B)), 1)
+    with pytest.raises(InputError):
+        minimal_lcms(bl, 3, B.weight, 100)
 
 
 def test_classify_and_is_exceptional_match_dominated_points():

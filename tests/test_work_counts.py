@@ -8,6 +8,7 @@ wrapped at every place a ``genfrob`` module binds it, and
 ``poset._covers`` (one Hasse cover build) where ``poset`` calls it.
 ``ideal._buchberger_pairs`` counts Groebner basis runs, and
 ``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
+``LatticeBasis.label`` counts the points labelled.
 """
 import json
 import math
@@ -97,6 +98,23 @@ def test_a_larger_k_rebuilds_no_oracle_table(work):
         module_poset(basis, k)
         lcm_generator_classes(basis, k)
     assert work["tables"] <= 2
+
+
+def test_lcm_oracle_labels_only_the_minimal_lcms(monkeypatch):
+    # 896 candidate lcms under the cap at k = 5, of which 51 are minimal.
+    basis = kernel_basis(WeightVector((31, 37, 41, 43)))
+    markov = lattice_ideal(basis)
+    basis.units  # the unit classes, labelled once per basis
+    labels = [0]
+    original = LatticeBasis.label
+
+    def label(self, p):
+        labels[0] += 1
+        return original(self, p)
+
+    monkeypatch.setattr(LatticeBasis, "label", label)
+    assert len(lcm_generator_classes(basis, 5, markov)) == 9
+    assert labels[0] == 51
 
 
 def test_is_exceptional_shares_one_walk_across_generators(work):
