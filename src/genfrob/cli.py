@@ -328,10 +328,10 @@ def _cmd_verify(args) -> int:
         check(k, f"pipeline F_k={fk} oracle F_k={oracle}", fk == oracle)
         gens = minimal_generators(basis, k)
         mp = module_poset(basis, k)
-        # With F_1 = -1 the module poset's window is empty by convention;
-        # every class of degree >= m_k is then in the module, and the one
-        # class of degree m_k generates it.
-        minimal = len(mp.minimal_elements) if mp.labels else 1
+        # With F_1 = -1 the module poset's window is empty by convention,
+        # so it has no minimal elements; every class of degree >= m_k is
+        # then in the module, and the one class of degree m_k generates it.
+        minimal = len(mp.minimal_elements) or 1
         check(k, f"generator orbits={len(gens.generators)} poset minimal elements={minimal}",
               len(gens.generators) == minimal)
         oracle_classes = lcm_generator_classes(basis, k, markov)

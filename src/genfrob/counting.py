@@ -7,11 +7,12 @@ Two independent ways to count points of N^n per quotient class:
   one generator at a time and goes round each cycle of the permutation
   it induces, with no heap. One run yields F_1..F_K and m_1..m_K
   (``kth_degrees``), whether a class has count >= k, and the atoms of
-  the representable monoid.
+  the representable monoid with their node maps, so the module and
+  poset layers test minimality by comparing degrees on nodes.
 - ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
   degree), saturated at a cap. It is the brute-force oracle the engine
   is checked against, and the table from which ``module_poset`` reads
-  its labels.
+  its labels' counts.
 
 Both code a torsion tuple by ``LatticeBasis.torsion_code`` and take
 the unit classes [e_i] from ``LatticeBasis.units``; the lattice layer
@@ -37,6 +38,7 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from typing import NamedTuple
 
 from .lattice import InputError, LatticeBasis, QuotientClass, vsub, xgcd
@@ -193,9 +195,13 @@ class Thresholds:
     hold F_1..F_K and m_1..m_K for the K of the walk, which may exceed
     the K asked of ``thresholds``; a k outside 1..K raises KeyError.
 
-    Only the per-node lists are kept: t_k(node) is reached[node][k - 1].
-    The basis keeps its last walk, so the walk keeps no reference to the
-    basis: the cycle would hold both until a full garbage collection.
+    Only the per-node lists are kept: t_k(node) is reached[node][k - 1],
+    and ``least_degrees(k)`` is that column. Taking an atom g away moves
+    all the classes of a node to one node, so ``atom_maps`` holds, per
+    atom, deg g and that node map, laid out on first read from torsion
+    shifts worked out with the walk. The basis keeps its last walk, so
+    the walk keeps no reference to the basis: the cycle would hold both
+    until a full garbage collection.
     """
 
     def __init__(self, basis: LatticeBasis, reached, s: int):
@@ -206,8 +212,6 @@ class Thresholds:
         self._moduli = basis.torsion_moduli
         self._torsions = basis.torsions
         self._torsion_code = basis.torsion_code
-        # Each unit class [e_i] with the classes [e_i] - [e_j], j != i, for atoms().
-        self._unit_steps = {g: [basis.class_sub(g, h) for h in units if h != g] for g in units}
         self._reached = reached
         f, m = [], []
         for col in zip(*reached):  # one column t_k at a time
@@ -215,6 +219,16 @@ class Thresholds:
             m.append(min(col))
         self.f = tuple(f)
         self.m = tuple(m)
+        self._atoms = tuple(sorted(  # see atoms()
+            g for g in set(units)
+            if not any(self.at_least(basis.class_sub(g, h), 1) for h in units if h != g)
+        ))
+        # Taking g away is adding the class (-deg g, -t_g): per atom, deg g
+        # and that step's torsion shifts, laid out as node maps on first read.
+        self._atom_steps = [
+            (g.degree, _node_step(basis, s, -g.degree, [-x for x in g.torsion]))
+            for g in self._atoms
+        ]
 
     def _column(self, k: int) -> int:
         """Index of t_k in a node's list."""
@@ -233,13 +247,20 @@ class Thresholds:
         node = r * len(self._torsions) + self._torsion_code[self._shift(c.torsion, -q)]
         return c.degree >= self._reached[node][j]
 
+    def least_degrees(self, k: int) -> list[int]:
+        """t_k(node) for every node: its least degree with count >= k."""
+        j = self._column(k)
+        return [degs[j] for degs in self._reached]
+
+    def node_class(self, node: int, d: int) -> QuotientClass:
+        """The class of degree d at a node; d must have the node's residue."""
+        torsion = self._torsions[node % len(self._torsions)]
+        return QuotientClass(d, self._shift(torsion, d // self._a_s))
+
     def least_classes(self, k: int):
         """Per node, the class of least degree with count >= k."""
-        j = self._column(k)
-        index = len(self._torsions)
-        for node, degs in enumerate(self._reached):
-            d = degs[j]
-            yield QuotientClass(d, self._shift(self._torsions[node % index], d // self._a_s))
+        for node, d in enumerate(self.least_degrees(k)):
+            yield self.node_class(node, d)
 
     def atoms(self) -> tuple[QuotientClass, ...]:
         """Atoms of the monoid of representable classes, sorted.
@@ -248,10 +269,42 @@ class Thresholds:
         atoms are the distinct [e_i] from which no other [e_j] can be
         taken away leaving a representable class.
         """
-        return tuple(sorted(
-            g for g, steps in self._unit_steps.items()
-            if not any(self.at_least(c, 1) for c in steps)
-        ))
+        return self._atoms
+
+    @cached_property
+    def atom_maps(self) -> tuple[tuple[int, list[int]], ...]:
+        """Per atom g, in ``atoms()`` order: deg g and its node map.
+
+        The map sends each node to the node of (class - g), the same for
+        every class of the node. So a class c of degree d at node r has
+        count(c - g) >= k exactly when d - deg g >= t_k(map[r]), and the
+        module tests need no class arithmetic.
+        """
+        index = len(self._torsions)
+        return tuple((d, _node_map(self._a_s, index, *step)) for d, step in self._atom_steps)
+
+
+def _node_step(basis: LatticeBasis, s: int, degree: int, torsion) -> tuple:
+    """How adding the class (degree, torsion) moves the residue nodes.
+
+    With degree = q * a_s + rem, a node of residue r goes to residue
+    r + rem and torsion code low[c] below the wrap, and past it to
+    r + rem - a_s and high[c]: each multiple of a_s is one [e_s] taken
+    off. Returns (rem, low, high).
+    """
+    t_s = basis.units[s].torsion
+    q, rem = divmod(degree, basis.weight.a[s])
+    low, high = (
+        basis.torsion_shift([x - p * y for x, y in zip(torsion, t_s)]) for p in (q, q + 1)
+    )
+    return rem, low, high
+
+
+def _node_map(a_s: int, index: int, rem: int, low, high) -> list[int]:
+    """The node reached from each node, in node order, for one ``_node_step``."""
+    return [r * index + c for r in range(rem, a_s) for c in low] + [
+        r * index + c for r in range(rem) for c in high
+    ]
 
 
 # Largest a_s * index * K, the residue nodes times the list length, that
@@ -323,23 +376,10 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     index = basis.index
     nodes = a_s * index
     units = basis.units
-    t_s = units[s].torsion
     gens = [i for i in range(n) if i != s]
 
-    # trans[j][node]: the node reached by adding generator gens[j]. From
-    # residue r it is r + a_i - q * a_s with q = a_i // a_s below the wrap
-    # and one more past it; each multiple of a_s is one [e_s] taken off.
-    trans = []
-    for i in gens:
-        q, rem = divmod(a[i], a_s)
-        low, high = (
-            basis.torsion_shift([x - p * y for x, y in zip(units[i].torsion, t_s)])
-            for p in (q, q + 1)
-        )
-        trans.append(
-            [r * index + c for r in range(rem, a_s) for c in low]
-            + [r * index + c for r in range(rem) for c in high]
-        )
+    # trans[j][node]: the node reached by adding generator gens[j].
+    trans = [_node_map(a_s, index, *_node_step(basis, s, a[i], units[i].torsion)) for i in gens]
 
     reached = [[] for _ in range(nodes)]
     step = a[gens[0]]

@@ -148,8 +148,10 @@ def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, 
     Found level by level as in Lemma 2 of ``lcm_generator_classes``.
     Each kept p+ is a thermometer code: coordinate i has one bit per
     distinct nonzero value of p+_i, and a value sets the bits of every
-    value up to it. Then max is ``|`` and q <= L is ``not q & ~L``.
-    Each level keeps its antichain by a filter in increasing degree: a
+    value up to it. Then max is ``|`` and q <= L is ``not q & ~L``, and
+    since the bits of a coordinate add up to a_i times its value, each
+    code keeps its degree beside it: deg(L | q) = deg(L) + the degrees of
+    the bits of q & ~L. Each level keeps its antichain by a filter in increasing degree: a
     point dominated by another has a strictly larger degree, so only the
     points kept before it can dominate it.
     """
@@ -164,39 +166,48 @@ def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, 
     offsets = [0]
     for vals in values:
         offsets.append(offsets[-1] + len(vals) - 1)
-    # per coordinate: offset, bit mask, values and their degrees, by rank
-    fields = [
-        (off, (1 << len(v) - 1) - 1, v, [ai * x for x in v])
+    # per coordinate: offset, bit mask and values, by rank
+    fields = [(off, (1 << len(v) - 1) - 1, v) for off, v in zip(offsets, values)]
+    # The bit of rank r in coordinate i adds a_i * (v_r - v_(r-1)) to the degree.
+    bit_degree = {
+        1 << off + r - 1: ai * (v[r] - v[r - 1])
         for off, v, ai in zip(offsets, values, a)
-    ]
+        for r in range(1, len(v))
+    }
 
     def decode(code):
-        return tuple(v[(code >> off & mask).bit_count()] for off, mask, v, _ in fields)
-
-    def degree(code):
-        return sum(d[(code >> off & mask).bit_count()] for off, mask, _, d in fields)
+        return tuple(v[(code >> off & mask).bit_count()] for off, mask, v in fields)
 
     mult: dict[int, int] = {}
     for q in pos:
         code = sum(((1 << values[i].index(x)) - 1) << offsets[i] for i, x in enumerate(q))
         mult[code] = mult.get(code, 0) + 1
-    level = [0]  # M_0: the origin, which dominates no kept point
+    # Each level maps its codes, in increasing degree, to their degrees.
+    level = {0: 0}  # M_0: the origin, which dominates no kept point
     for j in range(k - 1):
-        found = set()
-        for lcm in level:
+        found = {}
+        for lcm, d in level.items():
             dominated = 0
             for q, m in mult.items():
-                if q & ~lcm:
-                    found.add(lcm | q)
-                else:
+                new = q & ~lcm
+                if not new:
                     dominated += m
+                elif (c := lcm | q) not in found:
+                    e = d
+                    while new:
+                        low = new & -new
+                        e += bit_degree[low]
+                        new ^= low
+                    found[c] = e
             if dominated > j:
-                found.add(lcm)
-        by_degree = sorted((d, c) for c in found if (d := degree(c)) <= degree_cap)
-        level = []
-        for _, c in by_degree:
-            if all(m & ~c for m in level):
-                level.append(c)
+                found[lcm] = d
+        level = {}
+        for d, c in sorted((d, c) for c, d in found.items() if d <= degree_cap):
+            for m in level:
+                if not m & ~c:
+                    break
+            else:
+                level[c] = d
     return tuple(sorted(map(decode, level)))
 
 
@@ -281,16 +292,21 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
     Tests one candidate per residue node, the least class of count >= k
     there: [e_s] is an atom and the other classes of the node are that
     class plus multiples of [e_s], so no other class of the node is
-    minimal. The support of a representative r, its dominated lattice
-    points, is {r - u : u in the fiber of its class}; the fiber is sorted,
-    so r is its first point and r - u over it reversed is sorted too.
+    minimal. The candidate of degree d = t_k(r) at node r is dropped when
+    some atom g has d - deg g >= t_k(map_g[r]), one comparison per atom
+    on the walk's node maps. The support of a representative r, its
+    dominated lattice points, is {r - u : u in the fiber of its class};
+    the fiber is sorted, so r is its first point and r - u over it
+    reversed is sorted too.
     """
     t = thresholds(basis, k)
-    steps = t.atoms()
+    least = t.least_degrees(k)
+    maps = t.atom_maps
     reps = []
-    for cls in t.least_classes(k):
-        if any(t.at_least(basis.class_sub(cls, g), k) for g in steps):
+    for node, d in enumerate(least):
+        if any(d - g >= least[step[node]] for g, step in maps):
             continue
+        cls = t.node_class(node, d)
         points = fiber(basis, cls).points
         rep = points[0]
         reps.append((cls.degree, rep, tuple(vsub(rep, u) for u in reversed(points)), cls))

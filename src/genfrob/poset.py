@@ -8,15 +8,21 @@ generator orbits.
 
 Both posets read F_1, representability and the atoms of the monoid of
 representable classes from the basis's one residue walk, which
-``module_poset`` also takes m_k from; module posets read their labels
-from the basis's oracle counting table. In the window both member sets
-are closed under adding a representable class, so y covers x exactly
-when y = x + atom is a member, and a label x is minimal exactly when no
-x - atom is a label. A module poset builds its covers when they are
-first read, since ``verify`` and ``finiteness_report`` never read them.
+``module_poset`` also takes m_k from; module posets read their labels'
+counts from the basis's oracle counting table. In the window both
+member sets are closed under adding a representable class, so y covers
+x exactly when y = x + atom is a member, and a label x is minimal
+exactly when no x - atom is a label.
+
+A module poset is one node vector: per residue node of the walk, the
+least label degree there, or None. Minimality is one comparison per
+node and atom on the walk's node maps, and ``finiteness_report`` tells
+posets apart and finds the full ones from the vectors. The labels, the
+witnesses and the covers are built when first read; ``verify`` reads
+none of them, and ``finiteness_report`` only the distinct label sets.
 ``max_antichain_size`` is Dilworth's theorem through a maximum bipartite
-matching. The transitive reduction and the exhaustive antichain search
-live on as oracles in the test suite.
+matching. The class-by-class module poset, the transitive reduction and
+the exhaustive antichain search live on as oracles in the test suite.
 """
 from __future__ import annotations
 
@@ -66,28 +72,57 @@ def leq(poset: StructurePoset, b: QuotientClass, a: QuotientClass) -> bool:
     return poset.leq(b, a)
 
 
+def _label_torsions(basis: LatticeBasis, f1: int) -> list[list[int]]:
+    """ups[q][c]: the torsion code of the label of degree q * a_s + r at a
+    node of torsion code c, for q = 0..F_1 // a_s: t_c + q * t_s."""
+    a = basis.weight.a
+    a_s = min(a)
+    t_s = basis.units[a.index(a_s)].torsion
+    return [basis.torsion_shift([q * y for y in t_s]) for q in range(f1 // a_s + 1)]
+
+
+def _labels(mp: ModulePoset) -> frozenset:
+    """Every label of a module poset: each node's least label plus multiples of [e_s]."""
+    basis = mp.basis
+    a_s = min(basis.weight.a)
+    torsions = basis.torsions
+    index = len(torsions)
+    ups = _label_torsions(basis, mp.f_1)
+    return frozenset(
+        QuotientClass(y, torsions[ups[y // a_s][node % index]])
+        for node, least in enumerate(mp.nodes)
+        if least is not None
+        for y in range(least, mp.f_1 + 1, a_s)
+    )
+
+
 class _ModulePosetFields(NamedTuple):
     k: int
     m_k: int
-    labels: frozenset
+    f_1: int
+    nodes: tuple
     minimal_elements: frozenset
-    min_degree_classes: frozenset
 
 
 class ModulePoset(_ModulePosetFields):
-    """Labels of the k-th module inside the structure poset.
+    """The k-th module inside the structure poset, as one node vector.
 
-    Labels keep their own torsion and carry the degree offset from m_k,
-    so equality of module posets is equality of label sets. The classes
-    of degree exactly m_k are stored as embedding witnesses. The basis
-    and the atoms are kept beside the fields, out of equality, for the
-    covers, which are built on first read.
+    A label is a class of the module in the window [m_k, m_k + F_1]
+    moved down by m_k: it keeps its torsion and has degree 0..F_1. A
+    label of degree y = q * a_s + r and torsion t lies at residue node
+    r * index + code(t - q * t_s), the coding of ``counting.Thresholds``.
+    Adding [e_s] keeps a label at its node and stays a label inside the
+    window, so ``nodes[v]``, the least label degree at node v or None,
+    fixes every label, and equal fields on one basis mean equal label
+    sets. The labels, the embedding witnesses (the classes of degree
+    m_k) and the covers are built the first time they are read. The
+    basis and the atoms are kept beside the fields, out of equality.
     """
 
     __setattr__ = _read_only
 
-    def __new__(cls, k, m_k, labels, minimal_elements, min_degree_classes, basis, atoms):
-        self = super().__new__(cls, k, m_k, labels, minimal_elements, min_degree_classes)
+    def __new__(cls, k, m_k, f_1, nodes, minimal_elements, basis, atoms):
+        self = super().__new__(cls, k, m_k, f_1, nodes, minimal_elements)
         vars(self).update(basis=basis, atoms=atoms)
         return self
 
@@ -95,30 +130,56 @@ class ModulePoset(_ModulePosetFields):
         return (*self, self.basis, self.atoms)
 
     @cached_property
+    def labels(self) -> frozenset:
+        return _labels(self)
+
+    @cached_property
+    def min_degree_classes(self) -> frozenset:
+        # Labels of degree 0 lie at the nodes of residue 0, whose codes are their torsions.
+        torsions = self.basis.torsions
+        return frozenset(
+            QuotientClass(self.m_k, torsions[c]) for c in range(len(torsions)) if self.nodes[c] == 0
+        )
+
+    @cached_property
     def covers(self) -> tuple[tuple[QuotientClass, QuotientClass], ...]:
         return _covers(self.basis, self.labels, self.atoms)
 
 
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
-    """Label set of the k-th module, with its minimal elements; covers on first read."""
+    """The k-th module's node vector and minimal elements; the rest on first read.
+
+    The vector is filled in one pass over the oracle table's rows
+    m_k..m_k + F_1. A label x is minimal exactly when no x - g is a
+    label, for g an atom; x - g lies at the node the walk's map for g
+    gives, the same for every label of x's node, so only each node's
+    least label can be minimal, and it is when every such node has no
+    label or a least one above deg x - deg g.
+    """
     mk = m_value(basis, k)
     t = thresholds(basis, k)  # the walk m_value just ran
     f1 = t.f[0]
-    steps = t.atoms()
-    if f1 < 0:
-        return ModulePoset(k, mk, frozenset(), frozenset(), frozenset(), basis, steps)
-    table = _oracle_table(basis, mk + f1)
-    labels = {
-        QuotientClass(d - mk, cls.torsion)
-        for d in range(mk, mk + f1 + 1)
-        for cls, cnt in table.classes_at(d)
-        if cnt >= k
-    }
-    witnesses = frozenset(QuotientClass(mk, x.torsion) for x in labels if x.degree == 0)
+    a_s = min(basis.weight.a)
+    index = basis.index
+    ups = _label_torsions(basis, f1)
+    nodes = [None] * (a_s * index)
+    if f1 >= 0:
+        table = _oracle_table(basis, mk + f1)
+        for y in range(f1 + 1):
+            q, r = divmod(y, a_s)
+            base = r * index
+            row = table.row(mk + y)
+            for c, u in enumerate(ups[q]):
+                if row[u] >= k and nodes[base + c] is None:
+                    nodes[base + c] = y
+    least = [f1 + 1 if y is None else y for y in nodes]  # None: above every label
+    torsions = basis.torsions
     minimal = frozenset(
-        x for x in labels if not any(basis.class_sub(x, g) in labels for g in steps)
+        QuotientClass(y, torsions[ups[y // a_s][node % index]])
+        for node, y in enumerate(nodes)
+        if y is not None and all(least[step[node]] > y - g for g, step in t.atom_maps)
     )
-    return ModulePoset(k, mk, frozenset(labels), minimal, witnesses, basis, steps)
+    return ModulePoset(k, mk, f1, tuple(nodes), minimal, basis, t.atoms())
 
 
 class FinitenessReport(NamedTuple):
@@ -132,22 +193,27 @@ class FinitenessReport(NamedTuple):
 
 
 def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
-    """Collect posets and check F_k = m_k - 1 exactly on full posets (labels = window)."""
+    """Collect posets and check F_k = m_k - 1 exactly on full posets (labels = window).
+
+    Posets are told apart by their node vectors, which place labels, so
+    classes taken relative to m_k, and a poset is full when its vector
+    counts (F_1 + 1) * index labels, (F_1 - y) // a_s + 1 at a node whose
+    least label has degree y. Only the distinct label sets are expanded.
+    """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
     f_values = kth_degrees(basis, k_max)[0]
-    full = frozenset(
-        QuotientClass(d, tor) for d in range(f_values[0] + 1) for tor in basis.torsions
-    )
+    f1 = f_values[0]
+    a_s = min(basis.weight.a)
+    window = (f1 + 1) * basis.index  # the labels of a full poset; none when F_1 = -1
     posets = tuple(module_poset(basis, k) for k in range(1, k_max + 1))
     b_values = []
     full_ks = []
-    distinct: list[frozenset] = []
+    distinct: dict[tuple, ModulePoset] = {}  # node vector -> first poset with it
     for mp, fk in zip(posets, f_values):
         b_values.append(fk - mp.m_k)
-        if mp.labels not in distinct:
-            distinct.append(mp.labels)
-        is_full = mp.labels == full
+        distinct.setdefault(mp.nodes, mp)
+        is_full = sum((f1 - y) // a_s + 1 for y in mp.nodes if y is not None) == window
         if is_full != (fk == mp.m_k - 1):
             raise RuntimeError(f"F_k = m_k - 1 should hold exactly on full posets; k={mp.k}")
         if is_full:
@@ -156,7 +222,7 @@ def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
         k_max=k_max,
         posets=posets,
         b_values=tuple(b_values),
-        distinct_label_sets=tuple(distinct),
+        distinct_label_sets=tuple(mp.labels for mp in distinct.values()),
         full_poset_ks=tuple(full_ks),
     )
 

@@ -11,8 +11,11 @@ its own plain reduction, S-pairs and interreduction;
 weight and uses the package's ``dot`` and ``InputError``;
 ``lcm_generator_classes_all_candidates``, the lcm construction over
 every candidate lcm of the package's ``candidate_lcms`` and its
-counting table; and ``thresholds_by_heap``, which wraps its walk in the
-package's ``Thresholds``.
+counting table; ``module_poset_by_classes`` and
+``generator_classes_by_class_tests``, the class-by-class forms of the
+module poset and of the generator test, on the package's walk, oracle
+table and class arithmetic; and ``thresholds_by_heap``, which wraps its
+walk in the package's ``Thresholds``.
 """
 from fractions import Fraction
 from itertools import combinations, product
@@ -352,6 +355,49 @@ def lcm_generator_classes_all_candidates(basis, k, markov=None):
         c
         for c in orbits
         if not any(c2 != c and table.count(basis.class_sub(c, c2)) >= 1 for c2 in orbits)
+    )
+
+
+def module_poset_by_classes(basis, k):
+    """``genfrob.module_poset`` class by class: (labels, minimal elements, witnesses).
+
+    Reads every class of the window [m_k, m_k + F_1] from the oracle
+    counting table, keeps those of count >= k moved down by m_k, and keeps
+    a label x as minimal when no x - g is a label for an atom g, by class
+    subtraction. The witnesses are the classes of degree m_k.
+    """
+    from genfrob.counting import _oracle_table, m_value, thresholds
+    from genfrob.lattice import QuotientClass
+
+    mk = m_value(basis, k)
+    t = thresholds(basis, k)
+    f1 = t.f[0]
+    if f1 < 0:
+        return frozenset(), frozenset(), frozenset()
+    table = _oracle_table(basis, mk + f1)
+    labels = {
+        QuotientClass(d - mk, cls.torsion)
+        for d in range(mk, mk + f1 + 1)
+        for cls, cnt in table.classes_at(d)
+        if cnt >= k
+    }
+    witnesses = frozenset(QuotientClass(mk, x.torsion) for x in labels if x.degree == 0)
+    minimal = frozenset(
+        x for x in labels if not any(basis.class_sub(x, g) in labels for g in t.atoms())
+    )
+    return frozenset(labels), minimal, witnesses
+
+
+def generator_classes_by_class_tests(basis, k):
+    """The classes of ``genfrob.minimal_generators``, sorted, by the walk's
+    ``at_least`` on each node's least class minus each atom."""
+    from genfrob.counting import thresholds
+
+    t = thresholds(basis, k)
+    return sorted(
+        c
+        for c in t.least_classes(k)
+        if not any(t.at_least(basis.class_sub(c, g), k) for g in t.atoms())
     )
 
 

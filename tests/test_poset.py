@@ -229,3 +229,49 @@ def test_module_poset_builds_its_covers_on_first_read():
     # Covers are derived from the labels, so they take no part in equality.
     assert mp == again and hash(mp) == hash(again) and "covers" not in vars(again)
     assert again.covers == covers
+
+
+def test_module_poset_node_vector_matches_the_class_by_class_oracle():
+    # case = one basis, kernel or sublattice of index 2-3 on 2-4
+    # variables: for k = 1..4 the labels, minimal elements and witnesses
+    # read from the node vector against the construction class by class,
+    # the generator test on node maps against at_least on class
+    # differences, and the finiteness report against the label sets
+    import math
+    import random
+
+    from .oracles import generator_classes_by_class_tests, module_poset_by_classes
+
+    rng = random.Random(2020)
+    kinds = set()
+    cases = 0
+    while cases < 150:
+        n = rng.randint(2, 4)
+        a = tuple(rng.randint(1 if rng.random() < 0.2 else 2, 12) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        index = rng.randint(1, 3)
+        i = rng.randrange(n - 1)
+        vecs[i] = [index * x for x in vecs[i]]
+        B = LatticeBasis(WeightVector(a), tuple(map(tuple, vecs)))
+        f1 = minimal_generators(B, 1).f_1
+        window = frozenset(QuotientClass(d, t) for d in range(f1 + 1) for t in B.torsions)
+        label_sets = []
+        for k in range(1, 5):
+            mp = module_poset(B, k)
+            labels, minimal, witnesses = module_poset_by_classes(B, k)
+            assert mp.labels == labels, (a, B.vectors, k)
+            assert mp.minimal_elements == minimal, (a, B.vectors, k)
+            assert mp.min_degree_classes == witnesses, (a, B.vectors, k)
+            classes = sorted(minimal_generators(B, k).classes)
+            assert classes == generator_classes_by_class_tests(B, k), (a, B.vectors, k)
+            label_sets.append(labels)
+        rep = finiteness_report(B, 4)
+        assert rep.distinct_label_sets == tuple(dict.fromkeys(label_sets)), (a, B.vectors)
+        full = tuple(k for k, labels in enumerate(label_sets, start=1) if labels == window)
+        assert rep.full_poset_ks == full, (a, B.vectors)
+        kinds.add((n, B.index, f1 < 0))
+        cases += 1
+    assert {(n, i) for n, i, _ in kinds} == {(n, i) for n in (2, 3, 4) for i in (1, 2, 3)}
+    assert any(empty for *_, empty in kinds)

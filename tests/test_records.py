@@ -3,7 +3,8 @@
 Every record compares and hashes by its fields, refuses assignment,
 survives pickle and copy, and rejects bad input with InputError. The
 fields left out of equality are ``MarkovBasis.order_used`` and
-``ModulePoset.basis`` and ``.atoms``.
+``ModulePoset.basis`` and ``.atoms``; a module poset's labels and
+witnesses are read from its node vector, and checked like fields.
 """
 import copy
 import pickle
@@ -83,7 +84,8 @@ RECORDS = {
     ),
     ModulePoset: (
         lambda: module_poset(_sublattice(), 2),
-        ("k", "m_k", "labels", "minimal_elements", "min_degree_classes", "basis", "atoms"),
+        ("k", "m_k", "f_1", "nodes", "labels", "minimal_elements", "min_degree_classes", "basis",
+         "atoms"),
     ),
     FinitenessReport: (
         lambda: finiteness_report(_sublattice(), 3),
@@ -139,7 +141,7 @@ def test_uncompared_fields_take_no_part_in_equality():
 
     mp = module_poset(_sublattice(), 2)
     K = kernel_basis(WeightVector((2, 3, 5)))
-    other = ModulePoset(mp.k, mp.m_k, mp.labels, mp.minimal_elements, mp.min_degree_classes, K, ())
+    other = ModulePoset(mp.k, mp.m_k, mp.f_1, mp.nodes, mp.minimal_elements, K, ())
     assert other == mp and hash(other) == hash(mp)
     assert other.basis is K and other.atoms == ()
 

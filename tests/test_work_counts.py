@@ -5,7 +5,9 @@ Work is counted where it is done, not where it is asked for:
 ``CountTable.__init__`` once per counting table built, however many
 callers share them. ``counting.fiber`` (one fiber enumeration) is
 wrapped at every place a ``genfrob`` module binds it, and
-``poset._covers`` (one Hasse cover build) where ``poset`` calls it.
+``poset._covers`` (one Hasse cover build) and ``poset._labels`` (one
+expansion of a module poset's node vector into labels) where ``poset``
+calls them.
 ``ideal._buchberger_pairs`` counts Groebner basis runs, and
 ``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
 ``LatticeBasis.label`` counts the points labelled.
@@ -38,7 +40,7 @@ from genfrob.modules import is_exceptional, minimal_generators
 
 @pytest.fixture
 def work(monkeypatch):
-    counts = {"walks": 0, "tables": 0, "fibers": 0, "covers": 0, "groebner": 0}
+    counts = {"walks": 0, "tables": 0, "fibers": 0, "covers": 0, "labels": 0, "groebner": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -50,6 +52,7 @@ def work(monkeypatch):
     for cls, key in ((counting.Thresholds, "walks"), (counting.CountTable, "tables")):
         monkeypatch.setattr(cls, "__init__", counted(key, cls.__init__))
     monkeypatch.setattr(poset, "_covers", counted("covers", poset._covers))
+    monkeypatch.setattr(poset, "_labels", counted("labels", poset._labels))
     monkeypatch.setattr(ideal, "_buchberger_pairs", counted("groebner", ideal._buchberger_pairs))
     original = counting.fiber
     for modname, mod in list(sys.modules.items()):
@@ -68,14 +71,24 @@ def test_module_enumerates_one_fiber_per_generator(work, capsys):
 
 
 def test_module_poset_runs_one_walk(work, capsys):
-    assert main(["poset", "-a", "13,17,29", "-k", "4", "--format", "json"]) == 0
-    capsys.readouterr()
-    assert work["walks"] == 1
+    # The benchmark harness's self-test traces the CountTable span of
+    # `poset -a 3,5,8 -k 2`, so the module poset keeps reading its labels'
+    # counts from the oracle table.
+    for a, k, labels in (("13,17,29", "4", 77), ("3,5,8", "2", 5)):
+        work.update(walks=0, tables=0, labels=0)
+        assert main(["poset", "-a", a, "-k", k, "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["poset"]["labels"]) == labels
+        assert work == {**work, "walks": 1, "tables": 1, "labels": 1}
 
 
 def test_finiteness_report_runs_one_walk(work):
     finiteness_report(kernel_basis(WeightVector((13, 17, 29))), 6)
     assert work["walks"] == 1
+    # Posets are told apart by their node vectors; only the distinct
+    # label sets are expanded, 4 of the 8 posets here.
+    work["labels"] = 0
+    rep = finiteness_report(kernel_basis(WeightVector((3, 5, 8))), 8)
+    assert work["labels"] == len(rep.distinct_label_sets) == 4
 
 
 def test_verify_runs_one_walk_and_builds_no_covers(work, capsys):
@@ -83,6 +96,7 @@ def test_verify_runs_one_walk_and_builds_no_covers(work, capsys):
     capsys.readouterr()
     assert work["walks"] == 1
     assert work["tables"] == 1
+    assert work["labels"] == 0
     assert work["covers"] == 0
 
 
