@@ -75,7 +75,8 @@ def _emit(args, text: str) -> None:
         raise InputError(f"cannot write output file {args.output}: {exc}") from exc
 
 
-_compact = json.JSONEncoder(separators=(",", ":")).encode
+# Payloads are trees built here, so the encoder need not look for cycles.
+_compact = json.JSONEncoder(separators=(",", ":"), check_circular=False).encode
 _string = json.encoder.encode_basestring_ascii
 _INT_TREE_CHARS = str.maketrans("", "", "0123456789-,[]")
 
@@ -227,30 +228,33 @@ def _cmd_poset(args) -> int:
     if args.format == "dot":
         _emit(args, poset_to_dot(structure_poset(basis)))
         return EXIT_OK
-    if args.k is None:
-        poset = structure_poset(basis)
-        labels = poset.elements
-    else:
-        poset = module_poset(basis, args.k)
-        labels = sorted(poset.labels)
-    payload = {
-        "a": list(basis.weight.a),
-        "k": args.k,
-        "poset": {
-            "labels": [_label_list(c) for c in labels],
-            "hasse": [[_label_list(u), _label_list(v)] for u, v in poset.covers],
-        },
-    }
-    if args.k is not None:
-        minimal = sorted(poset.minimal_elements)
-        payload["minimal"] = [_label_list(c) for c in minimal]
-        payload["m_k"] = poset.m_k
+    poset = structure_poset(basis) if args.k is None else module_poset(basis, args.k)
+    # Each label's [degree, *torsion] list, built once from its code.
+    index, torsions = basis.index, basis.torsions
+    codes = poset.label_codes
+    labels = [[z // index, *torsions[z % index]] for z in codes]
     if args.format == "json":
+        by_code = dict(zip(codes, labels))
+        payload = {
+            "a": list(basis.weight.a),
+            "k": args.k,
+            "poset": {
+                "labels": labels,
+                "hasse": [[by_code[x], by_code[y]] for x, y in poset.cover_codes],
+            },
+        }
+        if args.k is not None:
+            minimal = sorted(poset.minimal_elements)
+            payload["minimal"] = [_label_list(c) for c in minimal]
+            payload["m_k"] = poset.m_k
+        del poset, codes, by_code  # the codes go before the output text is built
         _emit(args, _json_dump(payload))
     else:
-        lines = [f"labels: {payload['poset']['labels']}"]
-        if payload["poset"]["hasse"]:
-            lines += [f"cover: {u} < {v}" for u, v in payload["poset"]["hasse"]]
+        texts = [str(x) for x in labels]
+        by_code = dict(zip(codes, texts))
+        lines = ["labels: [" + ", ".join(texts) + "]"]
+        lines += [f"cover: {by_code[x]} < {by_code[y]}" for x, y in poset.cover_codes]
+        del poset, codes, by_code  # the codes go before the output text is built
         _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
 

@@ -14,37 +14,198 @@ member sets are closed under adding a representable class, so y covers
 x exactly when y = x + atom is a member, and a label x is minimal
 exactly when no x - atom is a label.
 
-A module poset is one node vector: per residue node of the walk, the
-least label degree there, or None. Minimality is one comparison per
-node and atom on the walk's node maps, and ``finiteness_report`` tells
-posets apart and finds the full ones from the vectors. The labels, the
-witnesses and the covers are built when first read; ``verify`` reads
-none of them, and ``finiteness_report`` only the distinct label sets.
-``max_antichain_size`` is Dilworth's theorem through a maximum bipartite
-matching. The class-by-class module poset, the transitive reduction and
-the exhaustive antichain search live on as oracles in the test suite.
+Both posets are one node vector: per residue node of the walk, the
+least member degree there, or None. The structure poset's vector holds
+each node's residue, so every class of degree 0..F_1 is a member; a
+module poset's holds its least label degrees. Members are computed as
+codes, degree * index + torsion code, whose order is the (degree,
+torsion) order of the output: ``_labels`` lists them block by block
+of a_s degrees, each block one pass over its nodes in code order, with
+no sort, and ``_covers`` takes the Hasse covers from the walk's node
+maps, one integer comparison per member and atom. Minimality is one comparison
+per node and atom on the same maps, and ``finiteness_report`` tells
+posets apart and finds the full ones from the vectors. The classes, the
+covers as class pairs and the representable classes are built from the
+codes the first time they are read; ``verify`` reads none of them, and
+the CLI writes its output from the codes. A structure poset over
+MAX_POSET_ELEMENTS classes raises InputError after the walk, before any
+member is listed. ``max_antichain_size`` is Dilworth's theorem through
+a maximum bipartite matching. The class-by-class module poset, the
+cover builder by class addition, the transitive reduction and the
+exhaustive antichain search live on as oracles in the test suite.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple
 
 from .counting import _oracle_table, kth_degrees, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass, _read_only
 
+# Largest (F_1 + 1) * index, the classes of degree 0..F_1, that one
+# structure poset may hold; its covers number at most the atoms times
+# the elements. On CPython 3.11 `poset -a 1001,1003,1007` (335,334
+# elements, 3 atoms, 1,002,991 covers) peaks at about 330 MB of RSS as
+# text, 365 MB as DOT and 465 MB as JSON, mostly the cover pairs and the
+# output text, so a structure poset stays under about 500 MB.
+# (10007, 10009, 10037) has 6,814,762 elements.
+MAX_POSET_ELEMENTS = 360_000
 
-def _covers(basis: LatticeBasis, members, steps) -> tuple:
-    """Hasse covers of a member set: the atom steps x -> x + g inside it, sorted."""
-    pairs = ((x, y) for x in members for g in steps if (y := basis.class_add(x, g)) in members)
-    return tuple(sorted(pairs))
+
+def _label_torsions(basis: LatticeBasis, f1: int) -> list[list[int]]:
+    """ups[q][c]: the torsion code of the label of degree q * a_s + r at a
+    node of torsion code c, for q = 0..F_1 // a_s: t_c + q * t_s."""
+    a = basis.weight.a
+    a_s = min(a)
+    t_s = basis.units[a.index(a_s)].torsion
+    return [basis.torsion_shift([q * y for y in t_s]) for q in range(f1 // a_s + 1)]
 
 
-class StructurePoset(NamedTuple):
+def _block_orders(basis: LatticeBasis, f1: int) -> list[list[int]]:
+    """Per block q, the degrees q * a_s .. q * a_s + a_s - 1 up to F_1:
+    the node of each class of the block, in code order.
+
+    The class of residue r and torsion code u lies at node
+    r * index + down[u], with down[u] the code of t_u - q * t_s; the
+    shifts repeat, and blocks with equal shifts share one list.
+    """
+    a = basis.weight.a
+    a_s = min(a)
+    index = basis.index
+    back = basis.torsion_shift([-y for y in basis.units[a.index(a_s)].torsion])
+    orders = {}
+    out = []
+    down = tuple(range(index))
+    for _ in range(f1 // a_s + 1):
+        order = orders.get(down)
+        if order is None:
+            order = orders[down] = [r * index + c for r in range(a_s) for c in down]
+        out.append(order)
+        down = tuple(back[c] for c in down)
+    return out
+
+
+def _codes(basis: LatticeBasis, f1: int, nodes, orders) -> list[int]:
+    """Codes y * index + u, in order, of the classes of degree y in 0..F_1
+    and torsion code u whose node v has nodes[v] <= y (None: no class).
+
+    As nodes[v] has the node's residue, nodes[v] <= y exactly when the
+    block of nodes[v] is at most that of y, so each block of
+    ``_block_orders`` is one pass over its nodes in code order.
+    """
+    if f1 < 0:
+        return []
+    a_s = min(basis.weight.a)
+    index = basis.index
+    first = [len(orders) if y is None else y // a_s for y in nodes]
+    out = []
+    for q, order in enumerate(orders):
+        base = q * a_s * index
+        out += [base + o for o, v in enumerate(order) if first[v] <= q]
+    del out[bisect_left(out, (f1 + 1) * index):]
+    return out
+
+
+def _labels(basis: LatticeBasis, f1: int, nodes) -> list[int]:
+    """The member codes of a node vector, in (degree, torsion) order: one
+    label expansion (``_covers`` lists its codes without it)."""
+    return _codes(basis, f1, nodes, _block_orders(basis, f1))
+
+
+def _covers(basis: LatticeBasis, f1: int, nodes) -> list[tuple[int, int]]:
+    """Hasse covers of a node vector's members: code pairs (z - g, z), sorted.
+
+    A member z of degree y at node v covers z - g, for an atom g, exactly
+    when the node w the walk's map for g sends v to holds a degree
+    nodes[w] <= y - deg g. That degree has the residue of y - deg g, so
+    the z are the members of the vector max(nodes[v], nodes[w] + deg g).
+    Taking g away moves the torsion code u of z to down[u], so z - g is
+    z + down[u] - u - deg g * index.
+    """
+    t = thresholds(basis, 1)
+    index = basis.index
+    orders = _block_orders(basis, f1)
+    pairs = []
+    for g, (dg, step) in zip(t.atoms(), t.atom_maps):
+        above = [
+            None if y is None or nodes[w] is None else max(y, nodes[w] + dg)
+            for y, w in zip(nodes, step)
+        ]
+        down = basis.torsion_shift([-x for x in g.torsion])
+        delta = [c - u - dg * index for u, c in enumerate(down)]
+        his = _codes(basis, f1, above, orders)
+        pairs += zip([z + delta[z % index] for z in his], his)
+    pairs.sort()
+    return pairs
+
+
+def _classes(basis: LatticeBasis, codes) -> dict:
+    """Each code -> its class."""
+    index = basis.index
+    torsions = basis.torsions
+    return {z: QuotientClass(z // index, torsions[z % index]) for z in codes}
+
+
+class _CodedPoset:
+    """The members and covers of a poset given by ``basis``, ``nodes`` and
+    its top degree ``_top``: as codes, and as classes built from them."""
+
+    @cached_property
+    def label_codes(self) -> list[int]:
+        """The members' codes, degree * index + torsion code, in order."""
+        return _labels(self.basis, self._top, self.nodes)
+
+    @cached_property
+    def cover_codes(self) -> list[tuple[int, int]]:
+        """The Hasse covers as sorted code pairs."""
+        return _covers(self.basis, self._top, self.nodes)
+
+    def _members(self) -> tuple:
+        return tuple(_classes(self.basis, self.label_codes).values())
+
+    def _class_covers(self) -> tuple:
+        classes = _classes(self.basis, self.label_codes)
+        return tuple((classes[x], classes[y]) for x, y in self.cover_codes)
+
+
+class _StructurePosetFields(NamedTuple):
     basis: LatticeBasis
     f1: int
-    elements: tuple[QuotientClass, ...]
-    covers: tuple[tuple[QuotientClass, QuotientClass], ...]
-    representable: frozenset
+
+
+class StructurePoset(_StructurePosetFields, _CodedPoset):
+    """Every class of degree 0..F_1, ordered by representable differences.
+
+    One node vector, each node's residue, fixes the members; the
+    elements in (degree, torsion) order, the covers and the
+    representable classes are built the first time they are read.
+    """
+
+    __setattr__ = _read_only
+
+    @property
+    def _top(self) -> int:
+        return self.f1
+
+    @cached_property
+    def nodes(self) -> tuple:
+        index = self.basis.index
+        return tuple(v // index for v in range(min(self.basis.weight.a) * index))
+
+    @cached_property
+    def elements(self) -> tuple[QuotientClass, ...]:
+        return self._members()
+
+    @cached_property
+    def covers(self) -> tuple[tuple[QuotientClass, QuotientClass], ...]:
+        return self._class_covers()
+
+    @cached_property
+    def representable(self) -> frozenset:
+        """The members of the walk's t_1 vector: count >= 1 at degree >= t_1(node)."""
+        least = thresholds(self.basis, 1).least_degrees(1)
+        return frozenset(_classes(self.basis, _labels(self.basis, self.f1, least)).values())
 
     def leq(self, b: QuotientClass, a: QuotientClass) -> bool:
         """b <= a in the structure order."""
@@ -58,42 +219,23 @@ class StructurePoset(NamedTuple):
 
 
 def structure_poset(basis: LatticeBasis) -> StructurePoset:
-    """Full structure poset; its Hasse covers are the atom steps x -> x + g."""
-    t = thresholds(basis, 1)
-    f1 = t.f[0]
-    torsions = basis.torsions  # lexicographic, so elements come out sorted
-    elements = tuple(QuotientClass(d, tor) for d in range(f1 + 1) for tor in torsions)
-    representable = frozenset(c for c in elements if t.at_least(c, 1))
-    covers = _covers(basis, frozenset(elements), t.atoms())
-    return StructurePoset(basis, f1, elements, covers, representable)
+    """Full structure poset; its members and covers are built when read.
+
+    Raises InputError, after the walk, when its (F_1 + 1) * index
+    elements exceed MAX_POSET_ELEMENTS.
+    """
+    f1 = thresholds(basis, 1).f[0]
+    elements = (f1 + 1) * basis.index
+    if elements > MAX_POSET_ELEMENTS:
+        raise InputError(
+            f"the structure poset has (F_1 + 1) * index = {elements} elements, "
+            f"over the budget of {MAX_POSET_ELEMENTS}"
+        )
+    return StructurePoset(basis, f1)
 
 
 def leq(poset: StructurePoset, b: QuotientClass, a: QuotientClass) -> bool:
     return poset.leq(b, a)
-
-
-def _label_torsions(basis: LatticeBasis, f1: int) -> list[list[int]]:
-    """ups[q][c]: the torsion code of the label of degree q * a_s + r at a
-    node of torsion code c, for q = 0..F_1 // a_s: t_c + q * t_s."""
-    a = basis.weight.a
-    a_s = min(a)
-    t_s = basis.units[a.index(a_s)].torsion
-    return [basis.torsion_shift([q * y for y in t_s]) for q in range(f1 // a_s + 1)]
-
-
-def _labels(mp: ModulePoset) -> frozenset:
-    """Every label of a module poset: each node's least label plus multiples of [e_s]."""
-    basis = mp.basis
-    a_s = min(basis.weight.a)
-    torsions = basis.torsions
-    index = len(torsions)
-    ups = _label_torsions(basis, mp.f_1)
-    return frozenset(
-        QuotientClass(y, torsions[ups[y // a_s][node % index]])
-        for node, least in enumerate(mp.nodes)
-        if least is not None
-        for y in range(least, mp.f_1 + 1, a_s)
-    )
 
 
 class _ModulePosetFields(NamedTuple):
@@ -104,7 +246,7 @@ class _ModulePosetFields(NamedTuple):
     minimal_elements: frozenset
 
 
-class ModulePoset(_ModulePosetFields):
+class ModulePoset(_ModulePosetFields, _CodedPoset):
     """The k-th module inside the structure poset, as one node vector.
 
     A label is a class of the module in the window [m_k, m_k + F_1]
@@ -115,8 +257,9 @@ class ModulePoset(_ModulePosetFields):
     window, so ``nodes[v]``, the least label degree at node v or None,
     fixes every label, and equal fields on one basis mean equal label
     sets. The labels, the embedding witnesses (the classes of degree
-    m_k) and the covers are built the first time they are read. The
-    basis and the atoms are kept beside the fields, out of equality.
+    m_k) and the covers, as codes and as classes, are built the first
+    time they are read. The basis and the atoms are kept beside the
+    fields, out of equality.
     """
 
     __setattr__ = _read_only
@@ -129,9 +272,13 @@ class ModulePoset(_ModulePosetFields):
     def __getnewargs__(self):
         return (*self, self.basis, self.atoms)
 
+    @property
+    def _top(self) -> int:
+        return self.f_1
+
     @cached_property
     def labels(self) -> frozenset:
-        return _labels(self)
+        return frozenset(self._members())
 
     @cached_property
     def min_degree_classes(self) -> frozenset:
@@ -143,7 +290,7 @@ class ModulePoset(_ModulePosetFields):
 
     @cached_property
     def covers(self) -> tuple[tuple[QuotientClass, QuotientClass], ...]:
-        return _covers(self.basis, self.labels, self.atoms)
+        return self._class_covers()
 
 
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
@@ -276,15 +423,14 @@ def max_antichain_size(poset: StructurePoset) -> int:
 
 def poset_to_dot(poset: StructurePoset) -> str:
     """Hasse diagram in DOT format, edges from smaller to larger."""
-    def name(c: QuotientClass) -> str:
-        if c.torsion:
-            return f"{c.degree}:" + ",".join(str(t) for t in c.torsion)
-        return str(c.degree)
-
+    index = poset.basis.index
+    torsions = poset.basis.torsions
+    names = {}
+    for z in poset.label_codes:
+        y, u = divmod(z, index)
+        names[z] = f"{y}:" + ",".join(map(str, torsions[u])) if torsions[u] else str(y)
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for c in poset.elements:
-        lines.append(f'  "{name(c)}";')
-    for lo, hi in poset.covers:
-        lines.append(f'  "{name(lo)}" -> "{name(hi)}";')
+    lines += [f'  "{name}";' for name in names.values()]
+    lines += [f'  "{names[x]}" -> "{names[y]}";' for x, y in poset.cover_codes]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,10 +11,11 @@ its own plain reduction, S-pairs and interreduction;
 weight and uses the package's ``dot`` and ``InputError``;
 ``lcm_generator_classes_all_candidates``, the lcm construction over
 every candidate lcm of the package's ``candidate_lcms`` and its
-counting table; ``module_poset_by_classes`` and
-``generator_classes_by_class_tests``, the class-by-class forms of the
-module poset and of the generator test, on the package's walk, oracle
-table and class arithmetic; and ``thresholds_by_heap``, which wraps its
+counting table; ``module_poset_by_classes``,
+``generator_classes_by_class_tests`` and ``covers_by_class_add``, the
+class-by-class forms of the module poset, of the generator test and of
+the Hasse covers, on the package's walk, oracle table and class
+arithmetic; and ``thresholds_by_heap``, which wraps its
 walk in the package's ``Thresholds``.
 """
 from fractions import Fraction
@@ -386,6 +387,12 @@ def module_poset_by_classes(basis, k):
         x for x in labels if not any(basis.class_sub(x, g) in labels for g in t.atoms())
     )
     return frozenset(labels), minimal, witnesses
+
+
+def covers_by_class_add(basis, members, steps) -> tuple:
+    """Hasse covers of a member set: the atom steps x -> x + g inside it, sorted."""
+    pairs = ((x, y) for x in members for g in steps if (y := basis.class_add(x, g)) in members)
+    return tuple(sorted(pairs))
 
 
 def generator_classes_by_class_tests(basis, k):

@@ -243,6 +243,40 @@ def test_ladder_poset_json_matches_recorded_output(argv, digest, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, basis, digest", [
+    (["poset", "-a", "211,223,227", "-k", "3"], None,
+     "8d5ff1dd7bdd9710afd876d811e77070b2bc3bdfc336b82135c22e6de338d669"),
+    (["poset", "-a", "13,17,29", "-k", "3", "--format", "json"], "-17 13 0\n-696 522 6\n",
+     "a449a82e80d292558a9a632273a48da3585185bccc827af3f8354566815eb345"),
+    (["poset", "-a", "7,9,11", "--format", "json"], "-9 7 0\n-132 99 3\n",
+     "f7f36fb879e9951d9b3b3ac22c964caaf2ea22ddd8c989b35547426d8002f79c"),
+], ids=["211,223,227-k3-text", "13,17,29-index6-k3", "7,9,11-index3"])
+def test_poset_output_matches_recorded_bytes(argv, basis, digest, tmp_path, capsys):
+    # sha256 of the stdout recorded when the posets were built class by
+    # class, with their covers by class addition; the basis files span
+    # sublattices of index 6 and 3
+    if basis is not None:
+        path = tmp_path / "basis.txt"
+        path.write_text(basis)
+        argv = [*argv, "--basis", str(path)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_structure_poset_over_the_element_budget_exits_2():
+    # The walk of (10007, 10009, 10037) has 10,007 entries, well within
+    # its budget; its structure poset would have 6,814,762 elements.
+    for fmt in ("text", "dot"):
+        res = subprocess.run(
+            [sys.executable, "-m", "genfrob", "poset", "-a", "10007,10009,10037", "--format", fmt],
+            capture_output=True, text=True, timeout=5,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ")
+        assert "6814762 elements" in res.stderr
+
+
 def test_degree_cap_env_var():
     good = run_cli(["frobenius", "-a", "3,5,8", "-k", "2"],
                    env={"GENFROB_DEGREE_CAP": "40"})

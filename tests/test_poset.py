@@ -275,3 +275,55 @@ def test_module_poset_node_vector_matches_the_class_by_class_oracle():
         cases += 1
     assert {(n, i) for n, i, _ in kinds} == {(n, i) for n in (2, 3, 4) for i in (1, 2, 3)}
     assert any(empty for *_, empty in kinds)
+
+
+def test_posets_on_codes_match_the_class_by_class_oracles():
+    # case = one basis, kernel or sublattice of index 2-6 on 2-4
+    # variables, a quarter of them with a weight of 1 (so F_1 = -1 and the
+    # posets are empty on some): the structure poset's elements, covers and
+    # representable classes, and for k = 1..5 the module poset's labels and
+    # covers, against the constructions class by class; the label codes
+    # come out increasing, in the order of their classes
+    import math
+    import random
+
+    from genfrob.counting import thresholds
+
+    from .oracles import covers_by_class_add, module_poset_by_classes
+
+    rng = random.Random(2121)
+    kinds = set()
+    cases = 0
+    while cases < 100:
+        n = rng.randint(2, 4)
+        a = [rng.randint(2, 12) for _ in range(n)]
+        if rng.random() < 0.25:
+            a[rng.randrange(n)] = 1
+        if math.gcd(*a) != 1:
+            continue
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        index = 1 if rng.random() < 0.3 else rng.randint(2, 6)
+        i = rng.randrange(n - 1)
+        vecs[i] = [index * x for x in vecs[i]]
+        B = LatticeBasis(WeightVector(a), tuple(map(tuple, vecs)))
+        t = thresholds(B, 1)
+        atoms = t.atoms()
+        sp = structure_poset(B)
+        elements = tuple(QuotientClass(d, tor) for d in range(sp.f1 + 1) for tor in B.torsions)
+        assert sp.elements == elements, (a, B.vectors)
+        assert sp.covers == covers_by_class_add(B, frozenset(elements), atoms), (a, B.vectors)
+        representable = frozenset(c for c in elements if t.at_least(c, 1))
+        assert sp.representable == representable, (a, B.vectors)
+        for k in range(1, 6):
+            mp = module_poset(B, k)
+            labels = module_poset_by_classes(B, k)[0]
+            codes = mp.label_codes
+            assert all(x < y for x, y in zip(codes, codes[1:])), (a, B.vectors, k)
+            decoded = [QuotientClass(z // B.index, B.torsions[z % B.index]) for z in codes]
+            assert decoded == sorted(labels), (a, B.vectors, k)
+            assert mp.labels == labels, (a, B.vectors, k)
+            assert mp.covers == covers_by_class_add(B, labels, atoms), (a, B.vectors, k)
+        kinds.add((n, B.index, sp.f1 < 0))
+        cases += 1
+    assert {(n, i) for n, i, _ in kinds} == {(n, i) for n in (2, 3, 4) for i in range(1, 7)}
+    assert any(empty for *_, empty in kinds)

@@ -75,10 +75,20 @@ def test_module_poset_runs_one_walk(work, capsys):
     # `poset -a 3,5,8 -k 2`, so the module poset keeps reading its labels'
     # counts from the oracle table.
     for a, k, labels in (("13,17,29", "4", 77), ("3,5,8", "2", 5)):
-        work.update(walks=0, tables=0, labels=0)
+        work.update(walks=0, tables=0, labels=0, covers=0)
         assert main(["poset", "-a", a, "-k", k, "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["poset"]["labels"]) == labels
-        assert work == {**work, "walks": 1, "tables": 1, "labels": 1}
+        assert work == {**work, "walks": 1, "tables": 1, "labels": 1, "covers": 1}
+
+
+def test_structure_poset_builds_its_covers_once(work, capsys):
+    for fmt, lines in (("json", None), ("text", 9), ("dot", 19)):
+        work.update(walks=0, covers=0)
+        assert main(["poset", "-a", "3,5,8", "--format", fmt]) == 0
+        out = capsys.readouterr().out
+        if lines is not None:
+            assert len(out.splitlines()) == lines
+        assert work == {**work, "walks": 1, "covers": 1}
 
 
 def test_finiteness_report_runs_one_walk(work):
