@@ -20,7 +20,7 @@ from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, WeightVector, kernel_basis, sublattice_index
 from .modules import classify, lcm_generator_classes, minimal_generators, render_monomial
 from .neighbourhood import ball, moves
-from .poset import module_poset, poset_to_dot, structure_poset
+from .poset import _check_window, module_poset, poset_to_dot, structure_poset
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -228,6 +228,8 @@ def _cmd_poset(args) -> int:
     if args.format == "dot":
         _emit(args, poset_to_dot(structure_poset(basis)))
         return EXIT_OK
+    if args.k is not None:  # listed labels share the structure poset's budget
+        _check_window(basis, kth_degrees(basis, args.k)[0][0], "module poset's window")
     poset = structure_poset(basis) if args.k is None else module_poset(basis, args.k)
     # Each label's [degree, *torsion] list, built once from its code.
     index, torsions = basis.index, basis.torsions

@@ -12,7 +12,7 @@ Two independent ways to count points of N^n per quotient class:
 - ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
   degree), saturated at a cap. It is the brute-force oracle the engine
   is checked against, and the table from which ``module_poset`` reads
-  its labels' counts.
+  its labels' counts, by one bisection per residue node.
 
 Both code a torsion tuple by ``LatticeBasis.torsion_code`` and take
 the unit classes [e_i] from ``LatticeBasis.units``; the lattice layer
@@ -199,15 +199,17 @@ class Thresholds:
     and ``least_degrees(k)`` is that column. Taking an atom g away moves
     all the classes of a node to one node, so ``atom_maps`` holds, per
     atom, deg g and that node map, laid out on first read from torsion
-    shifts worked out with the walk. The basis keeps its last walk, so
-    the walk keeps no reference to the basis: the cycle would hold both
-    until a full garbage collection.
+    shifts worked out with the walk, and ``minimal_nodes`` reads them.
+    ``a_s``, ``block_codes`` and ``block_orders`` lay out the nodes for
+    the posets. The basis keeps its last walk, so the walk keeps no
+    reference to the basis: the cycle would hold both until a full
+    garbage collection.
     """
 
     def __init__(self, basis: LatticeBasis, reached, s: int):
         a_s = basis.weight.a[s]
         units = basis.units
-        self._a_s = a_s
+        self.a_s = a_s
         self._t_s = units[s].torsion
         self._moduli = basis.torsion_moduli
         self._torsions = basis.torsions
@@ -243,7 +245,7 @@ class Thresholds:
     def at_least(self, c: QuotientClass, k: int) -> bool:
         """True when class c has at least k nonnegative representatives."""
         j = self._column(k)
-        q, r = divmod(c.degree, self._a_s)
+        q, r = divmod(c.degree, self.a_s)
         node = r * len(self._torsions) + self._torsion_code[self._shift(c.torsion, -q)]
         return c.degree >= self._reached[node][j]
 
@@ -255,7 +257,7 @@ class Thresholds:
     def node_class(self, node: int, d: int) -> QuotientClass:
         """The class of degree d at a node; d must have the node's residue."""
         torsion = self._torsions[node % len(self._torsions)]
-        return QuotientClass(d, self._shift(torsion, d // self._a_s))
+        return QuotientClass(d, self._shift(torsion, d // self.a_s))
 
     def least_classes(self, k: int):
         """Per node, the class of least degree with count >= k."""
@@ -281,7 +283,43 @@ class Thresholds:
         module tests need no class arithmetic.
         """
         index = len(self._torsions)
-        return tuple((d, _node_map(self._a_s, index, *step)) for d, step in self._atom_steps)
+        return tuple((d, _node_map(self.a_s, index, *step)) for d, step in self._atom_steps)
+
+    def minimal_nodes(self, least) -> list[int]:
+        """The nodes whose least member is minimal, for ``least[v]`` the
+        least member degree at node v or None (no member), the members
+        closed under adding [e_s]. Taking an atom g from the member of
+        degree d leaves one exactly when least[map_g[v]] <= d - deg g.
+        """
+        maps = self.atom_maps
+        return [v for v, d in enumerate(least) if d is not None and not any(
+            (e := least[step[v]]) is not None and e <= d - g for g, step in maps)]
+
+    @cached_property
+    def block_codes(self) -> list[tuple[int, ...]]:
+        """Per block q = 0..F_1 // a_s of the degrees q * a_s .. q * a_s + a_s - 1:
+        per torsion code c, the code of t_c + q * t_s, the torsion of the
+        block's class at each node r * index + c."""
+        step = [self._torsion_code[self._shift(t, 1)] for t in self._torsions]
+        up = tuple(range(len(self._torsions)))
+        out = []
+        for _ in range(self.f[0] // self.a_s + 1):
+            out.append(up)
+            up = tuple(step[u] for u in up)
+        return out
+
+    @cached_property
+    def block_orders(self) -> list[list[int]]:
+        """Per block, the node of each class of the block in (degree, torsion
+        code) order, from the inverse of its ``block_codes``; the shifts
+        repeat, and blocks with equal shifts share one list."""
+        index = len(self._torsions)
+        orders = {}
+        for up in self.block_codes:
+            if up not in orders:
+                down = sorted(range(index), key=up.__getitem__)
+                orders[up] = [r * index + c for r in range(self.a_s) for c in down]
+        return [orders[up] for up in self.block_codes]
 
 
 def _node_step(basis: LatticeBasis, s: int, degree: int, torsion) -> tuple:

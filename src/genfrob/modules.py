@@ -290,23 +290,19 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
     """Canonical orbit representatives of the k-th module's generators.
 
     Tests one candidate per residue node, the least class of count >= k
-    there: [e_s] is an atom and the other classes of the node are that
-    class plus multiples of [e_s], so no other class of the node is
-    minimal. The candidate of degree d = t_k(r) at node r is dropped when
-    some atom g has d - deg g >= t_k(map_g[r]), one comparison per atom
-    on the walk's node maps. The support of a representative r, its
-    dominated lattice points, is {r - u : u in the fiber of its class};
-    the fiber is sorted, so r is its first point and r - u over it
-    reversed is sorted too.
+    there, kept by ``Thresholds.minimal_nodes``: the candidate of degree
+    d = t_k(r) at node r is dropped when some atom g has
+    d - deg g >= t_k(map_g[r]), one comparison per atom on the walk's
+    node maps. The support of a representative r, its dominated lattice
+    points, is {r - u : u in the fiber of its class}; the fiber is
+    sorted, so r is its first point and r - u over it reversed is sorted
+    too.
     """
     t = thresholds(basis, k)
     least = t.least_degrees(k)
-    maps = t.atom_maps
     reps = []
-    for node, d in enumerate(least):
-        if any(d - g >= least[step[node]] for g, step in maps):
-            continue
-        cls = t.node_class(node, d)
+    for node in t.minimal_nodes(least):
+        cls = t.node_class(node, least[node])
         points = fiber(basis, cls).points
         rep = points[0]
         reps.append((cls.degree, rep, tuple(vsub(rep, u) for u in reversed(points)), cls))

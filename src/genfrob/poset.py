@@ -9,10 +9,10 @@ generator orbits.
 Both posets read F_1, representability and the atoms of the monoid of
 representable classes from the basis's one residue walk, which
 ``module_poset`` also takes m_k from; module posets read their labels'
-counts from the basis's oracle counting table. In the window both
-member sets are closed under adding a representable class, so y covers
-x exactly when y = x + atom is a member, and a label x is minimal
-exactly when no x - atom is a label.
+counts from the basis's oracle counting table, by one bisection per
+residue node. In the window both member sets are closed under adding a
+representable class, so y covers x exactly when y = x + atom is a
+member, and a label x is minimal exactly when no x - atom is a label.
 
 Both posets are one node vector: per residue node of the walk, the
 least member degree there, or None. The structure poset's vector holds
@@ -20,19 +20,20 @@ each node's residue, so every class of degree 0..F_1 is a member; a
 module poset's holds its least label degrees. Members are computed as
 codes, degree * index + torsion code, whose order is the (degree,
 torsion) order of the output: ``_labels`` lists them block by block
-of a_s degrees, each block one pass over its nodes in code order, with
-no sort, and ``_covers`` takes the Hasse covers from the walk's node
-maps, one integer comparison per member and atom. Minimality is one comparison
-per node and atom on the same maps, and ``finiteness_report`` tells
-posets apart and finds the full ones from the vectors. The classes, the
-covers as class pairs and the representable classes are built from the
-codes the first time they are read; ``verify`` reads none of them, and
-the CLI writes its output from the codes. A structure poset over
-MAX_POSET_ELEMENTS classes raises InputError after the walk, before any
-member is listed. ``max_antichain_size`` is Dilworth's theorem through
-a maximum bipartite matching. The class-by-class module poset, the
-cover builder by class addition, the transitive reduction and the
-exhaustive antichain search live on as oracles in the test suite.
+of the walk's ``block_orders``, with no sort, and ``_covers`` takes
+the Hasse covers from the walk's node maps, one integer comparison per
+member and atom. Minimality is ``Thresholds.minimal_nodes`` on the same
+maps, and ``finiteness_report`` tells posets apart and finds the full
+ones from the vectors. The classes, the covers as class pairs and
+the representable classes are built from the codes the first time they
+are read; ``verify`` reads none of them, and the CLI writes its output
+from the codes. A structure poset over MAX_POSET_ELEMENTS classes raises
+InputError after the walk, before any member is listed, and
+``poset -k`` holds a module poset's window to the same budget before
+its table is built. ``max_antichain_size`` is Dilworth's theorem
+through a maximum bipartite matching. The class-by-class module poset, the cover builder
+by class addition, the transitive reduction and the exhaustive
+antichain search live on as oracles in the test suite.
 """
 from __future__ import annotations
 
@@ -40,80 +41,57 @@ from bisect import bisect_left
 from functools import cached_property
 from typing import NamedTuple
 
-from .counting import _oracle_table, kth_degrees, m_value, thresholds
+from .counting import _oracle_table, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass, _read_only
 
 # Largest (F_1 + 1) * index, the classes of degree 0..F_1, that one
-# structure poset may hold; its covers number at most the atoms times
-# the elements. On CPython 3.11 `poset -a 1001,1003,1007` (335,334
-# elements, 3 atoms, 1,002,991 covers) peaks at about 330 MB of RSS as
-# text, 365 MB as DOT and 465 MB as JSON, mostly the cover pairs and the
-# output text, so a structure poset stays under about 500 MB.
+# structure poset, or one listed module poset's window, may hold; its
+# covers number at most the atoms times the elements. On CPython 3.11
+# `poset -a 1001,1003,1007` (335,334 elements, 3 atoms, 1,002,991
+# covers) peaks at about 330 MB of RSS as text, 365 MB as DOT and
+# 465 MB as JSON, mostly the cover pairs and the output text, so a
+# structure poset stays under about 500 MB.
 # (10007, 10009, 10037) has 6,814,762 elements.
 MAX_POSET_ELEMENTS = 360_000
 
 
-def _label_torsions(basis: LatticeBasis, f1: int) -> list[list[int]]:
-    """ups[q][c]: the torsion code of the label of degree q * a_s + r at a
-    node of torsion code c, for q = 0..F_1 // a_s: t_c + q * t_s."""
-    a = basis.weight.a
-    a_s = min(a)
-    t_s = basis.units[a.index(a_s)].torsion
-    return [basis.torsion_shift([q * y for y in t_s]) for q in range(f1 // a_s + 1)]
+def _check_window(basis: LatticeBasis, f1: int, name: str) -> None:
+    """Raise InputError when (F_1 + 1) * index exceeds MAX_POSET_ELEMENTS."""
+    elements = (f1 + 1) * basis.index
+    if elements > MAX_POSET_ELEMENTS:
+        raise InputError(
+            f"the {name} has (F_1 + 1) * index = {elements} elements, "
+            f"over the budget of {MAX_POSET_ELEMENTS}"
+        )
 
 
-def _block_orders(basis: LatticeBasis, f1: int) -> list[list[int]]:
-    """Per block q, the degrees q * a_s .. q * a_s + a_s - 1 up to F_1:
-    the node of each class of the block, in code order.
-
-    The class of residue r and torsion code u lies at node
-    r * index + down[u], with down[u] the code of t_u - q * t_s; the
-    shifts repeat, and blocks with equal shifts share one list.
-    """
-    a = basis.weight.a
-    a_s = min(a)
-    index = basis.index
-    back = basis.torsion_shift([-y for y in basis.units[a.index(a_s)].torsion])
-    orders = {}
-    out = []
-    down = tuple(range(index))
-    for _ in range(f1 // a_s + 1):
-        order = orders.get(down)
-        if order is None:
-            order = orders[down] = [r * index + c for r in range(a_s) for c in down]
-        out.append(order)
-        down = tuple(back[c] for c in down)
-    return out
-
-
-def _codes(basis: LatticeBasis, f1: int, nodes, orders) -> list[int]:
+def _codes(basis: LatticeBasis, nodes) -> list[int]:
     """Codes y * index + u, in order, of the classes of degree y in 0..F_1
     and torsion code u whose node v has nodes[v] <= y (None: no class).
 
     As nodes[v] has the node's residue, nodes[v] <= y exactly when the
-    block of nodes[v] is at most that of y, so each block of
-    ``_block_orders`` is one pass over its nodes in code order.
+    block of nodes[v] is at most that of y, so each block of the walk's
+    ``block_orders`` is one pass over its nodes in code order.
     """
-    if f1 < 0:
-        return []
-    a_s = min(basis.weight.a)
+    t = thresholds(basis, 1)
+    orders = t.block_orders
     index = basis.index
-    first = [len(orders) if y is None else y // a_s for y in nodes]
+    first = [len(orders) if y is None else y // t.a_s for y in nodes]
     out = []
     for q, order in enumerate(orders):
-        base = q * a_s * index
+        base = q * t.a_s * index
         out += [base + o for o, v in enumerate(order) if first[v] <= q]
-    del out[bisect_left(out, (f1 + 1) * index):]
+    del out[bisect_left(out, (t.f[0] + 1) * index):]
     return out
 
 
-def _labels(basis: LatticeBasis, f1: int, nodes) -> list[int]:
+def _labels(basis: LatticeBasis, nodes) -> list[int]:
     """The member codes of a node vector, in (degree, torsion) order: one
     label expansion (``_covers`` lists its codes without it)."""
-    return _codes(basis, f1, nodes, _block_orders(basis, f1))
+    return _codes(basis, nodes)
 
 
-def _covers(basis: LatticeBasis, f1: int, nodes) -> list[tuple[int, int]]:
+def _covers(basis: LatticeBasis, nodes) -> list[tuple[int, int]]:
     """Hasse covers of a node vector's members: code pairs (z - g, z), sorted.
 
     A member z of degree y at node v covers z - g, for an atom g, exactly
@@ -125,7 +103,6 @@ def _covers(basis: LatticeBasis, f1: int, nodes) -> list[tuple[int, int]]:
     """
     t = thresholds(basis, 1)
     index = basis.index
-    orders = _block_orders(basis, f1)
     pairs = []
     for g, (dg, step) in zip(t.atoms(), t.atom_maps):
         above = [
@@ -134,7 +111,7 @@ def _covers(basis: LatticeBasis, f1: int, nodes) -> list[tuple[int, int]]:
         ]
         down = basis.torsion_shift([-x for x in g.torsion])
         delta = [c - u - dg * index for u, c in enumerate(down)]
-        his = _codes(basis, f1, above, orders)
+        his = _codes(basis, above)
         pairs += zip([z + delta[z % index] for z in his], his)
     pairs.sort()
     return pairs
@@ -148,18 +125,18 @@ def _classes(basis: LatticeBasis, codes) -> dict:
 
 
 class _CodedPoset:
-    """The members and covers of a poset given by ``basis``, ``nodes`` and
-    its top degree ``_top``: as codes, and as classes built from them."""
+    """The members and covers of a poset given by ``basis`` and ``nodes``:
+    as codes, and as classes built from them."""
 
     @cached_property
     def label_codes(self) -> list[int]:
         """The members' codes, degree * index + torsion code, in order."""
-        return _labels(self.basis, self._top, self.nodes)
+        return _labels(self.basis, self.nodes)
 
     @cached_property
     def cover_codes(self) -> list[tuple[int, int]]:
         """The Hasse covers as sorted code pairs."""
-        return _covers(self.basis, self._top, self.nodes)
+        return _covers(self.basis, self.nodes)
 
     def _members(self) -> tuple:
         return tuple(_classes(self.basis, self.label_codes).values())
@@ -184,14 +161,10 @@ class StructurePoset(_StructurePosetFields, _CodedPoset):
 
     __setattr__ = _read_only
 
-    @property
-    def _top(self) -> int:
-        return self.f1
-
     @cached_property
     def nodes(self) -> tuple:
         index = self.basis.index
-        return tuple(v // index for v in range(min(self.basis.weight.a) * index))
+        return tuple(v // index for v in range(thresholds(self.basis, 1).a_s * index))
 
     @cached_property
     def elements(self) -> tuple[QuotientClass, ...]:
@@ -205,7 +178,7 @@ class StructurePoset(_StructurePosetFields, _CodedPoset):
     def representable(self) -> frozenset:
         """The members of the walk's t_1 vector: count >= 1 at degree >= t_1(node)."""
         least = thresholds(self.basis, 1).least_degrees(1)
-        return frozenset(_classes(self.basis, _labels(self.basis, self.f1, least)).values())
+        return frozenset(_classes(self.basis, _labels(self.basis, least)).values())
 
     def leq(self, b: QuotientClass, a: QuotientClass) -> bool:
         """b <= a in the structure order."""
@@ -225,12 +198,7 @@ def structure_poset(basis: LatticeBasis) -> StructurePoset:
     elements exceed MAX_POSET_ELEMENTS.
     """
     f1 = thresholds(basis, 1).f[0]
-    elements = (f1 + 1) * basis.index
-    if elements > MAX_POSET_ELEMENTS:
-        raise InputError(
-            f"the structure poset has (F_1 + 1) * index = {elements} elements, "
-            f"over the budget of {MAX_POSET_ELEMENTS}"
-        )
+    _check_window(basis, f1, "structure poset")
     return StructurePoset(basis, f1)
 
 
@@ -272,10 +240,6 @@ class ModulePoset(_ModulePosetFields, _CodedPoset):
     def __getnewargs__(self):
         return (*self, self.basis, self.atoms)
 
-    @property
-    def _top(self) -> int:
-        return self.f_1
-
     @cached_property
     def labels(self) -> frozenset:
         return frozenset(self._members())
@@ -296,36 +260,33 @@ class ModulePoset(_ModulePosetFields, _CodedPoset):
 def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     """The k-th module's node vector and minimal elements; the rest on first read.
 
-    The vector is filled in one pass over the oracle table's rows
-    m_k..m_k + F_1. A label x is minimal exactly when no x - g is a
-    label, for g an atom; x - g lies at the node the walk's map for g
-    gives, the same for every label of x's node, so only each node's
-    least label can be minimal, and it is when every such node has no
-    label or a least one above deg x - deg g.
+    The labels at node v are the degrees r, r + a_s, ... up to F_1, with
+    r its residue, and their torsions are the walk's ``block_codes``.
+    Each step adds [e_s], so the count of the label's class moved up by
+    m_k never falls along the chain, and the vector is filled by one
+    bisection per node: nodes[v] is the first degree of the chain whose
+    class has count >= k in the oracle table, found in at most
+    ceil(log2(F_1 // a_s + 2)) cell reads. The minimal elements are the
+    least labels of the walk's ``minimal_nodes``.
     """
     mk = m_value(basis, k)
     t = thresholds(basis, k)  # the walk m_value just ran
-    f1 = t.f[0]
-    a_s = min(basis.weight.a)
-    index = basis.index
-    ups = _label_torsions(basis, f1)
+    f1, a_s, codes = t.f[0], t.a_s, t.block_codes
+    index, torsions = basis.index, basis.torsions
     nodes = [None] * (a_s * index)
     if f1 >= 0:
         table = _oracle_table(basis, mk + f1)
-        for y in range(f1 + 1):
-            q, r = divmod(y, a_s)
-            base = r * index
-            row = table.row(mk + y)
-            for c, u in enumerate(ups[q]):
-                if row[u] >= k and nodes[base + c] is None:
-                    nodes[base + c] = y
-    least = [f1 + 1 if y is None else y for y in nodes]  # None: above every label
-    torsions = basis.torsions
-    minimal = frozenset(
-        QuotientClass(y, torsions[ups[y // a_s][node % index]])
-        for node, y in enumerate(nodes)
-        if y is not None and all(least[step[node]] > y - g for g, step in t.atom_maps)
-    )
+        for v in range(len(nodes)):
+            r, c = divmod(v, index)
+            chain = range(r, f1 + 1, a_s)
+            i = bisect_left(
+                chain,
+                True,
+                key=lambda y: table.count(QuotientClass(mk + y, torsions[codes[y // a_s][c]])) >= k,
+            )
+            if i < len(chain):
+                nodes[v] = chain[i]
+    minimal = frozenset(t.node_class(v, nodes[v]) for v in t.minimal_nodes(nodes))
     return ModulePoset(k, mk, f1, tuple(nodes), minimal, basis, t.atoms())
 
 
@@ -349,15 +310,14 @@ def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
-    f_values = kth_degrees(basis, k_max)[0]
-    f1 = f_values[0]
-    a_s = min(basis.weight.a)
+    t = thresholds(basis, k_max)
+    f1, a_s = t.f[0], t.a_s
     window = (f1 + 1) * basis.index  # the labels of a full poset; none when F_1 = -1
     posets = tuple(module_poset(basis, k) for k in range(1, k_max + 1))
     b_values = []
     full_ks = []
     distinct: dict[tuple, ModulePoset] = {}  # node vector -> first poset with it
-    for mp, fk in zip(posets, f_values):
+    for mp, fk in zip(posets, t.f):
         b_values.append(fk - mp.m_k)
         distinct.setdefault(mp.nodes, mp)
         is_full = sum((f1 - y) // a_s + 1 for y in mp.nodes if y is not None) == window

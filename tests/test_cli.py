@@ -277,6 +277,21 @@ def test_structure_poset_over_the_element_budget_exits_2():
         assert "6814762 elements" in res.stderr
 
 
+def test_module_poset_over_the_element_budget_exits_2():
+    # The window of (2001, 2003, 2011) at k = 2 holds 808,401 classes, well
+    # within the table budget; listing them is held to the poset budget
+    # after the walk, before the table is built. verify lists no labels,
+    # so it still answers.
+    res = subprocess.run(
+        [sys.executable, "-m", "genfrob", "poset", "-a", "2001,2003,2011", "-k", "2"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert res.stderr.startswith("error: ")
+    assert "808401 elements" in res.stderr
+
+
 def test_degree_cap_env_var():
     good = run_cli(["frobenius", "-a", "3,5,8", "-k", "2"],
                    env={"GENFROB_DEGREE_CAP": "40"})

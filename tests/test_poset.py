@@ -236,11 +236,38 @@ def test_module_poset_node_vector_matches_the_class_by_class_oracle():
     # variables: for k = 1..4 the labels, minimal elements and witnesses
     # read from the node vector against the construction class by class,
     # the generator test on node maps against at_least on class
-    # differences, and the finiteness report against the label sets
+    # differences, and the finiteness report against the label sets;
+    # then bases with long chains (F_1 >= 20 * a_s, so each node's
+    # bisection takes several steps) for k = 1..8, where some nodes have
+    # no label in the window
     import math
     import random
 
     from .oracles import generator_classes_by_class_tests, module_poset_by_classes
+
+    def check(B, k_max):
+        f1 = minimal_generators(B, 1).f_1
+        window = frozenset(QuotientClass(d, t) for d in range(f1 + 1) for t in B.torsions)
+        label_sets = []
+        for k in range(1, k_max + 1):
+            mp = module_poset(B, k)
+            labels, minimal, witnesses = module_poset_by_classes(B, k)
+            assert mp.labels == labels, (B.weight.a, B.vectors, k)
+            assert mp.minimal_elements == minimal, (B.weight.a, B.vectors, k)
+            assert mp.min_degree_classes == witnesses, (B.weight.a, B.vectors, k)
+            classes = sorted(minimal_generators(B, k).classes)
+            assert classes == generator_classes_by_class_tests(B, k), (B.weight.a, B.vectors, k)
+            label_sets.append(labels)
+        rep = finiteness_report(B, k_max)
+        assert rep.distinct_label_sets == tuple(dict.fromkeys(label_sets)), (B.weight.a, B.vectors)
+        full = tuple(k for k, labels in enumerate(label_sets, start=1) if labels == window)
+        assert rep.full_poset_ks == full, (B.weight.a, B.vectors)
+        return f1
+
+    def sublattice(a, index, i=0):
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        vecs[i] = [index * x for x in vecs[i]]
+        return LatticeBasis(WeightVector(a), tuple(map(tuple, vecs)))
 
     rng = random.Random(2020)
     kinds = set()
@@ -250,31 +277,23 @@ def test_module_poset_node_vector_matches_the_class_by_class_oracle():
         a = tuple(rng.randint(1 if rng.random() < 0.2 else 2, 12) for _ in range(n))
         if math.gcd(*a) != 1:
             continue
-        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
-        index = rng.randint(1, 3)
-        i = rng.randrange(n - 1)
-        vecs[i] = [index * x for x in vecs[i]]
-        B = LatticeBasis(WeightVector(a), tuple(map(tuple, vecs)))
-        f1 = minimal_generators(B, 1).f_1
-        window = frozenset(QuotientClass(d, t) for d in range(f1 + 1) for t in B.torsions)
-        label_sets = []
-        for k in range(1, 5):
-            mp = module_poset(B, k)
-            labels, minimal, witnesses = module_poset_by_classes(B, k)
-            assert mp.labels == labels, (a, B.vectors, k)
-            assert mp.minimal_elements == minimal, (a, B.vectors, k)
-            assert mp.min_degree_classes == witnesses, (a, B.vectors, k)
-            classes = sorted(minimal_generators(B, k).classes)
-            assert classes == generator_classes_by_class_tests(B, k), (a, B.vectors, k)
-            label_sets.append(labels)
-        rep = finiteness_report(B, 4)
-        assert rep.distinct_label_sets == tuple(dict.fromkeys(label_sets)), (a, B.vectors)
-        full = tuple(k for k, labels in enumerate(label_sets, start=1) if labels == window)
-        assert rep.full_poset_ks == full, (a, B.vectors)
+        B = sublattice(a, rng.randint(1, 3), rng.randrange(n - 1))
+        f1 = check(B, 4)
         kinds.add((n, B.index, f1 < 0))
         cases += 1
     assert {(n, i) for n, i, _ in kinds} == {(n, i) for n in (2, 3, 4) for i in (1, 2, 3)}
     assert any(empty for *_, empty in kinds)
+
+    long_chains = [
+        sublattice(a, index)
+        for a, index in (((2, 93), 1), ((3, 64), 1), ((3, 50, 71), 1), ((5, 121, 133), 1),
+                         ((4, 91, 97), 2), ((3, 31, 58, 83), 3), ((2, 45, 73), 2))
+    ]
+    for B in long_chains:
+        assert check(B, 8) >= 20 * min(B.weight.a), B.weight.a
+    # On two variables F_k - m_k = F_1, so the node of F_1 has no label
+    # at every k.
+    assert None in module_poset(long_chains[0], 8).nodes
 
 
 def test_posets_on_codes_match_the_class_by_class_oracles():

@@ -10,6 +10,7 @@ expansion of a module poset's node vector into labels) where ``poset``
 calls them.
 ``ideal._buchberger_pairs`` counts Groebner basis runs, and
 ``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
+``CountTable.row`` and ``CountTable.count`` count the table cells read.
 ``LatticeBasis.label`` counts the points labelled.
 """
 import json
@@ -79,6 +80,39 @@ def test_module_poset_runs_one_walk(work, capsys):
         assert main(["poset", "-a", a, "-k", k, "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["poset"]["labels"]) == labels
         assert work == {**work, "walks": 1, "tables": 1, "labels": 1, "covers": 1}
+
+
+def test_module_poset_reads_a_few_table_cells_a_node(monkeypatch):
+    # One bisection per residue node along its chain of label degrees
+    # r, r + a_s, ... up to F_1: at most ceil(log2(F_1 // a_s + 2)) count
+    # reads a node, where a pass over the window's table rows reads all of
+    # its (F_1 + 1) * index cells. A row read counts its index cells.
+    cells = 0
+    row, count = counting.CountTable.row, counting.CountTable.count
+
+    def counted_row(self, degree):
+        nonlocal cells
+        out = row(self, degree)
+        cells += len(out)
+        return out
+
+    def counted_count(self, c):
+        nonlocal cells
+        cells += 1
+        return count(self, c)
+
+    monkeypatch.setattr(counting.CountTable, "row", counted_row)
+    monkeypatch.setattr(counting.CountTable, "count", counted_count)
+    index6 = LatticeBasis(WeightVector((13, 17, 29)), ((-17, 13, 0), (-696, 522, 6)))
+    assert index6.index == 6
+    for basis in (kernel_basis(WeightVector((211, 223, 227))), index6):
+        a_s = min(basis.weight.a)
+        for k in range(1, 4):
+            cells = 0
+            f1 = module_poset(basis, k).f_1
+            assert f1 > 4 * a_s
+            bound = a_s * basis.index * ((f1 // a_s + 1).bit_length() + 1)
+            assert 0 < cells <= bound, (basis.weight.a, k, cells, bound)
 
 
 def test_structure_poset_builds_its_covers_once(work, capsys):
