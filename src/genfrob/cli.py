@@ -4,14 +4,17 @@ Deterministic text/JSON/DOT output for the basis, ideal, ball, module,
 poset, frobenius, sequence, and verify commands. Exit codes: 0 success,
 2 invalid input, 3 verification mismatch, 4 arithmetic overflow, 5
 internal error (an invariant check failed; the message goes to stderr).
+
+One table, ``COMMANDS``, gives each command's handler, help, ``--format``
+choices and ``-k`` or ``--k-max`` option; ``parse_args`` reads argv
+against it in one pass, and the help and usage text are built from it.
 """
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .counting import _oracle_table, kth_degrees, m_value
 from .frobenius import brute_force_frobenius, brute_force_m, frobenius
@@ -349,65 +352,195 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="genfrob",
-        description="Generalised Frobenius numbers, lattice ideals, "
-        "lattice modules, and structure posets.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The options every command takes: (option strings, destination, default, help).
+_COMMON = (
+    (("-h", "--help"), "help", None, "show this help and exit"),
+    (("-a", "--weights"), "weights", None, "weights, e.g. 3,5,8 (required)"),
+    (("--basis",), "basis", None, "file with one basis vector per line"),
+    (("-o", "--output"), "output", None, "write output to this path"),
+    (("--threads",), "threads", 1, "worker threads; output is identical for any value"),
+    (("--format",), "format", "text", "output format"),
+)
+_INTEGER_OPTIONS = ("threads", "k", "k_max")
+_TOP_OPTIONS = {"-h": _COMMON[0], "--help": _COMMON[0]}
+_TEXT_JSON = ("text", "json")
 
-    def common(p, k=False, k_max=False, formats=("text", "json")):
-        p.add_argument("-a", "--weights", required=True, help="weights, e.g. 3,5,8")
-        p.add_argument("--basis", help="file with one basis vector per line")
-        p.add_argument("-o", "--output", help="write output to this path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (output is identical for any value)")
-        p.add_argument("--format", choices=formats, default="text")
-        if k:
-            p.add_argument("-k", type=int, default=1)
-        if k_max:
-            p.add_argument("--k-max", dest="k_max", type=int, default=4)
-
-    common(sub.add_parser("basis", help="kernel or sublattice basis and index"))
-    common(sub.add_parser("ideal", help="minimal Markov basis of the lattice ideal"))
-    common(sub.add_parser("ball", help="radius-k ball in the move graph"), k=True)
-    common(sub.add_parser("module", help="minimal generators of the k-th module"), k=True)
-    p = sub.add_parser("poset", help="structure poset, or module poset with -k")
-    common(p, formats=("text", "json", "dot"))
-    p.add_argument("-k", type=int, default=None)
-    common(sub.add_parser("frobenius", help="k-th Frobenius number"), k=True)
-    common(sub.add_parser("sequence", help="F/m/b sequence report"), k_max=True)
-    common(sub.add_parser("verify", help="pipeline against the counting and lcm oracles"),
-           k_max=True, formats=("text",))
-    return parser
-
-
-_COMMANDS = {
-    "basis": _cmd_basis,
-    "ideal": _cmd_ideal,
-    "ball": _cmd_ball,
-    "module": _cmd_module,
-    "poset": _cmd_poset,
-    "frobenius": _cmd_frobenius,
-    "sequence": _cmd_sequence,
-    "verify": _cmd_verify,
+# The command table: name -> (handler, help, --format choices, the row of
+# its -k or --k-max option or None).
+COMMANDS = {
+    "basis": (_cmd_basis, "kernel or sublattice basis and index", _TEXT_JSON, None),
+    "ideal": (_cmd_ideal, "minimal Markov basis of the lattice ideal", _TEXT_JSON, None),
+    "ball": (_cmd_ball, "radius-k ball in the move graph", _TEXT_JSON,
+             (("-k",), "k", 1, "radius of the ball")),
+    "module": (_cmd_module, "minimal generators of the k-th module", _TEXT_JSON,
+               (("-k",), "k", 1, "which module")),
+    "poset": (_cmd_poset, "structure poset, or module poset with -k", ("text", "json", "dot"),
+              (("-k",), "k", None,
+               "module poset of the k-th module; omit it for the structure poset")),
+    "frobenius": (_cmd_frobenius, "k-th Frobenius number", _TEXT_JSON,
+                  (("-k",), "k", 1, "which Frobenius number")),
+    "sequence": (_cmd_sequence, "F/m/b sequence report", _TEXT_JSON,
+                 (("--k-max",), "k_max", 4, "report k = 1 to K_MAX")),
+    "verify": (_cmd_verify, "pipeline against the counting and lcm oracles", ("text",),
+               (("--k-max",), "k_max", 4, "check k = 1 to K_MAX")),
 }
+_DESCRIPTION = ("Generalised Frobenius numbers, lattice ideals, lattice modules, "
+                "and structure posets.")
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and reused for the process."""
-    return build_parser()
+def parse_args(argv=None) -> SimpleNamespace:
+    """The command and its options, read from argv (sys.argv[1:] by
+    default) in one pass against the command table.
+
+    `-a/--weights` is required. A value follows its option (`--opt v`,
+    `--opt=v`) or is attached to a short one (`-k3`); a long option may
+    be cut to a unique prefix; options come in any order and the last
+    repeat wins. A separate value may start with "-" only as a negative
+    number. `-h` prints help and exits 0; a usage error prints the usage
+    and the error to stderr and exits 2.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    stray = []
+    for i, arg in enumerate(argv):
+        hit = _match(arg, _TOP_OPTIONS, "")
+        if hit is None:
+            break
+        if hit[0] is None:
+            stray.append(arg)
+        else:
+            _help("", hit[1])
+    else:
+        _fail("", "the following arguments are required: command")
+    if arg not in COMMANDS:
+        choices = ", ".join(map(repr, COMMANDS))
+        _fail("", f"argument command: invalid choice: {arg!r} (choose from {choices})")
+    return _read_options(arg, argv[i + 1:], stray)
+
+
+def _read_options(name: str, argv: list, stray: list) -> SimpleNamespace:
+    formats = COMMANDS[name][2]
+    rows = _rows(name)
+    options = {flag: row for row in rows for flag in row[0]}
+    values = {dest: default for _, dest, default, _ in rows[1:]}  # all but -h
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--":
+            _fail(name, "unrecognized arguments: " + " ".join(argv[i - 1:]))
+        hit = _match(arg, options, name)
+        if hit is None or hit[0] is None:
+            stray.append(arg)
+            continue
+        (flags, dest, _, _), value = hit
+        if dest == "help":
+            _help(name, value)
+        flag = "/".join(flags)
+        if value is None:
+            if i == len(argv) or _match(argv[i], options, name) is not None:
+                _fail(name, f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if dest in _INTEGER_OPTIONS:
+            try:
+                value = int(value)
+            except ValueError:
+                _fail(name, f"argument {flag}: invalid int value: {value!r}")
+        elif dest == "format" and value not in formats:
+            choices = ", ".join(map(repr, formats))
+            _fail(name, f"argument {flag}: invalid choice: {value!r} (choose from {choices})")
+        values[dest] = value
+    if values["weights"] is None:
+        _fail(name, "the following arguments are required: -a/--weights")
+    if stray:
+        _fail(name, "unrecognized arguments: " + " ".join(stray))
+    if values["threads"] < 1:
+        _fail(name, "--threads must be at least 1")
+    return SimpleNamespace(command=name, **values)
+
+
+def _rows(name: str) -> tuple:
+    """The option rows of a command: the common ones, then its k option."""
+    k_row = COMMANDS[name][3]
+    return _COMMON if k_row is None else (*_COMMON, k_row)
+
+
+def _match(arg: str, options: dict, name: str):
+    """How one argument reads against the option strings of a command.
+
+    None for a value: a word that does not start with "-", "-" or "--"
+    itself, a negative number or a dashed word with a space. Otherwise (the
+    option's row, or None for an unknown option; the value given with
+    "=" or attached to a short option, or None).
+    """
+    if arg[:1] != "-" or arg in ("-", "--"):
+        return None
+    if arg in options:
+        return options[arg], None
+    head, eq, tail = arg.partition("=")
+    if eq and head in options:
+        return options[head], tail
+    if arg[1] == "-":
+        hits = [flag for flag in options if flag.startswith(head)]
+        if len(hits) > 1:
+            _fail(name, f"ambiguous option: {head} could match {', '.join(hits)}")
+        if hits:
+            return options[hits[0]], tail if eq else None
+    elif arg[:2] in options:
+        return options[arg[:2]], arg[2:]
+    whole, dot, fraction = arg[1:].partition(".")
+    number = (whole + fraction).isdecimal() and bool(fraction or not dot)  # -\d+ or -\d*\.\d+
+    return None if number or " " in arg else (None, None)
+
+
+def _metavar(dest: str, name: str) -> str:
+    if dest == "help":
+        return ""
+    if dest == "format":
+        return " {" + ",".join(COMMANDS[name][2]) + "}"
+    return " " + dest.upper()
+
+
+def _usage(name: str) -> str:
+    if not name:
+        return "usage: genfrob [-h] {" + ",".join(COMMANDS) + "} ..."
+    words = []
+    for flags, dest, _, _ in _rows(name):
+        word = flags[0] + _metavar(dest, name)
+        words.append(word if dest == "weights" else f"[{word}]")
+    return f"usage: genfrob {name} " + " ".join(words)
+
+
+def _help(name: str, attached) -> None:
+    """Print the help of a command, or of genfrob for name "", and exit 0."""
+    if attached is not None:
+        _fail(name, f"argument -h/--help: ignored explicit argument {attached!r}")
+    sections = [] if name else [("commands", [(cmd, row[1]) for cmd, row in COMMANDS.items()])]
+    options = []
+    for flags, dest, default, text in _rows(name) if name else _COMMON[:1]:
+        if default is not None:
+            text += f" (default: {default})"
+        options.append((", ".join(flags) + _metavar(dest, name), text))
+    sections.append(("options", options))
+    out = [_usage(name), COMMANDS[name][1] if name else _DESCRIPTION]
+    for title, entries in sections:
+        width = max(len(left) for left, _ in entries) + 2
+        lines = [f"  {left:<{width}}{right}" for left, right in entries]
+        out.append(f"{title}:\n" + "\n".join(lines))
+    sys.stdout.write("\n\n".join(out) + "\n")
+    raise SystemExit(EXIT_OK)
+
+
+def _fail(name: str, message: str) -> None:
+    """Print the usage and a usage error to stderr and exit 2."""
+    sys.stderr.write(f"{_usage(name)}\n{('genfrob ' + name).rstrip()}: error: {message}\n")
+    raise SystemExit(EXIT_INVALID_INPUT)
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
+    args = parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT

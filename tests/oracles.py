@@ -16,8 +16,11 @@ counting table; ``module_poset_by_classes``,
 class-by-class forms of the module poset, of the generator test and of
 the Hasse covers, on the package's walk, oracle table and class
 arithmetic; and ``thresholds_by_heap``, which wraps its
-walk in the package's ``Thresholds``.
+walk in the package's ``Thresholds``. ``build_parser`` is the argparse
+parser the CLI used before its command table, kept as the reference
+reading of every argv.
 """
+import argparse
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -536,3 +539,37 @@ def thresholds_by_heap(basis, k_max):
         if f > m + f1:
             raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
     return t
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="genfrob",
+        description="Generalised Frobenius numbers, lattice ideals, "
+        "lattice modules, and structure posets.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, k=False, k_max=False, formats=("text", "json")):
+        p.add_argument("-a", "--weights", required=True, help="weights, e.g. 3,5,8")
+        p.add_argument("--basis", help="file with one basis vector per line")
+        p.add_argument("-o", "--output", help="write output to this path")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (output is identical for any value)")
+        p.add_argument("--format", choices=formats, default="text")
+        if k:
+            p.add_argument("-k", type=int, default=1)
+        if k_max:
+            p.add_argument("--k-max", dest="k_max", type=int, default=4)
+
+    common(sub.add_parser("basis", help="kernel or sublattice basis and index"))
+    common(sub.add_parser("ideal", help="minimal Markov basis of the lattice ideal"))
+    common(sub.add_parser("ball", help="radius-k ball in the move graph"), k=True)
+    common(sub.add_parser("module", help="minimal generators of the k-th module"), k=True)
+    p = sub.add_parser("poset", help="structure poset, or module poset with -k")
+    common(p, formats=("text", "json", "dot"))
+    p.add_argument("-k", type=int, default=None)
+    common(sub.add_parser("frobenius", help="k-th Frobenius number"), k=True)
+    common(sub.add_parser("sequence", help="F/m/b sequence report"), k_max=True)
+    common(sub.add_parser("verify", help="pipeline against the counting and lcm oracles"),
+           k_max=True, formats=("text",))
+    return parser

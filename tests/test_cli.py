@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -10,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from genfrob import WeightVector, class_label, kernel_basis, parse_monomial
-from genfrob.cli import main
+from genfrob.cli import main, parse_args
+
+from .oracles import build_parser
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -451,15 +454,10 @@ def test_poset_dot_with_k_exits_2(capsys):
     assert capsys.readouterr().out.startswith("digraph hasse {")
 
 
-def test_reused_parser_prints_what_a_fresh_process_prints(monkeypatch, tmp_path, capsys):
-    # main builds its parser once per process; no option of one call may
-    # carry over into the next.
-    import genfrob.cli as cli
-
+def test_reused_parser_prints_what_a_fresh_process_prints(tmp_path, capsys):
+    # No option of one call in a process may carry over into the next.
     assert main(["frobenius", "-a", "3,5,8"]) == 0
     capsys.readouterr()
-    builds = []
-    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1))
     target = tmp_path / "module.txt"
     sequence = (
         ["poset", "-k", "2"],
@@ -481,7 +479,6 @@ def test_reused_parser_prints_what_a_fresh_process_prints(monkeypatch, tmp_path,
         target.unlink(missing_ok=True)
         assert got == (fresh.returncode, fresh.stdout, written), argv
         assert got[1] or got[2]
-    assert builds == []
 
 
 def test_walk_over_the_memory_budget_exits_2_at_once(capsys):
@@ -493,8 +490,8 @@ def test_walk_over_the_memory_budget_exits_2_at_once(capsys):
     assert "300000000 list entries" in err
 
 
-def test_import_pulls_in_neither_dataclasses_nor_inspect():
-    # Both cost startup time on every call. The modules already loaded
+def test_import_pulls_in_none_of_dataclasses_inspect_argparse_gettext():
+    # Each costs startup time on every call. The modules already loaded
     # before the import, by site hooks among others, do not count.
     code = (
         "import sys\n"
@@ -506,4 +503,138 @@ def test_import_pulls_in_neither_dataclasses_nor_inspect():
     assert res.returncode == 0, res.stderr
     added = set(res.stdout.split())
     assert "genfrob.cli" in added
-    assert not added & {"dataclasses", "inspect"}
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
+
+
+# Values of the options, and those that may only be attached to their
+# option because a separate word starting with "-" would read as an option.
+_VALUES = {
+    "weights": ["3,5,8", "3,4,11", "1,2", "7,9,11,13"],
+    "basis": ["basis.txt", "dir/b.txt", "-5", ""],
+    "output": ["out.txt", "-7", "o"],
+    "threads": ["1", "2", "4", "+3"],
+    "k": ["1", "3", "0", "-2", "+5"],
+    "k_max": ["1", "4", "6", "-3"],
+}
+_ATTACHED_ONLY = {"weights": ["-3,5", "-1,2"], "output": ["-out.txt"]}
+_FLAGS = {
+    "weights": ("-a", "--weights"), "basis": (None, "--basis"), "output": ("-o", "--output"),
+    "threads": (None, "--threads"), "format": (None, "--format"), "k": ("-k", None),
+    "k_max": (None, "--k-max"),
+}
+_FORMATS = {"poset": ["text", "json", "dot"], "verify": ["text"]}
+_K_DEST = {"ball": "k", "module": "k", "poset": "k", "frobenius": "k",
+           "sequence": "k_max", "verify": "k_max"}
+
+
+def _spelled(rng, dest, value, attached_only):
+    """One way of writing an option with its value, as a list of words."""
+    short, long = _FLAGS[dest]
+    forms = []
+    if long:
+        cut = long[:rng.randrange(3, len(long))]  # a unique prefix: first letters differ
+        forms += [[f"{long}={value}"], [f"{cut}={value}"]]
+        if not attached_only:
+            forms += [[long, value], [cut, value]]
+    if short:
+        forms.append([short + value])
+        if not attached_only:
+            forms.append([short, value])
+    return rng.choice(forms)
+
+
+def _valid_argv(rng, command):
+    dests = ["weights", "basis", "output", "threads", "format"]
+    if command in _K_DEST:
+        dests.append(_K_DEST[command])
+    groups = []
+    for dest in dests:
+        for _ in range(rng.choice((1, 2)) if dest == "weights" else rng.choice((0, 1, 1, 2))):
+            if dest == "format":
+                values, attached = _FORMATS.get(command, ["text", "json"]), []
+            else:
+                values, attached = _VALUES[dest], _ATTACHED_ONLY.get(dest, [])
+            value = rng.choice(values + attached)
+            groups.append(_spelled(rng, dest, value, value in attached))
+    rng.shuffle(groups)
+    return [command, *(word for group in groups for word in group)]
+
+
+def test_table_parser_reads_every_argv_as_the_reference_parser():
+    # Every command, options in any order, repeated (the last one wins),
+    # cut to a prefix, given with "=", attached to a short option, and
+    # negative integers as separate values.
+    rng = random.Random(23)
+    reference = build_parser()
+    commands = ["basis", "ideal", "ball", "module", "poset", "frobenius", "sequence", "verify"]
+    corpus = [_valid_argv(rng, commands[i % len(commands)]) for i in range(240)]
+    for argv in corpus:
+        assert vars(parse_args(argv)) == vars(reference.parse_args(argv)), argv
+    words = {word for argv in corpus for word in argv}
+    assert {"-k", "-k-2", "--k", "--form", "--weights=-3,5", "-a-3,5", "-o", "-7"} <= words
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobenius"],
+    ["frobenius", "-k", "2"],
+    ["frobenius", "-a", "3,5", "--bogus"],
+    ["frobenius", "-a", "3,5", "-x"],
+    ["frobenius", "-a", "3,5", "stray"],
+    ["frobenius", "-a", "3,5", "-k", "x"],
+    ["frobenius", "-a", "3,5", "--threads", "1.5"],
+    ["verify", "-a", "3,5", "--format", "json"],
+    ["poset", "-a", "3,5", "--format=svg"],
+    ["frobenius", "-a"],
+    ["frobenius", "-a", "3,5", "--format"],
+    ["frobenius", "-a", "3,5", "-k", "--threads", "2"],
+    ["frobenius", "-a", "-3,5"],
+    ["sequence", "-a", "3,5", "-k", "2"],
+    ["basis", "-a", "3,5", "-k1"],
+    ["frobenius", "-a", "3,5", "--k-max", "2"],
+    ["frob", "-a", "3,5"],
+    ["-a", "3,5"],
+    [],
+])
+def test_both_parsers_exit_2_on_malformed_argv(argv, capsys):
+    for parse in (parse_args, build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: genfrob")
+
+
+def test_threads_below_one_is_an_error_of_the_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["frobenius", "-a", "3,5", "--threads", "0"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == "genfrob frobenius: error: --threads must be at least 1"
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    return out
+
+
+def test_help_lists_every_command_and_its_options(capsys):
+    # The names, help strings, options and choices are the reference parser's.
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+    helps = {a.dest: a.help for a in commands._choices_actions}
+    assert len(helps) == 8
+    lines = _help(["-h"], capsys).splitlines()
+    for name, text in helps.items():
+        assert any(line.split(None, 1) == [name, text] for line in lines), name
+    assert _help(["--help"], capsys).splitlines() == lines
+    for name, parser in commands.choices.items():
+        words = set(_help([name, "--help"], capsys).replace(", ", " ").split())
+        for action in parser._actions:
+            assert set(action.option_strings) <= words, (name, action.option_strings)
+            if action.choices:
+                assert "{" + ",".join(action.choices) + "}" in words, name
