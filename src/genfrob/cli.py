@@ -58,7 +58,7 @@ def _read_basis_file(path: str, weight: WeightVector) -> LatticeBasis:
 
 def _make_basis(args) -> LatticeBasis:
     weight = _parse_weights(args.weights)
-    if args.basis:
+    if args.basis is not None:
         return _read_basis_file(args.basis, weight)
     return kernel_basis(weight)
 
@@ -68,7 +68,7 @@ def _label_list(c) -> list:
 
 
 def _emit(args, text: str) -> None:
-    if not args.output:
+    if args.output is None:
         sys.stdout.write(text)
         return
     try:

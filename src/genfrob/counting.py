@@ -9,10 +9,11 @@ Two independent ways to count points of N^n per quotient class:
   (``kth_degrees``), whether a class has count >= k, and the atoms of
   the representable monoid with their node maps, so the module and
   poset layers test minimality by comparing degrees on nodes.
-- ``CountTable``, unbounded-knapsack dynamic programming over (torsion,
-  degree), saturated at a cap. It is the brute-force oracle the engine
-  is checked against, and the table from which ``module_poset`` reads
-  its labels' counts, by one bisection per residue node.
+- ``CountTable``, unbounded-knapsack dynamic programming over (degree,
+  torsion) into one flat list of exact counts, saturated at a cap when
+  a cell is read. It is the brute-force oracle the engine is checked
+  against, and the table from which ``module_poset`` reads its labels'
+  counts by (degree, torsion code), by one bisection per residue node.
 
 Both code a torsion tuple by ``LatticeBasis.torsion_code`` and take
 the unit classes [e_i] from ``LatticeBasis.units``; the lattice layer
@@ -39,6 +40,7 @@ from __future__ import annotations
 import sys
 from bisect import bisect_left, bisect_right
 from functools import cached_property
+from operator import add, itemgetter
 from typing import NamedTuple
 
 from .lattice import InputError, LatticeBasis, QuotientClass, vsub, xgcd
@@ -52,24 +54,29 @@ class Fiber(NamedTuple):
 
 
 # Largest (max_degree + 1) * index, the degrees times the torsion
-# classes, that one counting table may hold. A cell is a slot in its
-# row's list, and each row is one list: on CPython 3.11 a table on a
-# kernel lattice (index 1) costs 72 bytes a cell under tracemalloc and
-# about 88 bytes of peak RSS, and one of index 50 about 9 bytes, so a
-# table stays under about 350 MB. The oracle table's exact counts cost
-# no more at the depths its readers ask: they stay small ints, 173 at
-# most in the 512,513 cells `verify -a 1001,1003,1007 --k-max 2` needs;
-# (10007, 10009, 10037) needs more than F_1 = 6,814,761.
+# classes, that one counting table may hold. A cell is one 8-byte slot of
+# one flat list, plus an int object for a count above 256. On CPython 3.11,
+# at 1M cells, tracemalloc and peak RSS gave 17 and 17 bytes a cell on
+# (1001, 1003, 1007) (counts up to 498), 42 and 48 on (3, 5, 8) (near
+# 4 * 10^9), 48 and 56 on (2, 3, 5, 7, 11, 13) (near 3 * 10^23), 39 and 39
+# at index 6 and 20 and 19 at index 50 on (13, 17, 29). Counts up to about
+# 10^54 keep 56 bytes, so a table stays under about 230 MB. The oracle
+# table's counts stay small: 113 at most in the 338,343 cells `verify -a
+# 1001,1003,1007 --k-max 2` needs; (10007, 10009, 10037) needs over 6.8M.
 MAX_TABLE_CELLS = 4_000_000
 
 
 class CountTable:
     """Saturating counts of nonnegative representatives per class.
 
-    counts[c] = min(#{u in N^n with label u = c}, cap) for every class c
-    of degree 0..max_degree. It keeps no reference to the basis, which
-    keeps its oracle table (``_oracle_table``). A table over
-    MAX_TABLE_CELLS raises InputError before anything is allocated.
+    count(c) = min(#{u in N^n with label u = c}, cap) for every class c
+    of degree 0..max_degree, read from one flat list of exact counts at
+    degree * index + torsion code. Adding generator i adds to each row
+    the row a_i below it with its torsions moved by [e_i], so a block of
+    a_i rows is one slice add, gathered through that permutation when
+    index > 1. It keeps no reference to the basis, which keeps its
+    oracle table (``_oracle_table``). A table over MAX_TABLE_CELLS
+    raises InputError before anything is allocated.
     """
 
     def __init__(self, basis: LatticeBasis, max_degree: int, cap: int):
@@ -87,40 +94,44 @@ class CountTable:
         self.weight = basis.weight
         self.max_degree = max_degree
         self.cap = cap
+        self.index = size
         self._torsions = basis.torsions
         self._torsion_code = basis.torsion_code
-        rows = [[0] * size for _ in range(max_degree + 1)]
-        rows[0][0] = 1
+        flat = [0] * cells
+        flat[0] = 1
         for ai, unit in zip(self.weight.a, basis.units):
-            shift = basis.torsion_shift([-x for x in unit.torsion])
-            for d in range(ai, max_degree + 1):
-                prev = rows[d - ai]
-                cur = rows[d]
-                for code in range(size):
-                    p = prev[shift[code]]
-                    if p:
-                        s = cur[code] + p
-                        cur[code] = s if s < cap else cap
-        self._rows = rows
+            block = ai * size
+            if size > 1:
+                shift = basis.torsion_shift([-x for x in unit.torsion])
+                gather = itemgetter(*[j * size + c for j in range(ai) for c in shift])
+            for start in range(block, cells, block):
+                below = flat[start - block:start]
+                if size > 1:
+                    below = gather(below)
+                # the last block may be partial: map stops at the shorter slice
+                flat[start:start + block] = map(add, flat[start:start + block], below)
+        self._cells = flat
+
+    def cell(self, degree: int, code: int) -> int:
+        """Saturated count of the class of this degree and torsion code; 0 below degree 0."""
+        if degree < 0:
+            return 0
+        if degree > self.max_degree:
+            raise InputError(f"degree {degree} beyond table range {self.max_degree}")
+        return min(self._cells[degree * self.index + code], self.cap)
 
     def count(self, c: QuotientClass) -> int:
         """Saturated count for class c; 0 below degree 0."""
-        if c.degree < 0:
-            return 0
-        if c.degree > self.max_degree:
-            raise InputError(
-                f"degree {c.degree} beyond table range {self.max_degree}"
-            )
-        return self._rows[c.degree][self._torsion_code[c.torsion]]
+        return self.cell(c.degree, self._torsion_code[c.torsion])
 
     def row(self, degree: int) -> list[int]:
         """The saturated counts of the classes of this degree, by torsion code."""
-        return self._rows[degree]
+        start = degree * self.index
+        return [min(x, self.cap) for x in self._cells[start:start + self.index]]
 
     def classes_at(self, degree: int):
         """All classes of the given degree, with their saturated counts."""
-        for tor, cnt in zip(self._torsions, self._rows[degree]):
-            yield QuotientClass(degree, tor), cnt
+        return zip((QuotientClass(degree, tor) for tor in self._torsions), self.row(degree))
 
 
 def count_table(basis: LatticeBasis, max_degree: int, cap: int) -> CountTable:

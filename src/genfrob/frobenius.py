@@ -4,10 +4,8 @@ F_k is the largest weighted degree at which some quotient class still
 has fewer than k nonnegative representatives. ``frobenius`` and
 ``sequence_report`` read F_k and m_k off the residue-graph engine
 ``counting.kth_degrees``; ``brute_force_frobenius`` and ``brute_force_m``
-are the independent oracles, plain upward scans of counting tables that
-share no code with the engine. Both read their rows from one scan,
-``_rows``, over the basis's oracle table of exact counts, which doubles
-the table's depth only when it reads past its end.
+are the independent oracles, one scan each of the basis's oracle table
+of exact counts (``_table_past``), sharing no code with the engine.
 """
 from __future__ import annotations
 
@@ -17,47 +15,41 @@ from .counting import _oracle_table, kth_degrees, m_value  # noqa: F401  (re-exp
 from .lattice import InputError, LatticeBasis
 
 
-def _rows(basis: LatticeBasis):
-    """Rows 0, 1, 2, ... of exact counts per class, from the basis's oracle table.
+def _table_past(basis: LatticeBasis, k: int):
+    """The basis's oracle table once every class in its top a_1 degrees has
+    count >= k, starting from its table or one of a_1 rows; a shallower
+    table goes before one of twice the rows is asked for.
 
-    The scan starts on the basis's table, or one of a_1 rows (the fewest an
-    F_k scan reads); at its end the table goes, one of twice the rows is
-    asked for, and the scan goes on from there.
-    """
-    rows = basis.weight.a[0]
-    start = 0
-    while True:
-        table = _oracle_table(basis, rows - 1)
-        for d in range(start, table.max_degree + 1):
-            yield table.row(d)
-        start = table.max_degree + 1
-        rows = 2 * start
-        del table  # let the shared table go before it is rebuilt deeper
-
-
-def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
-    """Independent oracle for F_k: scan degrees upward until a_1
-    consecutive degrees have every class at count >= k.
-
-    Sound because counts are monotone under adding the first generator:
-    count(c, d) >= count(c - [e1], d - a1).
+    Counts are monotone under adding the first generator:
+    count(c, d) >= count(c - [e1], d - a1). So a_1 consecutive degrees
+    with every class at count >= k are followed by no class below k, and
+    F_k and m_k <= F_k + 1 both lie below them.
     """
     if k < 1:
         raise InputError("k must be at least 1")
     a1 = basis.weight.a[0]
-    last_bad = -1
-    for d, row in enumerate(_rows(basis)):
-        if min(row) < k:
-            last_bad = d
-        elif d - last_bad == a1:
-            return last_bad
+    rows = a1
+    while True:
+        table = _oracle_table(basis, rows - 1)
+        top = table.max_degree
+        if all(min(table.row(d)) >= k for d in range(top - a1 + 1, top + 1)):
+            return table
+        rows = 2 * (top + 1)
+        del table  # let the shared table go before it is rebuilt deeper
+
+
+def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
+    """Independent oracle for F_k: scan the oracle table down from its top
+    to the first degree with a class of count < k."""
+    table = _table_past(basis, k)
+    return next((d for d in range(table.max_degree, -1, -1) if min(table.row(d)) < k), -1)
 
 
 def brute_force_m(basis: LatticeBasis, k: int) -> int:
-    """Independent oracle for m_k: the first degree with a class of count >= k."""
-    if k < 1:
-        raise InputError("k must be at least 1")
-    return next(d for d, row in enumerate(_rows(basis)) if max(row) >= k)
+    """Independent oracle for m_k: scan the oracle table up to the first
+    degree with a class of count >= k."""
+    table = _table_past(basis, k)
+    return next(d for d in range(table.max_degree + 1) if max(table.row(d)) >= k)
 
 
 def frobenius(basis: LatticeBasis, k: int, degree_cap: int | None = None) -> int:

@@ -272,18 +272,14 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     mk = m_value(basis, k)
     t = thresholds(basis, k)  # the walk m_value just ran
     f1, a_s, codes = t.f[0], t.a_s, t.block_codes
-    index, torsions = basis.index, basis.torsions
+    index = basis.index
     nodes = [None] * (a_s * index)
     if f1 >= 0:
         table = _oracle_table(basis, mk + f1)
         for v in range(len(nodes)):
             r, c = divmod(v, index)
             chain = range(r, f1 + 1, a_s)
-            i = bisect_left(
-                chain,
-                True,
-                key=lambda y: table.count(QuotientClass(mk + y, torsions[codes[y // a_s][c]])) >= k,
-            )
+            i = bisect_left(chain, True, key=lambda y: table.cell(mk + y, codes[y // a_s][c]) >= k)
             if i < len(chain):
                 nodes[v] = chain[i]
     minimal = frozenset(t.node_class(v, nodes[v]) for v in t.minimal_nodes(nodes))

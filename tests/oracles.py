@@ -15,8 +15,10 @@ counting table; ``module_poset_by_classes``,
 ``generator_classes_by_class_tests`` and ``covers_by_class_add``, the
 class-by-class forms of the module poset, of the generator test and of
 the Hasse covers, on the package's walk, oracle table and class
-arithmetic; and ``thresholds_by_heap``, which wraps its
-walk in the package's ``Thresholds``. ``build_parser`` is the argparse
+arithmetic; ``thresholds_by_heap``, which wraps its
+walk in the package's ``Thresholds``; and ``count_table_by_rows``, the
+saturating dynamic programme the package's counting table ran before
+it was one flat list, on the package's torsion coding and unit classes. ``build_parser`` is the argparse
 parser the CLI used before its command table, kept as the reference
 reading of every argv.
 """
@@ -337,6 +339,29 @@ def candidate_lcms_exhaustive(bl, k, weight, degree_cap):
 
     rec(0, 0, zero)
     return tuple(sorted(found))
+
+
+def count_table_by_rows(basis, max_degree, cap):
+    """rows[d][code] = min(#{u in N^n with label (d, torsions[code])}, cap).
+
+    One list per degree, filled one generator at a time and one cell at a
+    time, saturating at cap as it adds: the package's ``CountTable`` body
+    before its table was one flat list of exact counts.
+    """
+    size = basis.index
+    rows = [[0] * size for _ in range(max_degree + 1)]
+    rows[0][0] = 1
+    for ai, unit in zip(basis.weight.a, basis.units):
+        shift = basis.torsion_shift([-x for x in unit.torsion])
+        for d in range(ai, max_degree + 1):
+            prev = rows[d - ai]
+            cur = rows[d]
+            for code in range(size):
+                p = prev[shift[code]]
+                if p:
+                    s = cur[code] + p
+                    cur[code] = s if s < cap else cap
+    return rows
 
 
 def lcm_generator_classes_all_candidates(basis, k, markov=None):

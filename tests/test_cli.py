@@ -189,6 +189,31 @@ def test_bad_basis_file_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["basis", "-a", "13,17,29", "--basis="],
+        ["basis", "-a", "13,17,29", "--basis", ""],
+        ["verify", "-a", "13,17,29", "--k-max", "1", "--basis="],
+    ],
+)
+def test_an_empty_basis_path_is_an_unreadable_basis_file(argv, capsys):
+    # An empty path names no file; it must not fall back to the kernel basis.
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read basis file ")
+
+
+@pytest.mark.parametrize("option", [["-o", ""], ["--output="], ["--output", ""]])
+def test_an_empty_output_path_is_an_unwritable_output_file(option, capsys):
+    # An empty path names no file; it must not fall back to stdout.
+    assert main(["frobenius", "-a", "3,5,8", *option]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot write output file ")
+
+
 def test_verify_refuses_json_format_exit_2():
     # verify prints a text report only; --format json must not be accepted
     # and then ignored.

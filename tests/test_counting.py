@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import sys
 import tracemalloc
 import weakref
 
@@ -27,7 +28,13 @@ from genfrob import (
     thresholds,
 )
 
-from .oracles import class_count, count_representations, representations, thresholds_by_heap
+from .oracles import (
+    class_count,
+    count_representations,
+    count_table_by_rows,
+    representations,
+    thresholds_by_heap,
+)
 
 
 def _first_reach(table, basis, k, limit):
@@ -408,6 +415,49 @@ def test_walk_budget_admits_the_ladder_and_refuses_before_allocating():
     with pytest.raises(InputError, match=f"needs a_s \\* index \\* k = {2 * k} list entries"):
         thresholds(B, k)
     assert kth_degrees(B, 2) == ((1, 7), (0, 6))
+
+
+def test_flat_table_matches_the_row_by_row_table_cell_for_cell():
+    # Kernels and sublattices of index 2-6 (one or two basis vectors
+    # scaled, so Z/4 and Z/2 x Z/2 both occur) on 2 to 5 variables. Each
+    # generator fills the table in blocks of a_i rows, so depths are
+    # drawn both with max_degree + 1 a multiple of some a_i (a full last
+    # block) and at random (mostly a partial one).
+    rng = random.Random(2424)
+    last_blocks = set()
+    moduli = set()
+    cases = 0
+    while cases < 120:
+        n = rng.randint(2, 5)
+        a = tuple(rng.randint(1 if rng.random() < 0.2 else 2, 12) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
+        scales = [rng.randint(2, 6)] if rng.random() < 0.7 else [2, rng.choice((2, 3))]
+        if rng.random() < 0.25:
+            scales = []
+        for i, m in zip(rng.sample(range(n - 1), min(len(scales), n - 1)), scales):
+            vecs[i] = [m * x for x in vecs[i]]
+        B = LatticeBasis(WeightVector(a), tuple(tuple(v) for v in vecs))
+        if B.index > 6:
+            continue
+        if rng.random() < 0.5:
+            depth = rng.choice(a) * rng.randint(1, 60 // max(a)) - 1
+        else:
+            depth = rng.randint(0, 60)
+        for cap in (1, 2, 5, sys.maxsize):
+            table = CountTable(B, depth, cap)
+            rows = count_table_by_rows(B, depth, cap)
+            for d, row in enumerate(rows):
+                assert table.row(d) == row, (a, B.vectors, depth, cap, d)
+                assert [table.cell(d, c) for c in range(B.index)] == row
+                assert [table.count(cls) for cls, _ in table.classes_at(d)] == row
+                assert [cnt for _, cnt in table.classes_at(d)] == row
+        last_blocks.update((depth + 1) % ai == 0 for ai in a if ai <= depth)
+        moduli.add(B.torsion_moduli)
+        cases += 1
+    assert last_blocks == {True, False}
+    assert {(), (2,), (3,), (4,), (2, 2), (5,), (6,)} <= moduli, moduli
 
 
 def test_table_budget_refuses_before_allocating(monkeypatch):

@@ -10,7 +10,8 @@ expansion of a module poset's node vector into labels) where ``poset``
 calls them.
 ``ideal._buchberger_pairs`` counts Groebner basis runs, and
 ``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
-``CountTable.row`` and ``CountTable.count`` count the table cells read.
+``CountTable.row`` and ``CountTable.cell``, which ``CountTable.count``
+reads through, count the table cells read.
 ``LatticeBasis.label`` counts the points labelled.
 """
 import json
@@ -86,9 +87,10 @@ def test_module_poset_reads_a_few_table_cells_a_node(monkeypatch):
     # One bisection per residue node along its chain of label degrees
     # r, r + a_s, ... up to F_1: at most ceil(log2(F_1 // a_s + 2)) count
     # reads a node, where a pass over the window's table rows reads all of
-    # its (F_1 + 1) * index cells. A row read counts its index cells.
+    # its (F_1 + 1) * index cells. A row read counts its index cells; a
+    # read by class (count) or by torsion code goes through cell.
     cells = 0
-    row, count = counting.CountTable.row, counting.CountTable.count
+    row, cell = counting.CountTable.row, counting.CountTable.cell
 
     def counted_row(self, degree):
         nonlocal cells
@@ -96,13 +98,13 @@ def test_module_poset_reads_a_few_table_cells_a_node(monkeypatch):
         cells += len(out)
         return out
 
-    def counted_count(self, c):
+    def counted_cell(self, degree, code):
         nonlocal cells
         cells += 1
-        return count(self, c)
+        return cell(self, degree, code)
 
     monkeypatch.setattr(counting.CountTable, "row", counted_row)
-    monkeypatch.setattr(counting.CountTable, "count", counted_count)
+    monkeypatch.setattr(counting.CountTable, "cell", counted_cell)
     index6 = LatticeBasis(WeightVector((13, 17, 29)), ((-17, 13, 0), (-696, 522, 6)))
     assert index6.index == 6
     for basis in (kernel_basis(WeightVector((211, 223, 227))), index6):
@@ -156,6 +158,27 @@ def test_a_larger_k_rebuilds_no_oracle_table(work):
         module_poset(basis, k)
         lcm_generator_classes(basis, k)
     assert work["tables"] <= 2
+
+
+def test_oracles_read_one_table_for_every_k(work):
+    # A table of F_K + a_1 degrees holds every F_k scan (F_k <= F_K) and
+    # every m_k (m_k <= F_k + 1), so once it exists the oracles for
+    # k = 1..K read it and build none.
+    K6 = kernel_basis(WeightVector((13, 17, 29)))
+    index6 = LatticeBasis(K6.weight, ((-17, 13, 0), (-696, 522, 6)))
+    for basis, k_max in (
+        (K6, 6),
+        (index6, 6),
+        (kernel_basis(WeightVector((211, 223, 227))), 3),
+        (kernel_basis(WeightVector((1, 4, 7))), 3),
+    ):
+        f_values, m_values = counting.kth_degrees(basis, k_max)
+        counting._oracle_table(basis, f_values[-1] + basis.weight.a[0])
+        work["tables"] = 0
+        ks = range(1, k_max + 1)
+        assert tuple(brute_force_frobenius(basis, k) for k in ks) == f_values, basis
+        assert tuple(brute_force_m(basis, k) for k in ks) == m_values, basis
+        assert work["tables"] == 0, basis
 
 
 def test_lcm_oracle_labels_only_the_minimal_lcms(monkeypatch):
