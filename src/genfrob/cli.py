@@ -8,6 +8,13 @@ internal error (an invariant check failed; the message goes to stderr).
 One table, ``COMMANDS``, gives each command's handler, help, ``--format``
 choices and ``-k`` or ``--k-max`` option; ``parse_args`` reads argv
 against it in one pass, and the help and usage text are built from it.
+
+A handler takes the parsed options and the basis and writes nothing. It
+returns a JSON payload as a dict without the weights (``--format
+json``), its text as a list of lines, or DOT text as one string; or it
+raises InputError, or ``_Mismatch`` with the lines of a failed verify
+report. ``main`` alone builds the basis, puts "a" first in a payload,
+writes the output to stdout or ``-o`` and picks the exit code.
 """
 from __future__ import annotations
 
@@ -61,10 +68,6 @@ def _make_basis(args) -> LatticeBasis:
     if args.basis is not None:
         return _read_basis_file(args.basis, weight)
     return kernel_basis(weight)
-
-
-def _label_list(c) -> list:
-    return [c.degree, *c.torsion]
 
 
 def _emit(args, text: str) -> None:
@@ -135,57 +138,34 @@ def _int_lists(obj, pad: str) -> str | None:
     return opened[depth] + body + closed[depth]
 
 
-def _cmd_basis(args) -> int:
-    basis = _make_basis(args)
-    payload = {
-        "a": list(basis.weight.a),
-        "vectors": [list(v) for v in basis.vectors],
-        "index": sublattice_index(basis),
-    }
+class _Mismatch(Exception):
+    """Raised by verify, with the lines of its report, when a check fails."""
+
+
+def _cmd_basis(args, basis):
+    index = sublattice_index(basis)
     if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"weights: {basis.weight.a}", f"index: {payload['index']}"]
-        lines += [f"basis vector: {v}" for v in basis.vectors]
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return {"vectors": [list(v) for v in basis.vectors], "index": index}
+    return [f"weights: {basis.weight.a}", f"index: {index}",
+            *(f"basis vector: {v}" for v in basis.vectors)]
 
 
-def _cmd_ideal(args) -> int:
-    basis = _make_basis(args)
-    mb = lattice_ideal(basis)
-    rendered = [
-        f"{render_monomial(b.head)} - {render_monomial(b.tail)}" for b in mb.elements
-    ]
-    payload = {
-        "a": list(basis.weight.a),
-        "generators": rendered,
-        "vectors": [list(b.vector) for b in mb.elements],
-    }
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        _emit(args, "\n".join(rendered) + "\n")
-    return EXIT_OK
+def _cmd_ideal(args, basis):
+    elements = lattice_ideal(basis).elements
+    rendered = [f"{render_monomial(b.head)} - {render_monomial(b.tail)}" for b in elements]
+    if args.format == "text":
+        return rendered
+    return {"generators": rendered, "vectors": [list(b.vector) for b in elements]}
 
 
-def _cmd_ball(args) -> int:
-    basis = _make_basis(args)
-    bl = ball(moves(lattice_ideal(basis)), args.k)
-    payload = {
-        "a": list(basis.weight.a),
-        "k": args.k,
-        "points": [list(p) for p in bl.points],
-    }
-    if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        _emit(args, "\n".join(str(p) for p in bl.points) + "\n")
-    return EXIT_OK
+def _cmd_ball(args, basis):
+    points = ball(moves(lattice_ideal(basis)), args.k).points
+    if args.format == "text":
+        return [str(p) for p in points]
+    return {"k": args.k, "points": [list(p) for p in points]}
 
 
-def _cmd_module(args) -> int:
-    basis = _make_basis(args)
+def _cmd_module(args, basis):
     gens = minimal_generators(basis, args.k)
     fk = frobenius(basis, args.k)
     classification = []
@@ -199,73 +179,53 @@ def _cmd_module(args) -> int:
                     "witnesses": [render_monomial(w) for w in c.witnesses],
                 }
             )
-    payload = {
-        "a": list(basis.weight.a),
-        "k": args.k,
-        "generators": list(gens.render()),
-        "supports": [[list(p) for p in sup] for sup in gens.supports],
-        "m_k": gens.m_k,
-        "F_k": fk,
-        "b": fk - gens.m_k,
-        "classification": classification,
-    }
     if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [f"m_k: {gens.m_k}", f"F_k: {fk}", f"b: {fk - gens.m_k}"]
-        for i, g in enumerate(gens.render()):
-            lines.append(f"generator: {g} support: {list(gens.supports[i])}")
-        for entry in classification:
-            lines.append(
-                f"classify {entry['generator']}: {entry['case']} "
-                f"witnesses {entry['witnesses']}"
-            )
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return {
+            "k": args.k,
+            "generators": list(gens.render()),
+            "supports": [[list(p) for p in sup] for sup in gens.supports],
+            "m_k": gens.m_k,
+            "F_k": fk,
+            "b": fk - gens.m_k,
+            "classification": classification,
+        }
+    lines = [f"m_k: {gens.m_k}", f"F_k: {fk}", f"b: {fk - gens.m_k}"]
+    lines += [f"generator: {g} support: {list(sup)}"
+              for g, sup in zip(gens.render(), gens.supports)]
+    lines += [f"classify {e['generator']}: {e['case']} witnesses {e['witnesses']}"
+              for e in classification]
+    return lines
 
 
-def _cmd_poset(args) -> int:
-    if args.format == "dot" and args.k is not None:
-        raise InputError("DOT output is for the structure poset only; drop -k")
-    basis = _make_basis(args)
+def _cmd_poset(args, basis):
     if args.format == "dot":
-        _emit(args, poset_to_dot(structure_poset(basis)))
-        return EXIT_OK
-    if args.k is not None:  # listed labels share the structure poset's budget
+        if args.k is not None:
+            raise InputError("DOT output is for the structure poset only; drop -k")
+        return poset_to_dot(structure_poset(basis))
+    if args.k is None:
+        poset = structure_poset(basis)
+    else:  # listed labels share the structure poset's budget
         _check_window(basis, kth_degrees(basis, args.k)[0][0], "module poset's window")
-    poset = structure_poset(basis) if args.k is None else module_poset(basis, args.k)
+        poset = module_poset(basis, args.k)
     # Each label's [degree, *torsion] list, built once from its code.
     index, torsions = basis.index, basis.torsions
     codes = poset.label_codes
     labels = [[z // index, *torsions[z % index]] for z in codes]
-    if args.format == "json":
-        by_code = dict(zip(codes, labels))
-        payload = {
-            "a": list(basis.weight.a),
-            "k": args.k,
-            "poset": {
-                "labels": labels,
-                "hasse": [[by_code[x], by_code[y]] for x, y in poset.cover_codes],
-            },
-        }
-        if args.k is not None:
-            minimal = sorted(poset.minimal_elements)
-            payload["minimal"] = [_label_list(c) for c in minimal]
-            payload["m_k"] = poset.m_k
-        del poset, codes, by_code  # the codes go before the output text is built
-        _emit(args, _json_dump(payload))
-    else:
+    if args.format == "text":
         texts = [str(x) for x in labels]
         by_code = dict(zip(codes, texts))
-        lines = ["labels: [" + ", ".join(texts) + "]"]
-        lines += [f"cover: {by_code[x]} < {by_code[y]}" for x, y in poset.cover_codes]
-        del poset, codes, by_code  # the codes go before the output text is built
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return ["labels: [" + ", ".join(texts) + "]",
+                *(f"cover: {by_code[x]} < {by_code[y]}" for x, y in poset.cover_codes)]
+    by_code = dict(zip(codes, labels))
+    hasse = [[by_code[x], by_code[y]] for x, y in poset.cover_codes]
+    payload = {"k": args.k, "poset": {"labels": labels, "hasse": hasse}}
+    if args.k is not None:
+        payload["minimal"] = [[c.degree, *c.torsion] for c in sorted(poset.minimal_elements)]
+        payload["m_k"] = poset.m_k
+    return payload
 
 
-def _cmd_frobenius(args) -> int:
-    basis = _make_basis(args)
+def _cmd_frobenius(args, basis):
     cap = os.environ.get("GENFROB_DEGREE_CAP")
     try:
         degree_cap = int(cap) if cap else None
@@ -273,83 +233,49 @@ def _cmd_frobenius(args) -> int:
         raise InputError(f"GENFROB_DEGREE_CAP must be an integer, got {cap!r}") from exc
     fk = frobenius(basis, args.k, degree_cap=degree_cap)
     mk = m_value(basis, args.k)
-    if args.format == "json":
-        payload = {
-            "a": list(basis.weight.a),
-            "k": args.k,
-            "m_k": mk,
-            "F_k": fk,
-            "b": fk - mk,
-        }
-        _emit(args, _json_dump(payload))
-    else:
-        _emit(args, f"{fk}\n")
-    return EXIT_OK
+    if args.format == "text":
+        return [str(fk)]
+    return {"k": args.k, "m_k": mk, "F_k": fk, "b": fk - mk}
 
 
-def _cmd_sequence(args) -> int:
-    basis = _make_basis(args)
+def _cmd_sequence(args, basis):
     rep = sequence_report(basis, args.k_max)
-    payload = {
-        "a": list(basis.weight.a),
-        "k_max": rep.k_max,
-        "f_values": list(rep.f_values),
-        "m_values": list(rep.m_values),
-        "b_values": list(rep.b_values),
-        "f_diffs": list(rep.f_diffs),
-        "m_diffs": list(rep.m_diffs),
-        "dimension": rep.dimension,
-        "bound_checks": rep.bound_checks,
-    }
     if args.format == "json":
-        _emit(args, _json_dump(payload))
-    else:
-        lines = [
-            f"k={k} m_k={m} F_k={f} b={b}"
-            for k, (m, f, b) in enumerate(
-                zip(rep.m_values, rep.f_values, rep.b_values), start=1
-            )
-        ]
-        lines.append(f"dimension: {rep.dimension}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+        return rep._asdict()
+    triples = zip(rep.m_values, rep.f_values, rep.b_values)
+    return [*(f"k={k} m_k={m} F_k={f} b={b}" for k, (m, f, b) in enumerate(triples, start=1)),
+            f"dimension: {rep.dimension}"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args, basis):
     if args.k_max < 1:
         raise InputError("k_max must be at least 1")
-    basis = _make_basis(args)
     markov = lattice_ideal(basis)
     f_values, m_values = kth_degrees(basis, args.k_max)
     # One oracle table for all: F_k scans read to F_K + a_1, labels and lcm cap to m_K + F_1.
     f1 = max(f_values[0], 0)
     _oracle_table(basis, max(f_values[-1] + basis.weight.a[0], m_values[-1] + f1))
-    lines = []
-    ok = True
-
-    def check(k, text, match):
-        nonlocal ok
-        ok = ok and match
-        lines.append(f"k={k} {text} {'ok' if match else 'MISMATCH'}")
-
+    checks = []  # (k, what was compared, whether it matched)
     for k, fk in enumerate(f_values, start=1):
         oracle = brute_force_frobenius(basis, k)
-        check(k, f"pipeline F_k={fk} oracle F_k={oracle}", fk == oracle)
+        checks.append((k, f"pipeline F_k={fk} oracle F_k={oracle}", fk == oracle))
         gens = minimal_generators(basis, k)
         mp = module_poset(basis, k)
         # With F_1 = -1 the module poset's window is empty by convention,
         # so it has no minimal elements; every class of degree >= m_k is
         # then in the module, and the one class of degree m_k generates it.
         minimal = len(mp.minimal_elements) or 1
-        check(k, f"generator orbits={len(gens.generators)} poset minimal elements={minimal}",
-              len(gens.generators) == minimal)
+        checks.append((k, f"generator orbits={len(gens.generators)} "
+                          f"poset minimal elements={minimal}", len(gens.generators) == minimal))
         oracle_classes = lcm_generator_classes(basis, k, markov)
-        check(k, f"lcm oracle orbits={len(oracle_classes)}",
-              oracle_classes == frozenset(gens.classes))
+        checks.append((k, f"lcm oracle orbits={len(oracle_classes)}",
+                       oracle_classes == frozenset(gens.classes)))
         m_oracle = brute_force_m(basis, k)
-        check(k, f"pipeline m_k={gens.m_k} oracle m_k={m_oracle}", gens.m_k == m_oracle)
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if ok else EXIT_VERIFY_MISMATCH
+        checks.append((k, f"pipeline m_k={gens.m_k} oracle m_k={m_oracle}", gens.m_k == m_oracle))
+    lines = [f"k={k} {text} {'ok' if match else 'MISMATCH'}" for k, text, match in checks]
+    if all(match for _, _, match in checks):
+        return lines
+    raise _Mismatch(lines)
 
 
 # The options every command takes: (option strings, destination, default, help).
@@ -538,9 +464,24 @@ def _fail(name: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command on argv and return its exit code.
+
+    The basis is built here, the command's result written here: a JSON
+    payload after the weights "a", a list of lines, or text as it is.
+    """
     args = parse_args(argv)
+    code = EXIT_OK
     try:
-        return COMMANDS[args.command][0](args)
+        basis = _make_basis(args)
+        try:
+            out = COMMANDS[args.command][0](args, basis)
+        except _Mismatch as exc:
+            out, code = exc.args[0], EXIT_VERIFY_MISMATCH
+        if isinstance(out, dict):
+            out = _json_dump({"a": list(basis.weight.a), **out})
+        elif isinstance(out, list):
+            out = "\n".join(out) + "\n"
+        _emit(args, out)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
@@ -550,6 +491,7 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    return code
 
 
 if __name__ == "__main__":

@@ -7,6 +7,14 @@ from typing import NamedTuple
 from .ideal import MarkovBasis, signed_moves
 from .lattice import InputError, LatticeBasis, vadd, vsub
 
+# Most points one move ball may hold. On CPython 3.11 a point costs about
+# 185-215 bytes (its tuple, its dict entry, its slots in the frontier and
+# the sorted points), by peak RSS and tracemalloc on (3, 5, 8) at 320,801
+# points, (5, 7, 11, 13) at 125,377 and (2, 3, 5, 7, 11, 13) at 22,363:
+# so a ball stays under about 220 MB. On (3, 5, 8) the ball has about 2k^2
+# points, so the budget is passed near k = 707.
+MAX_BALL_POINTS = 1_000_000
+
 
 class _MoveSetFields(NamedTuple):
     basis: LatticeBasis
@@ -45,7 +53,12 @@ def moves(mb: MarkovBasis) -> MoveSet:
 
 
 def ball(ms: MoveSet, k: int) -> Ball:
-    """Breadth-first ball of radius k around the origin."""
+    """Breadth-first ball of radius k around the origin.
+
+    Raises InputError once it holds more than MAX_BALL_POINTS points,
+    checked after each frontier point's moves, so it overshoots by at
+    most the number of moves.
+    """
     if k < 0:
         raise InputError("radius must be nonnegative")
     origin = (0,) * ms.basis.n
@@ -59,6 +72,11 @@ def ball(ms: MoveSet, k: int) -> Ball:
                 if q not in dist:
                     dist[q] = depth
                     nxt.append(q)
+            if len(dist) > MAX_BALL_POINTS:
+                raise InputError(
+                    f"the move ball of radius {k} passes the budget of {MAX_BALL_POINTS} "
+                    f"points at distance {depth}"
+                )
         frontier = sorted(nxt)
     return Ball(k, dist)
 

@@ -303,12 +303,15 @@ def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:
     classes taken relative to m_k, and a poset is full when its vector
     counts (F_1 + 1) * index labels, (F_1 - y) // a_s + 1 at a node whose
     least label has degree y. Only the distinct label sets are expanded.
+    One oracle table, of m_K + F_1 degrees, serves every k.
     """
     if k_max < 1:
         raise InputError("k_max must be at least 1")
     t = thresholds(basis, k_max)
     f1, a_s = t.f[0], t.a_s
     window = (f1 + 1) * basis.index  # the labels of a full poset; none when F_1 = -1
+    if f1 >= 0:  # one oracle table for every k: the k-th poset reads degrees up to m_k + F_1
+        _oracle_table(basis, t.m[-1] + f1)
     posets = tuple(module_poset(basis, k) for k in range(1, k_max + 1))
     b_values = []
     full_ks = []

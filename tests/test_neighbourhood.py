@@ -16,7 +16,9 @@ from genfrob import (
     member,
     moves,
 )
-from genfrob.lattice import class_label, vsub
+from genfrob import neighbourhood
+from genfrob.cli import main
+from genfrob.lattice import class_label, vadd, vsub
 
 KNOWN_N2 = {
     (0, 0, 0), (1, 2, -1), (4, -3, 0), (-1, -2, 1), (-4, 3, 0),
@@ -109,6 +111,40 @@ def test_ball_rejects_negative_radius():
     mb = lattice_ideal(kernel_basis(WeightVector((3, 5, 8))))
     with pytest.raises(InputError):
         ball(moves(mb), -1)
+
+
+def test_ball_over_the_point_budget_raises(monkeypatch):
+    # On (3,5,8) the radius-r ball has 2r^2 + 2r + 1 points.
+    ms = moves(lattice_ideal(kernel_basis(WeightVector((3, 5, 8)))))
+    assert len(ball(ms, 4)) == 41
+    monkeypatch.setattr(neighbourhood, "MAX_BALL_POINTS", 41)
+    assert len(ball(ms, 4)) == 41
+    message = "^the move ball of radius 5 passes the budget of 41 points at distance 5$"
+    with pytest.raises(InputError, match=message):
+        ball(ms, 5)
+    # The budget is checked after each frontier point, not only after each
+    # level: radius 4 takes (1 + 4 + 8 + 12) * 4 = 100 move steps, and
+    # radius 5 stops after one more point's 4 moves, not its 16 points'.
+    steps = 0
+
+    def counted(p, q):
+        nonlocal steps
+        steps += 1
+        return vadd(p, q)
+
+    monkeypatch.setattr(neighbourhood, "vadd", counted)
+    with pytest.raises(InputError):
+        ball(ms, 5)
+    assert steps == 100 + len(ms.moves)
+
+
+def test_ball_over_the_point_budget_exits_2(monkeypatch, capsys):
+    monkeypatch.setattr(neighbourhood, "MAX_BALL_POINTS", 1000)
+    assert main(["ball", "-a", "3,5,8", "-k", "100000"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the move ball of radius 100000 passes the budget of 1000 points "
+                   "at distance 22\n")
 
 
 def test_distance_rejects_negative_cap():

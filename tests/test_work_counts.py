@@ -137,6 +137,18 @@ def test_finiteness_report_runs_one_walk(work):
     assert work["labels"] == len(rep.distinct_label_sets) == 4
 
 
+def test_finiteness_report_builds_one_table(work):
+    # The k-th poset reads degrees m_k .. m_k + F_1 and m_k grows with k,
+    # so a table sized for each k in turn was rebuilt 392 times here.
+    basis = kernel_basis(WeightVector((13, 17, 29)))
+    rep = finiteness_report(basis, 400)
+    assert work["tables"] == 1
+    assert basis._memo["table"].max_degree == rep.posets[-1].m_k + rep.posets[0].f_1
+    # With F_1 = -1 the posets read no table, so none is built.
+    finiteness_report(kernel_basis(WeightVector((1, 4, 7))), 5)
+    assert work["tables"] == 1
+
+
 def test_verify_runs_one_walk_and_builds_no_covers(work, capsys):
     assert main(["verify", "-a", "13,17,29", "--k-max", "4"]) == 0
     capsys.readouterr()
