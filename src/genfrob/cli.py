@@ -19,7 +19,6 @@ writes the output to stdout or ``-o`` and picks the exit code.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from types import SimpleNamespace
 
@@ -226,12 +225,7 @@ def _cmd_poset(args, basis):
 
 
 def _cmd_frobenius(args, basis):
-    cap = os.environ.get("GENFROB_DEGREE_CAP")
-    try:
-        degree_cap = int(cap) if cap else None
-    except ValueError as exc:
-        raise InputError(f"GENFROB_DEGREE_CAP must be an integer, got {cap!r}") from exc
-    fk = frobenius(basis, args.k, degree_cap=degree_cap)
+    fk = frobenius(basis, args.k)
     mk = m_value(basis, args.k)
     if args.format == "text":
         return [str(fk)]
@@ -284,10 +278,9 @@ _COMMON = (
     (("-a", "--weights"), "weights", None, "weights, e.g. 3,5,8 (required)"),
     (("--basis",), "basis", None, "file with one basis vector per line"),
     (("-o", "--output"), "output", None, "write output to this path"),
-    (("--threads",), "threads", 1, "worker threads; output is identical for any value"),
     (("--format",), "format", "text", "output format"),
 )
-_INTEGER_OPTIONS = ("threads", "k", "k_max")
+_INTEGER_OPTIONS = ("k", "k_max")
 _TOP_OPTIONS = {"-h": _COMMON[0], "--help": _COMMON[0]}
 _TEXT_JSON = ("text", "json")
 
@@ -380,8 +373,6 @@ def _read_options(name: str, argv: list, stray: list) -> SimpleNamespace:
         _fail(name, "the following arguments are required: -a/--weights")
     if stray:
         _fail(name, "unrecognized arguments: " + " ".join(stray))
-    if values["threads"] < 1:
-        _fail(name, "--threads must be at least 1")
     return SimpleNamespace(command=name, **values)
 
 

@@ -52,22 +52,10 @@ def brute_force_m(basis: LatticeBasis, k: int) -> int:
     return next(d for d in range(table.max_degree + 1) if max(table.row(d)) >= k)
 
 
-def frobenius(basis: LatticeBasis, k: int, degree_cap: int | None = None) -> int:
-    """Largest degree with some class count below k, or -1 if none.
-
-    With degree_cap, F_k is returned only when a table scan up to the
-    cap would have proved it: uncovered degrees are closed under
-    subtracting a_1, so such a scan finds F_k exactly when
-    F_k <= degree_cap - a_1, and InputError is raised otherwise.
-    """
-    fk = kth_degrees(basis, k)[0][-1]
-    a1 = basis.weight.a[0]
-    if degree_cap is not None and fk > degree_cap - a1:
-        raise InputError(
-            f"degree cap {degree_cap} too small: F_{k} = {fk} needs a cap of "
-            f"at least {fk + a1}"
-        )
-    return fk
+def frobenius(basis: LatticeBasis, k: int) -> int:
+    """F_k: the largest degree with some class count below k, or -1 if
+    none; the last F value of the residue walk ``kth_degrees``."""
+    return kth_degrees(basis, k)[0][-1]
 
 
 class FrobeniusReport(NamedTuple):

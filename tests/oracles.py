@@ -578,8 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-a", "--weights", required=True, help="weights, e.g. 3,5,8")
         p.add_argument("--basis", help="file with one basis vector per line")
         p.add_argument("-o", "--output", help="write output to this path")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (output is identical for any value)")
         p.add_argument("--format", choices=formats, default="text")
         if k:
             p.add_argument("-k", type=int, default=1)

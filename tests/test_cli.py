@@ -229,9 +229,6 @@ def test_output_deterministic_across_runs():
     r2 = run_cli(["module", "-a", "3,4,11", "-k", "3", "--format", "json"])
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
-    r3 = run_cli(["module", "-a", "3,4,11", "-k", "3", "--format", "json",
-                  "--threads", "4"])
-    assert r3.stdout == r1.stdout
 
 
 def test_json_round_trips_byte_identically(tmp_path, capsys):
@@ -320,22 +317,13 @@ def test_module_poset_over_the_element_budget_exits_2():
     assert "808401 elements" in res.stderr
 
 
-def test_degree_cap_env_var():
-    good = run_cli(["frobenius", "-a", "3,5,8", "-k", "2"],
-                   env={"GENFROB_DEGREE_CAP": "40"})
-    assert good.returncode == 0
-    assert good.stdout == "12\n"
-    bad = run_cli(["frobenius", "-a", "3,5,8", "-k", "2"],
-                  env={"GENFROB_DEGREE_CAP": "5"})
-    assert bad.returncode == 2
-
-
-def test_degree_cap_env_var_not_an_integer():
-    res = run_cli(["frobenius", "-a", "3,5,8"], env={"GENFROB_DEGREE_CAP": "abc"})
-    assert res.returncode == 2
-    assert res.stderr.startswith("error: ")
-    assert "GENFROB_DEGREE_CAP" in res.stderr
-    assert "Traceback" not in res.stderr
+@pytest.mark.parametrize("cap", ["5", "abc"])
+def test_degree_cap_env_var_is_ignored(cap):
+    # The program reads no environment variable; F_2 of (3,5,8) is 12.
+    res = run_cli(["frobenius", "-a", "3,5,8", "-k", "2"], env={"GENFROB_DEGREE_CAP": cap})
+    assert res.returncode == 0
+    assert res.stdout == "12\n"
+    assert res.stderr == ""
 
 
 def test_python_dash_m_genfrob():
@@ -537,15 +525,13 @@ _VALUES = {
     "weights": ["3,5,8", "3,4,11", "1,2", "7,9,11,13"],
     "basis": ["basis.txt", "dir/b.txt", "-5", ""],
     "output": ["out.txt", "-7", "o"],
-    "threads": ["1", "2", "4", "+3"],
     "k": ["1", "3", "0", "-2", "+5"],
     "k_max": ["1", "4", "6", "-3"],
 }
 _ATTACHED_ONLY = {"weights": ["-3,5", "-1,2"], "output": ["-out.txt"]}
 _FLAGS = {
     "weights": ("-a", "--weights"), "basis": (None, "--basis"), "output": ("-o", "--output"),
-    "threads": (None, "--threads"), "format": (None, "--format"), "k": ("-k", None),
-    "k_max": (None, "--k-max"),
+    "format": (None, "--format"), "k": ("-k", None), "k_max": (None, "--k-max"),
 }
 _FORMATS = {"poset": ["text", "json", "dot"], "verify": ["text"]}
 _K_DEST = {"ball": "k", "module": "k", "poset": "k", "frobenius": "k",
@@ -569,7 +555,7 @@ def _spelled(rng, dest, value, attached_only):
 
 
 def _valid_argv(rng, command):
-    dests = ["weights", "basis", "output", "threads", "format"]
+    dests = ["weights", "basis", "output", "format"]
     if command in _K_DEST:
         dests.append(_K_DEST[command])
     groups = []
@@ -606,12 +592,13 @@ def test_table_parser_reads_every_argv_as_the_reference_parser():
     ["frobenius", "-a", "3,5", "-x"],
     ["frobenius", "-a", "3,5", "stray"],
     ["frobenius", "-a", "3,5", "-k", "x"],
-    ["frobenius", "-a", "3,5", "--threads", "1.5"],
+    ["frobenius", "-a", "3,5", "-k", "1.5"],
+    ["frobenius", "-a", "3,5", "--threads", "2"],
     ["verify", "-a", "3,5", "--format", "json"],
     ["poset", "-a", "3,5", "--format=svg"],
     ["frobenius", "-a"],
     ["frobenius", "-a", "3,5", "--format"],
-    ["frobenius", "-a", "3,5", "-k", "--threads", "2"],
+    ["frobenius", "-a", "3,5", "-k", "--format", "json"],
     ["frobenius", "-a", "-3,5"],
     ["sequence", "-a", "3,5", "-k", "2"],
     ["basis", "-a", "3,5", "-k1"],
@@ -630,13 +617,16 @@ def test_both_parsers_exit_2_on_malformed_argv(argv, capsys):
         assert err.startswith("usage: genfrob")
 
 
-def test_threads_below_one_is_an_error_of_the_command(capsys):
+def test_threads_is_an_unrecognized_argument(capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["frobenius", "-a", "3,5", "--threads", "0"])
+        main(["frobenius", "-a", "3,5", "--threads", "2"])
     assert exc.value.code == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[-1] == "genfrob frobenius: error: --threads must be at least 1"
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: genfrob frobenius ")
+    assert "--threads" not in usage
+    assert error == "genfrob frobenius: error: unrecognized arguments: --threads 2"
 
 
 def _help(argv, capsys):

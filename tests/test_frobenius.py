@@ -81,10 +81,11 @@ def test_frobenius_rejects_bad_k():
         brute_force_frobenius(B, 0)
 
 
-def test_frobenius_degree_cap_too_small_rejected():
+def test_frobenius_takes_only_the_basis_and_k():
     B = kernel_basis(WeightVector((3, 5, 8)))
-    with pytest.raises(InputError):
+    with pytest.raises(TypeError):
         frobenius(B, 2, degree_cap=5)
+    assert frobenius(B, 2) == frobenius(B, k=2) == 12
 
 
 def test_sequence_report_3_5():
@@ -161,18 +162,6 @@ def test_engine_matches_counting_oracle():
             assert m_all[k - 1] == brute_force_m(B, k), (B, k)
             cases += 1
     assert {(2, False, True), (3, True, False), (3, True, True), (4, False, False)} <= kinds
-
-
-def test_degree_cap_boundary_is_f_k_plus_a1():
-    rng = random.Random(3004)
-    for _ in range(40):
-        B = _random_basis(rng)
-        k = rng.randint(1, 4)
-        fk = frobenius(B, k)
-        cap = fk + B.weight.a[0]
-        assert frobenius(B, k, degree_cap=cap) == fk
-        with pytest.raises(InputError):
-            frobenius(B, k, degree_cap=cap - 1)
 
 
 def test_engine_large_weights_match_golden_values():
