@@ -26,8 +26,10 @@ the basis's one walk serves every generator.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from functools import reduce
 from itertools import combinations
+from operator import itemgetter, le
 from typing import NamedTuple
 
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
@@ -79,67 +81,44 @@ def divides_mod_L(basis: LatticeBasis, m, m2) -> bool:
 
 
 def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
-    """lcms of the k-subsets of the ball that contain the origin.
+    """lcms of the k-subsets of the ball that contain the origin, sorted.
 
     These are the lcms of the (k-1)-subsets of the nonzero ball points
-    together with the origin, kept when their degree is at most
-    ``degree_cap``. Weights are positive, so the degree of an lcm only
-    grows as points are added, and the search prunes with two facts.
-
-    Single points: every partial lcm contains the origin, so it is
-    >= p+ = max(p, 0) for each of its points p, and max(lcm, p) equals
-    max(lcm, p+) once lcm >= 0. A point with deg(p+) > cap therefore
-    lies in no subset under the cap; the search drops it and works with
-    p+ throughout.
-
-    Pairs: if a subset's lcm is under the cap, then so is the lcm of
-    any two of its points (with the origin), which it dominates. So
-    each kept point i lists, as a bitmask, the later points j with
-    deg(max(p_i+, p_j+)) <= cap, and the search picks the next point
-    only among the common candidates of the points chosen so far, as in
-    clique enumeration. The two filters bound the partial lcm of the
-    first two points exactly; pairs do not bound larger subsets, so from
-    the third point on the partial lcm is checked against the cap at
-    every step.
+    with the origin, kept when their degree is at most ``degree_cap``.
+    Such an lcm is >= 0, so a point p enters it as p+ = max(p, 0); as
+    weights are positive, the kept points are the p+ under the cap, with
+    multiplicity. Level 0 is the origin, and level j + 1 holds max(L, q)
+    for L in level j and a kept q not <= L, under the cap, and L itself
+    when it dominates more than j kept points: Lemma 2 of
+    ``lcm_generator_classes`` without its antichain step.
+    Proof that level j holds the lcms of j kept points under the cap.
+    For j + 1 points X with lcm M under the cap and q in X, the lcm L of
+    the others is <= M, so in level j. If some q is not <= L, then
+    M = max(L, q); else M = L dominates j + 1 points. Conversely, a q
+    not <= L = lcm(Y) is none of Y's points, and an L dominating more
+    than j points dominates one outside Y.
     """
     if bl.radius != k - 1:
         raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
-    n = len(bl.points[0])
-    others = [p for p in bl.points if any(p)]
-    if len(others) < k - 1:
+    pos = [tuple(max(x, 0) for x in p) for p in bl.points if any(p)]
+    if len(pos) < k - 1:
         raise InputError(f"ball has too few points for {k}-subsets")
     a = weight.a
-    pos = [tuple(max(x, 0) for x in p) for p in others]
-    kept = [q for q in pos if dot(a, q) <= degree_cap]
-    # The masks limit the second and later picks; k <= 2 picks at most one point.
-    later = [
-        sum(
-            1 << j
-            for j in range(i + 1, len(kept))
-            if dot(a, map(max, q, kept[j])) <= degree_cap
-        )
-        if k >= 3
-        else 0
-        for i, q in enumerate(kept)
-    ]
-    found = set()
-
-    def rec(cands, chosen, lcm):
-        if chosen == k - 1:
-            found.add(lcm)
-            return
-        # Add one point from cands, lowest index first, while enough remain.
-        while cands.bit_count() >= k - 1 - chosen:
-            low = cands & -cands
-            cands ^= low
-            i = low.bit_length() - 1
-            nxt = tuple(map(max, lcm, kept[i]))
-            if chosen >= 2 and dot(a, nxt) > degree_cap:
-                continue
-            rec(cands & later[i], chosen + 1, nxt)
-
-    rec((1 << len(kept)) - 1, 0, (0,) * n)
-    return tuple(sorted(found))
+    mult = Counter(q for q in pos if dot(a, q) <= degree_cap)
+    level = {(0,) * len(a)}
+    for j in range(k - 1):
+        found = set()
+        for lcm in level:
+            dominated = 0
+            for q, m in mult.items():
+                if all(map(le, q, lcm)):
+                    dominated += m
+                elif dot(a, c := tuple(map(max, lcm, q))) <= degree_cap:
+                    found.add(c)
+            if dominated > j:
+                found.add(lcm)
+        level = found
+    return tuple(sorted(level))
 
 
 def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
@@ -366,6 +345,25 @@ def is_exceptional(basis: LatticeBasis, g, k: int) -> bool:
     return thresholds(basis, k + 1).at_least(basis.label(g), k + 1)
 
 
+def subset_lcms(points, size: int) -> set:
+    """The lcms of the size-subsets of distinct points, 1 <= size <= len(points).
+
+    A size-subset is the points S minus some D of j = |S| - size points.
+    Let T_i be j + 1 points that no point outside T_i passes in
+    coordinate i (ties either way), and T the union of the T_i, at most
+    n(j + 1) points. D misses a point of T_i, which attains coordinate i
+    of lcm(S - D); so lcm(S - D) = lcm(T - D). And D & T runs over
+    exactly the D' in T with max(0, j - |S - T|) <= |D'| <= j, padding
+    D' to j points from S - T. So the lcms of the subsets T - D', of
+    |T| - j up to min(|T|, size) points, are the same set, and
+    D -> D & T is onto, so there are no more of them than size-subsets.
+    """
+    j = len(points) - size
+    top = {p for i in range(len(points[0])) for p in sorted(points, key=itemgetter(i))[-j - 1 :]}
+    sizes = range(len(top) - j, min(len(top), size) + 1)
+    return {reduce(phi, K) for r in sizes for K in combinations(top, r)}
+
+
 def classify(
     basis: LatticeBasis,
     g,
@@ -381,7 +379,7 @@ def classify(
     proper-divisor lcm certifies a syzygy with the unit.
 
     g's dominated points are its orbit's support, translated by g minus
-    the representative; a translate keeps the support sorted.
+    the representative; ``subset_lcms`` forms their lcms.
     """
     if k_next < 2:
         raise InputError("classification needs k_next at least 2")
@@ -398,7 +396,7 @@ def classify(
     shift = vsub(g, gens.generators[i])
     support = [vadd(p, shift) for p in gens.supports[i]]
 
-    lcms = sorted({reduce(phi, T) for T in combinations(support, k_next - 1)})
+    lcms = sorted(subset_lcms(support, k_next - 1))
     if len(lcms) == 1:
         if lcms[0] != g:
             raise RuntimeError("constant subset lcm differs from the generator")

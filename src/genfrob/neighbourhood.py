@@ -77,7 +77,8 @@ def ball(ms: MoveSet, k: int) -> Ball:
                     f"the move ball of radius {k} passes the budget of {MAX_BALL_POINTS} "
                     f"points at distance {depth}"
                 )
-        frontier = sorted(nxt)
+        # Unsorted: distances, the sorted points and the depth named above do not depend on order.
+        frontier = nxt
     return Ball(k, dist)
 
 
@@ -120,8 +121,10 @@ def distance(ms: MoveSet, u, v, *, cap: int):
                     return depth + other[q]
                 side[q] = depth
                 nxt.append(q)
+        # Unsorted: any meeting found while one side expands depth d is at the
+        # distance, since a shorter path would have met at an earlier depth.
         if side is side_a:
-            frontier_a = sorted(nxt)
+            frontier_a = nxt
         else:
-            frontier_b = sorted(nxt)
+            frontier_b = nxt
     return math.inf

@@ -102,6 +102,8 @@ CASES = [
      "d12a246a45b69fd57dd12d4e296af60584fb9a9c8a6011974a74d9d844c35f20"),
     ("verify -a 13,17,29 --basis @ --k-max 6", 0,
      "6e8973a3885121ae7a2c724bdff14b71fe3fd00086fcb8728745dc967fead708"),
+    ("module -a 3,5,8 -k 40 --format json", 0,
+     "1c75cb3a6fff58b771eac16c586cc5dd0ab15bbf4fe86c92b215b45d2c99aca0"),
     ("module -a 1,4,7 -k 2 --format json", 0,
      "4b39c326c25a86d1661827c536d67f287f45ab9c7735fb71f31f6d6fe20485e4"),
     ("poset -a 1,4,7 -k 2 --format json", 0,

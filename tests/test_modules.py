@@ -1,5 +1,7 @@
 import math
 import random
+from functools import reduce
+from itertools import combinations
 from math import comb
 from operator import le
 
@@ -31,7 +33,7 @@ from genfrob import (
     render_monomial,
 )
 
-from genfrob.modules import minimal_lcms
+from genfrob.modules import minimal_lcms, subset_lcms
 
 from .oracles import (
     candidate_lcms_exhaustive,
@@ -77,14 +79,14 @@ def test_candidate_lcms_radius_check():
         candidate_lcms(bl, 3, B.weight, 100)
 
 
-def _random_sublattice(rng, max_index=9):
-    """A kernel lattice, or a sublattice of index up to max_index, on 2 to 4 variables.
+def _random_sublattice(rng, max_index=9, ns=(2, 3, 3, 4)):
+    """A kernel lattice, or a sublattice of index up to max_index, on n in ns variables.
 
     About 30% of the weight vectors contain a 1. A sublattice takes
     an upper triangular integer matrix times the kernel basis, so its
     index is the product of the diagonal.
     """
-    n = rng.choice((2, 3, 3, 4))
+    n = rng.choice(ns)
     while True:
         a = [rng.randint(2, 9) for _ in range(n)]
         if rng.random() < 0.3:
@@ -228,6 +230,47 @@ def test_classify_and_is_exceptional_match_dominated_points():
     assert cases_seen == {EXCEPTIONAL, SYZYGY_OF_TWO_GENERATORS, SYZYGY_WITH_UNIT}
     assert {(n, True) for n in (2, 3, 4)} <= {kind[:2] for kind in kinds}
     assert {kind[2] for kind in kinds} == {2, 3, 4, 5}
+
+
+def test_classify_matches_the_subset_walk_up_to_k_12():
+    # classify forms the lcms of subsets of each coordinate's top points
+    # only; the oracle forms the lcm of every (k - 1)-subset of the
+    # dominated points. Kernels and sublattices of index 2-3 on 2 to 5
+    # variables, every generator, k = 2..12; up to 6 points are left out,
+    # and some cases pad the left-out set from outside the top points.
+    rng = random.Random(1212)
+    kinds = set()
+    cases_seen = set()
+    for _ in range(120):
+        B = _random_sublattice(rng, max_index=3, ns=(2, 3, 4, 5))
+        k = rng.randint(2, 12)
+        gens = minimal_generators(B, k)
+        for g in gens.generators:
+            out = classify(B, g, k, gens)
+            support = sorted(dominated_points(B, g))
+            assert (out.case, out.witnesses) == classify_by_support(g, support, k), (B, k, g)
+            cases_seen.add(out.case)
+        kinds.add((B.n, B.index, k))
+    assert cases_seen == {EXCEPTIONAL, SYZYGY_OF_TWO_GENERATORS, SYZYGY_WITH_UNIT}
+    assert {kind[:2] for kind in kinds} == {(n, i) for n in (2, 3, 4, 5) for i in (1, 2, 3)}
+    assert {kind[2] for kind in kinds} == set(range(2, 13))
+
+
+def test_subset_lcms_equal_the_lcms_of_every_subset():
+    # Distinct points with many ties in each coordinate. Below n points a
+    # subset, the top points T can hold more than the subset size, so the
+    # left-out sets are padded from outside T.
+    rng = random.Random(4242)
+    small = 0
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        count = rng.randint(1, 10)
+        points = list({tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(count)})
+        size = rng.randint(1, len(points))
+        walk = {reduce(phi, K) for K in combinations(points, size)}
+        assert subset_lcms(points, size) == walk, (points, size)
+        small += size < min(n, len(points))
+    assert small >= 50
 
 
 def test_divides_mod_L_examples():

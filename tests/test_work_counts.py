@@ -18,6 +18,7 @@ import json
 import math
 import random
 import sys
+from functools import reduce
 
 import pytest
 
@@ -34,6 +35,7 @@ from genfrob import (
     lattice_ideal,
     lcm_generator_classes,
     module_poset,
+    modules,
     poset,
 )
 from genfrob.cli import main
@@ -70,6 +72,30 @@ def test_module_enumerates_one_fiber_per_generator(work, capsys):
     assert len(payload["classification"]) == 10
     assert work["fibers"] == 10
     assert work["walks"] == 1
+
+
+def test_classify_forms_the_lcms_of_each_coordinates_top_points_only(monkeypatch, capsys):
+    # The three generators of (3,5,8) at k = 60 dominate 60, 61 and 62
+    # points. Walking their 59-subsets formed C(60, 59) + C(61, 59) +
+    # C(62, 59) = 39,710 lcms; the subsets of each generator's top points
+    # per coordinate (the j + 1 largest, for j points left out) are 351.
+    formed = 0
+
+    def counted(*args):
+        nonlocal formed
+        formed += 1
+        return reduce(*args)
+
+    monkeypatch.setattr(modules, "reduce", counted)
+    assert main(["module", "-a", "3,5,8", "-k", "60", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [len(s) for s in payload["supports"]] == [60, 61, 62]
+    assert [c["case"] for c in payload["classification"]] == [
+        "Exceptional",
+        "Exceptional",
+        "SyzygyWithUnit",
+    ]
+    assert formed == 351
 
 
 def test_module_poset_runs_one_walk(work, capsys):
