@@ -13,9 +13,10 @@ lexicographically smallest nonnegative point of its class.
 The paper's construction, lcms of k ball points around the origin
 minimalised under divisibility up to the lattice action, is kept as the
 independent oracle ``lcm_generator_classes``. It labels only the
-coordinatewise-minimal lcms, which ``minimal_lcms`` finds one ball point
-at a time, so its cost grows with that antichain, not with the number
-of k-subsets; ``candidate_lcms``, every lcm, is the tests' reference.
+coordinatewise-minimal lcms, which ``minimal_lcms`` finds by a search
+over the values each coordinate takes on the ball points, closing the
+last two coordinates as a staircase, so no k-subset is formed;
+``candidate_lcms``, every lcm, is the tests' reference.
 
 The inductive classification splits each generator into an exceptional
 carry-over, the image of a syzygy between two generators, or the image
@@ -26,8 +27,8 @@ the basis's one walk serves every generator.
 from __future__ import annotations
 
 import re
+from bisect import insort
 from collections import Counter
-from functools import reduce
 from itertools import combinations
 from operator import itemgetter, le
 from typing import NamedTuple
@@ -89,8 +90,7 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     weights are positive, the kept points are the p+ under the cap, with
     multiplicity. Level 0 is the origin, and level j + 1 holds max(L, q)
     for L in level j and a kept q not <= L, under the cap, and L itself
-    when it dominates more than j kept points: Lemma 2 of
-    ``lcm_generator_classes`` without its antichain step.
+    when it dominates more than j kept points.
     Proof that level j holds the lcms of j kept points under the cap.
     For j + 1 points X with lcm M under the cap and q in X, the lcm L of
     the others is <= M, so in level j. If some q is not <= L, then
@@ -121,73 +121,63 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     return tuple(sorted(level))
 
 
+def _staircase(pairs, j: int) -> list[tuple[int, int]]:
+    """The minimal (v, t) with at least j of the sorted ``pairs`` <= them.
+
+    The two-dimensional maxima walk of Kung, Luccio and Preparata: t is
+    the j-th smallest second coordinate of the pairs up to the end of a
+    run of equal v, a step when it falls below the last step's t.
+    """
+    steps = []
+    lasts = []
+    for r, (v, y) in enumerate(pairs):
+        insort(lasts, y)
+        if r + 1 < len(pairs) and pairs[r + 1][0] == v:
+            continue
+        if len(lasts) >= j and (not steps or lasts[j - 1] < steps[-1][1]):
+            steps.append((v, lasts[j - 1]))
+    return steps
+
+
 def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """The coordinatewise-minimal elements of ``candidate_lcms``, sorted.
 
-    Found level by level as in Lemma 2 of ``lcm_generator_classes``.
-    Each kept p+ is a thermometer code: coordinate i has one bit per
-    distinct nonzero value of p+_i, and a value sets the bits of every
-    value up to it. Then max is ``|`` and q <= L is ``not q & ~L``, and
-    since the bits of a coordinate add up to a_i times its value, each
-    code keeps its degree beside it: deg(L | q) = deg(L) + the degrees of
-    the bits of q & ~L. Each level keeps its antichain by a filter in increasing degree: a
-    point dominated by another has a strictly larger degree, so only the
-    points kept before it can dominate it.
+    With j = k - 1, a depth-first search sets coordinates 0..n-3 in turn
+    to values of the kept points still under the prefix, while at least
+    j lie under it and its degree is within the cap; ``_staircase``
+    closes the last two. One pass in increasing degree keeps each
+    candidate above no earlier one. Lemma 2 of ``lcm_generator_classes``.
     """
     if bl.radius != k - 1:
         raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
     pos = [tuple(max(x, 0) for x in p) for p in bl.points if any(p)]
     if len(pos) < k - 1:
         raise InputError(f"ball has too few points for {k}-subsets")
-    a = weight.a
-    pos = [q for q in pos if dot(a, q) <= degree_cap]
-    values = [sorted({0, *(q[i] for q in pos)}) for i in range(len(a))]
-    offsets = [0]
-    for vals in values:
-        offsets.append(offsets[-1] + len(vals) - 1)
-    # per coordinate: offset, bit mask and values, by rank
-    fields = [(off, (1 << len(v) - 1) - 1, v) for off, v in zip(offsets, values)]
-    # The bit of rank r in coordinate i adds a_i * (v_r - v_(r-1)) to the degree.
-    bit_degree = {
-        1 << off + r - 1: ai * (v[r] - v[r - 1])
-        for off, v, ai in zip(offsets, values, a)
-        for r in range(1, len(v))
-    }
+    a, j = weight.a, k - 1
+    if not j:
+        return ((0,) * len(a),)
+    found = []
 
-    def decode(code):
-        return tuple(v[(code >> off & mask).bit_count()] for off, mask, v in fields)
+    def search(prefix, d, points):
+        i = len(prefix)
+        if i == len(a) - 2:
+            found.extend((*prefix, *step) for step in _staircase(sorted(q[i:] for q in points), j))
+            return
+        points.sort(key=itemgetter(i))
+        for t, q in enumerate(points):
+            if t + 1 < len(points) and points[t + 1][i] == q[i]:
+                continue
+            if (e := d + a[i] * q[i]) > degree_cap:
+                break
+            if t + 1 >= j:
+                search((*prefix, q[i]), e, points[: t + 1])
 
-    mult: dict[int, int] = {}
-    for q in pos:
-        code = sum(((1 << values[i].index(x)) - 1) << offsets[i] for i, x in enumerate(q))
-        mult[code] = mult.get(code, 0) + 1
-    # Each level maps its codes, in increasing degree, to their degrees.
-    level = {0: 0}  # M_0: the origin, which dominates no kept point
-    for j in range(k - 1):
-        found = {}
-        for lcm, d in level.items():
-            dominated = 0
-            for q, m in mult.items():
-                new = q & ~lcm
-                if not new:
-                    dominated += m
-                elif (c := lcm | q) not in found:
-                    e = d
-                    while new:
-                        low = new & -new
-                        e += bit_degree[low]
-                        new ^= low
-                    found[c] = e
-            if dominated > j:
-                found[lcm] = d
-        level = {}
-        for d, c in sorted((d, c) for c, d in found.items() if d <= degree_cap):
-            for m in level:
-                if not m & ~c:
-                    break
-            else:
-                level[c] = d
-    return tuple(sorted(map(decode, level)))
+    search((), 0, [q for q in pos if dot(a, q) <= degree_cap])
+    level = []
+    for d, c in sorted((dot(a, c), c) for c in found):
+        if d <= degree_cap and not any(all(map(le, m, c)) for m in level):
+            level.append(c)
+    return tuple(sorted(level))
 
 
 class ModuleGens(NamedTuple):
@@ -233,19 +223,19 @@ def lcm_generator_classes(
     the same set as minimalising those of all candidates.
 
     Lemma 2. Let the kept points be the p+ = max(p, 0) of the nonzero
-    ball points with deg(p+) <= cap, with multiplicity, and let M_j be
-    the minimal L with deg L <= cap dominating at least j of them. Then
-    M_0 = {0} and M_(j+1) is the set of minimal elements of the L in M_j
-    that dominate at least j+1 points together with the max(L, q) for L
-    in M_j and a kept q not <= L, of degree <= cap; M_(k-1) is the set
-    of minimal candidate lcms.
-    Proof. A minimal L dominating j points is the max of any j of them,
-    which lies below L and dominates as many; so M_j holds the minimal
-    lcms of j-subsets under the cap. Each listed point dominates j+1
-    points. A minimal X of level j+1 lies above some L in M_j; if L
-    dominates j+1 points then X = L, and otherwise X dominates a point
-    q not <= L, so X >= max(L, q), a listed point, and X equals it.
-    Degree grows with the point, so pruning at the cap loses nothing.
+    ball points with deg(p+) <= cap, with multiplicity, and j = k - 1 >= 1.
+    Then ``minimal_lcms`` finds the minimal candidate lcms.
+    Proof. (a) A minimal L with deg L <= cap and j kept points under it
+    is their lcm, which is a candidate; so these L are the minimal
+    candidates, and each L_i is 0 or a kept point's i-th coordinate.
+    (b) For fixed L_0..L_(n-2), the least L_(n-1) is the j-th smallest
+    last coordinate of the points under that prefix. (c) That value does
+    not rise as L_(n-2) grows, so a candidate whose last coordinate does
+    not fall lies above an earlier one. (d) Degree grows with the point,
+    so stopping at the cap loses nothing. So the search keeps the prefix
+    L_0..L_(n-3) of a minimal L, and the staircase gives L_(n-1) at
+    L_(n-2); every candidate found lies above a minimal L, which the pass
+    in increasing degree keeps first.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -361,7 +351,7 @@ def subset_lcms(points, size: int) -> set:
     j = len(points) - size
     top = {p for i in range(len(points[0])) for p in sorted(points, key=itemgetter(i))[-j - 1 :]}
     sizes = range(len(top) - j, min(len(top), size) + 1)
-    return {reduce(phi, K) for r in sizes for K in combinations(top, r)}
+    return {tuple(map(max, zip(*K))) for r in sizes for K in combinations(top, r)}
 
 
 def classify(

@@ -11,6 +11,7 @@ from genfrob import (
     EXCEPTIONAL,
     SYZYGY_OF_TWO_GENERATORS,
     SYZYGY_WITH_UNIT,
+    Ball,
     InputError,
     LatticeBasis,
     WeightVector,
@@ -33,7 +34,7 @@ from genfrob import (
     render_monomial,
 )
 
-from genfrob.modules import minimal_lcms, subset_lcms
+from genfrob.modules import _staircase, minimal_lcms, subset_lcms
 
 from .oracles import (
     candidate_lcms_exhaustive,
@@ -183,6 +184,93 @@ def test_minimal_lcms_radius_check():
     bl = ball(moves(lattice_ideal(B)), 1)
     with pytest.raises(InputError):
         minimal_lcms(bl, 3, B.weight, 100)
+
+
+def _minimal(points):
+    return tuple(
+        sorted(L for L in points if not any(M != L and all(map(le, M, L)) for M in points))
+    )
+
+
+def test_minimal_lcms_on_hand_built_balls_match_the_exhaustive_walk():
+    # minimal_lcms reads only the ball's radius and points, so each case
+    # lists its nonzero points by hand: ties in every coordinate, distinct
+    # points with equal positive parts, and two variables, where the
+    # staircase is the whole search. Each k runs uncapped and at every cap
+    # up to the uncapped answer's largest degree, so caps cut the staircase
+    # between its steps; k = 1 is the origin whatever the cap.
+    cases = [
+        (
+            (1, 2, 3),
+            [(2, 0, 1), (2, 1, 0), (0, 2, 2), (1, 2, 0), (2, 2, -1), (-1, 0, 3), (0, 0, 3)],
+        ),
+        ((2, 3), [(3, -1), (1, 2), (2, 2), (0, 4), (4, 0), (-2, 1), (2, -3), (1, 1), (-1, 4)]),
+        ((1, 1), [(1, 0), (0, 1), (1, -1), (-1, 1), (2, 0), (0, 2), (1, 1)]),
+        (
+            (3, 1, 2, 1),
+            [(1, 0, 2, 0), (1, 2, 0, -1), (0, 1, 1, 1), (1, 1, 1, 0), (-2, 1, 1, 1), (0, 0, 2, 2)],
+        ),
+    ]
+    steps_cut = 0
+    for a, points in cases:
+        weight = WeightVector(a)
+        origin = (0,) * len(a)
+        for k in range(1, len(points) + 2):
+            bl = Ball(k - 1, {origin: 0, **{p: 1 for p in points}})
+            uncapped = minimal_lcms(bl, k, weight, 10**9)
+            for cap in (10**9, *range(-1, max(map(weight.degree, uncapped)) + 1)):
+                got = minimal_lcms(bl, k, weight, cap)
+                if k == 1:
+                    assert got == (origin,)
+                    continue
+                want = _minimal(candidate_lcms_exhaustive(bl, k, weight, cap))
+                assert got == want, (a, k, cap)
+                steps_cut += 0 < len(got) < len(uncapped)
+    assert steps_cut >= 20
+
+
+def test_staircase_is_the_minimal_pairs_with_j_points_below():
+    # Pairs with many ties in both coordinates and repeated pairs; the
+    # steps come in increasing first and decreasing second coordinate.
+    rng = random.Random(2222)
+    for _ in range(500):
+        pairs = sorted((rng.randint(0, 4), rng.randint(0, 4)) for _ in range(rng.randint(1, 9)))
+        j = rng.randint(1, len(pairs))
+        below = {
+            (v, t)
+            for v, _ in pairs
+            for _, t in pairs
+            if sum(x <= v and y <= t for x, y in pairs) >= j
+        }
+        assert _staircase(pairs, j) == list(_minimal(below)), (pairs, j)
+
+
+def test_minimal_lcms_on_five_variables_are_the_minimal_candidate_lcms():
+    # Five variables, where the search sets three coordinates before the
+    # staircase: kernels and sublattices of index 2-3, k = 2..6, at the
+    # real cap and, where the ball is small, with no cap. Balls over 1,000
+    # points are skipped to keep candidate_lcms fast.
+    rng = random.Random(5555)
+    cases = uncapped = 0
+    kinds = set()
+    while cases < 60:
+        B = _random_sublattice(rng, max_index=3, ns=(5,))
+        k = rng.randint(2, 6)
+        bl = ball(moves(lattice_ideal(B)), k - 1)
+        if len(bl) > 1000:
+            continue
+        f, m = kth_degrees(B, k)
+        caps = [m[-1] + max(f[0], 0)]
+        if comb(len(bl) - 1, k - 1) <= 20_000:
+            caps.append(10**9)
+            uncapped += 1
+        for cap in caps:
+            lcms = candidate_lcms(bl, k, B.weight, cap)
+            assert minimal_lcms(bl, k, B.weight, cap) == _minimal(lcms), (B, k, cap)
+        kinds.add((B.index > 1, k))
+        cases += 1
+    assert uncapped >= 20
+    assert {(sub, k) for sub in (False, True) for k in range(2, 7)} <= kinds
 
 
 def test_classify_and_is_exceptional_match_dominated_points():

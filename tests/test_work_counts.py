@@ -18,7 +18,7 @@ import json
 import math
 import random
 import sys
-from functools import reduce
+from itertools import combinations
 
 import pytest
 
@@ -79,14 +79,17 @@ def test_classify_forms_the_lcms_of_each_coordinates_top_points_only(monkeypatch
     # points. Walking their 59-subsets formed C(60, 59) + C(61, 59) +
     # C(62, 59) = 39,710 lcms; the subsets of each generator's top points
     # per coordinate (the j + 1 largest, for j points left out) are 351.
+    # classify also draws one pair from modules.combinations: the two
+    # lcms of the third generator, which it compares.
     formed = 0
 
-    def counted(*args):
+    def counted(pool, r):
         nonlocal formed
-        formed += 1
-        return reduce(*args)
+        for subset in combinations(pool, r):
+            formed += 1
+            yield subset
 
-    monkeypatch.setattr(modules, "reduce", counted)
+    monkeypatch.setattr(modules, "combinations", counted)
     assert main(["module", "-a", "3,5,8", "-k", "60", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [len(s) for s in payload["supports"]] == [60, 61, 62]
@@ -95,7 +98,7 @@ def test_classify_forms_the_lcms_of_each_coordinates_top_points_only(monkeypatch
         "Exceptional",
         "SyzygyWithUnit",
     ]
-    assert formed == 351
+    assert formed == 351 + 1
 
 
 def test_module_poset_runs_one_walk(work, capsys):
