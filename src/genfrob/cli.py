@@ -26,7 +26,8 @@ from .counting import _oracle_table, kth_degrees, m_value
 from .frobenius import brute_force_frobenius, brute_force_m, frobenius
 from .frobenius import sequence_report
 from .ideal import lattice_ideal
-from .lattice import InputError, LatticeBasis, WeightVector, kernel_basis, sublattice_index
+from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, kernel_basis
+from .lattice import sublattice_index
 from .modules import classify, lcm_generator_classes, minimal_generators, render_monomial
 from .neighbourhood import ball, moves
 from .poset import _check_window, module_poset, poset_to_dot, structure_poset
@@ -255,12 +256,15 @@ def _cmd_verify(args, basis):
         checks.append((k, f"pipeline F_k={fk} oracle F_k={oracle}", fk == oracle))
         gens = minimal_generators(basis, k)
         mp = module_poset(basis, k)
-        # With F_1 = -1 the module poset's window is empty by convention,
-        # so it has no minimal elements; every class of degree >= m_k is
-        # then in the module, and the one class of degree m_k generates it.
-        minimal = len(mp.minimal_elements) or 1
+        # A minimal element is a generator's class moved down by m_k. With
+        # F_1 = -1 the module poset's window is empty by convention, so it
+        # has no minimal elements; every class of degree >= m_k is then in
+        # the module, and the one class of degree m_k generates it.
+        minimal = {QuotientClass(c.degree + mp.m_k, c.torsion) for c in mp.minimal_elements}
+        if not minimal:
+            minimal = {QuotientClass(mp.m_k, basis.zero_class.torsion)}
         checks.append((k, f"generator orbits={len(gens.generators)} "
-                          f"poset minimal elements={minimal}", len(gens.generators) == minimal))
+                          f"poset minimal elements={len(minimal)}", set(gens.classes) == minimal))
         oracle_classes = lcm_generator_classes(basis, k, markov)
         checks.append((k, f"lcm oracle orbits={len(oracle_classes)}",
                        oracle_classes == frozenset(gens.classes)))

@@ -91,7 +91,6 @@ class CountTable:
                 f"a counting table of degrees 0..{max_degree} needs (max_degree + 1) * "
                 f"index = {cells} cells, over the budget of {MAX_TABLE_CELLS}"
             )
-        self.weight = basis.weight
         self.max_degree = max_degree
         self.cap = cap
         self.index = size
@@ -99,7 +98,7 @@ class CountTable:
         self._torsion_code = basis.torsion_code
         flat = [0] * cells
         flat[0] = 1
-        for ai, unit in zip(self.weight.a, basis.units):
+        for ai, unit in zip(basis.weight.a, basis.units):
             block = ai * size
             if size > 1:
                 shift = basis.torsion_shift([-x for x in unit.torsion])

@@ -76,7 +76,8 @@ def sequence_report(basis: LatticeBasis, k_max: int) -> FrobeniusReport:
 
     The set of observed b-values is a lower slice of the full b-set, so
     the dimension bounds are reported against the values seen up to
-    k_max only.
+    k_max only. ``dimension`` counts the distinct F_k differences seen
+    up to k_max, not the progression's dimension.
     """
     if k_max < 2:
         raise InputError("k_max must be at least 2")

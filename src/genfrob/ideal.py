@@ -412,25 +412,17 @@ class _MarkovBasisFields(NamedTuple):
 
 
 class MarkovBasis(_MarkovBasisFields):
-    """Minimal binomial generating set of a lattice ideal.
+    """Minimal binomial generating set of a lattice ideal."""
 
-    ``order_used`` is kept beside the fields and takes no part in equality.
-    """
+    __slots__ = ()
 
-    __setattr__ = _read_only
-
-    def __new__(cls, basis: LatticeBasis, elements: tuple[Binomial, ...], order_used: TermOrder):
+    def __new__(cls, basis: LatticeBasis, elements: tuple[Binomial, ...]):
         for b in elements:
             if not b.is_pure:
                 raise InputError("Markov element with shared monomial factor")
             if not basis.contains(b.vector):
                 raise InputError(f"Markov vector {b.vector} outside the lattice")
-        self = super().__new__(cls, basis, elements)
-        vars(self)["order_used"] = order_used
-        return self
-
-    def __getnewargs__(self):
-        return (*self, self.order_used)
+        return super().__new__(cls, basis, elements)
 
     @property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
@@ -521,7 +513,7 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
             continue
         kept.append((h, t))
         moves |= signed_moves([vsub(h, t)])
-    return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept), order)
+    return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept))
 
 
 class FiberGraph(NamedTuple):

@@ -293,27 +293,17 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
     )
 
 
-def modified_min_gens(
-    basis: LatticeBasis,
-    k: int,
-    gens: ModuleGens | None = None,
-    markov: MarkovBasis | None = None,
-) -> tuple[tuple[int, ...], ...]:
+def modified_min_gens(basis: LatticeBasis, k: int) -> tuple[tuple[int, ...], ...]:
     """Unit plus generator translates that do not dominate the origin.
 
     The full set of such translates is infinite; the returned slice
     shifts each non-unit generator orbit by the lattice points of the
     radius-k ball and keeps the shifts that fail to dominate the origin.
     """
-    if markov is None:
-        markov = lattice_ideal(basis)
-    if gens is None:
-        gens = minimal_generators(basis, k)
-    n = basis.n
-    unit = (0,) * n
+    unit = (0,) * basis.n
     out = {unit}
-    bl = ball(moves(markov), k)
-    for g in gens.generators:
+    bl = ball(moves(lattice_ideal(basis)), k)
+    for g in minimal_generators(basis, k).generators:
         if g == unit:
             continue
         for l in bl.points:

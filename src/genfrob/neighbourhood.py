@@ -86,7 +86,9 @@ def distance(ms: MoveSet, u, v, *, cap: int):
     """Move-graph distance between two lattice points, or inf beyond cap.
 
     Translation invariant, so computed as a bidirectional search from
-    the origin to v - u, each side bounded by half the cap.
+    the origin to v - u, each side bounded by half the cap. Raises
+    InputError once one side holds more than MAX_BALL_POINTS points,
+    checked after each frontier point's moves as in ``ball``.
     """
     for p in (u, v):
         if not ms.basis.contains(p):
@@ -121,6 +123,11 @@ def distance(ms: MoveSet, u, v, *, cap: int):
                     return depth + other[q]
                 side[q] = depth
                 nxt.append(q)
+            if len(side) > MAX_BALL_POINTS:
+                raise InputError(
+                    f"the move search from {u} to {v} passes the budget of "
+                    f"{MAX_BALL_POINTS} points on one side at distance {depth}"
+                )
         # Unsorted: any meeting found while one side expands depth d is at the
         # distance, since a shorter path would have met at an earlier depth.
         if side is side_a:

@@ -226,19 +226,19 @@ class ModulePoset(_ModulePosetFields, _CodedPoset):
     fixes every label, and equal fields on one basis mean equal label
     sets. The labels, the embedding witnesses (the classes of degree
     m_k) and the covers, as codes and as classes, are built the first
-    time they are read. The basis and the atoms are kept beside the
-    fields, out of equality.
+    time they are read. The basis is kept beside the fields, out of
+    equality.
     """
 
     __setattr__ = _read_only
 
-    def __new__(cls, k, m_k, f_1, nodes, minimal_elements, basis, atoms):
+    def __new__(cls, k, m_k, f_1, nodes, minimal_elements, basis):
         self = super().__new__(cls, k, m_k, f_1, nodes, minimal_elements)
-        vars(self).update(basis=basis, atoms=atoms)
+        vars(self)["basis"] = basis
         return self
 
     def __getnewargs__(self):
-        return (*self, self.basis, self.atoms)
+        return (*self, self.basis)
 
     @cached_property
     def labels(self) -> frozenset:
@@ -283,7 +283,7 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
             if i < len(chain):
                 nodes[v] = chain[i]
     minimal = frozenset(t.node_class(v, nodes[v]) for v in t.minimal_nodes(nodes))
-    return ModulePoset(k, mk, f1, tuple(nodes), minimal, basis, t.atoms())
+    return ModulePoset(k, mk, f1, tuple(nodes), minimal, basis)
 
 
 class FinitenessReport(NamedTuple):

@@ -410,6 +410,24 @@ def test_verify_lcm_oracle_mismatch_exits_3(monkeypatch, capsys):
     assert "k=1 lcm oracle orbits=0 MISMATCH" in capsys.readouterr().out.splitlines()
 
 
+def test_verify_poset_line_compares_orbit_sets(monkeypatch, capsys):
+    import genfrob.cli as cli
+    from genfrob import ModulePoset, QuotientClass
+
+    real = cli.module_poset
+
+    def moved_up(basis, k):
+        mp = real(basis, k)
+        minimal = frozenset(QuotientClass(c.degree + 1, c.torsion) for c in mp.minimal_elements)
+        return ModulePoset(mp.k, mp.m_k, mp.f_1, mp.nodes, minimal, basis)
+
+    monkeypatch.setattr(cli, "module_poset", moved_up)
+    # The right number of minimal elements, in the wrong classes.
+    assert main(["verify", "-a", "3,5,8", "--k-max", "2"]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "k=1 generator orbits=1 poset minimal elements=1 MISMATCH"
+
+
 def test_verify_m_k_oracle_mismatch_exits_3(monkeypatch, capsys):
     import genfrob.cli as cli
 

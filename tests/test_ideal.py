@@ -146,7 +146,7 @@ def test_markov_basis_minimal_on_seeded_cases():
             m = rng.randint(2, 3)
             B = LatticeBasis(B.weight, (tuple(m * x for x in B.vectors[0]),) + B.vectors[1:])
         mb = lattice_ideal(B)
-        order = mb.order_used
+        order = TermOrder(B.weight)
         pairs = [(b.head, b.tail) for b in mb.elements]
         for i, p in enumerate(pairs):
             rest = pairs[:i] + pairs[i + 1 :]

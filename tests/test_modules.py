@@ -459,6 +459,12 @@ def test_modified_min_gens_always_contains_unit():
             assert (0, 0, 0) in modified_min_gens(B, k)
 
 
+def test_modified_min_gens_takes_the_basis_and_k_alone():
+    B = kernel_basis(WeightVector((3, 5, 8)))
+    with pytest.raises(TypeError):
+        modified_min_gens(B, 3, minimal_generators(B, 3))
+
+
 def test_phi_examples():
     assert phi((-1, -1, 2), (-2, 1, 2)) == (-1, 1, 2)
     assert phi((1, 2, 3), (1, 2, 3)) == (1, 2, 3)

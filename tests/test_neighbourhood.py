@@ -147,6 +147,14 @@ def test_ball_over_the_point_budget_exits_2(monkeypatch, capsys):
                    "at distance 22\n")
 
 
+def test_distance_over_the_point_budget_raises(monkeypatch):
+    ms = moves(lattice_ideal(kernel_basis(WeightVector((3, 5, 8)))))
+    monkeypatch.setattr(neighbourhood, "MAX_BALL_POINTS", 200)
+    with pytest.raises(InputError, match="passes the budget of 200 points on one side"):
+        distance(ms, (0, 0, 0), (40, 40, -40), cap=100)
+    assert distance(ms, (0, 0, 0), (5, -3, 0), cap=4) == 1
+
+
 def test_distance_rejects_negative_cap():
     mb = lattice_ideal(kernel_basis(WeightVector((3, 5, 8))))
     ms = moves(mb)
