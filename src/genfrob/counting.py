@@ -39,18 +39,17 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import cached_property
 from operator import add, itemgetter
-from typing import NamedTuple
 
 from .lattice import InputError, LatticeBasis, QuotientClass, vsub, xgcd
 
 
-class Fiber(NamedTuple):
+class Fiber(namedtuple("Fiber", "label points")):
     """All nonnegative integer points in one quotient class, in lexicographic order."""
 
-    label: QuotientClass
-    points: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 # Largest (max_degree + 1) * index, the degrees times the torsion

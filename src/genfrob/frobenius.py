@@ -9,7 +9,7 @@ of exact counts (``_table_past``), sharing no code with the engine.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .counting import _oracle_table, kth_degrees, m_value  # noqa: F401  (re-exported)
 from .lattice import InputError, LatticeBasis
@@ -58,17 +58,12 @@ def frobenius(basis: LatticeBasis, k: int) -> int:
     return kth_degrees(basis, k)[0][-1]
 
 
-class FrobeniusReport(NamedTuple):
+class FrobeniusReport(namedtuple(
+    "FrobeniusReport", "k_max f_values m_values b_values f_diffs m_diffs dimension bound_checks"
+)):
     """Sequence analytics for F_k and m_k up to k_max."""
 
-    k_max: int
-    f_values: tuple[int, ...]
-    m_values: tuple[int, ...]
-    b_values: tuple[int, ...]
-    f_diffs: tuple[int, ...]
-    m_diffs: tuple[int, ...]
-    dimension: int
-    bound_checks: dict
+    __slots__ = ()
 
 
 def sequence_report(basis: LatticeBasis, k_max: int) -> FrobeniusReport:

@@ -18,21 +18,16 @@ connect its head to its tail (Diaconis and Sturmfels, Ann. Statist.
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from itertools import permutations
 from operator import add, ge, itemgetter, neg, sub
-from typing import NamedTuple
 
 from .counting import degree_fiber
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _read_only
 from .lattice import dot, vneg, vsub
 
 
-class _TermOrderFields(NamedTuple):
-    weight: WeightVector
-    perm: tuple[int, ...]
-
-
-class TermOrder(_TermOrderFields):
+class TermOrder(namedtuple("TermOrder", "weight perm")):
     """Weighted graded reverse-lexicographic order.
 
     perm lists the variables from most expensive to cheapest; ties in
@@ -70,12 +65,7 @@ def _neg_part(v):
     return tuple(-x if x < 0 else 0 for x in v)
 
 
-class _BinomialFields(NamedTuple):
-    head: tuple[int, ...]
-    tail: tuple[int, ...]
-
-
-class Binomial(_BinomialFields):
+class Binomial(namedtuple("Binomial", "head tail")):
     """Difference of two monomials, head minus tail.
 
     Markov basis elements always have disjoint supports, so the head and
@@ -406,12 +396,7 @@ def _connected(u, v, moves) -> bool:
     return u == v
 
 
-class _MarkovBasisFields(NamedTuple):
-    basis: LatticeBasis
-    elements: tuple[Binomial, ...]
-
-
-class MarkovBasis(_MarkovBasisFields):
+class MarkovBasis(namedtuple("MarkovBasis", "basis elements")):
     """Minimal binomial generating set of a lattice ideal."""
 
     __slots__ = ()
@@ -516,12 +501,10 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept))
 
 
-class FiberGraph(NamedTuple):
+class FiberGraph(namedtuple("FiberGraph", "degree vertices edges")):
     """Markov-move graph on the full fiber of one weighted degree; vertices sorted."""
 
-    degree: int
-    vertices: tuple[tuple[int, ...], ...]
-    edges: frozenset
+    __slots__ = ()
 
     def components(self) -> tuple[frozenset, ...]:
         remaining = set(self.vertices)

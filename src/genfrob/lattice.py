@@ -6,10 +6,10 @@ of the basis matrix.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 from operator import add, mul, neg, sub
-from typing import NamedTuple
 
 
 class InputError(ValueError):
@@ -52,11 +52,7 @@ def _read_only(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
 
-class _WeightVectorFields(NamedTuple):
-    a: tuple[int, ...]
-
-
-class WeightVector(_WeightVectorFields):
+class WeightVector(namedtuple("WeightVector", "a")):
     """Positive integer weights (a1, ..., an) with gcd 1 and n >= 2."""
 
     __slots__ = ()
@@ -85,7 +81,7 @@ class WeightVector(_WeightVectorFields):
         return dot(self.a, p)
 
 
-class QuotientClass(NamedTuple):
+class QuotientClass(namedtuple("QuotientClass", "degree torsion")):
     """Canonical label of an element of Z^n modulo a sublattice.
 
     Two points get equal labels exactly when their difference lies in
@@ -94,8 +90,7 @@ class QuotientClass(NamedTuple):
     order by (degree, torsion).
     """
 
-    degree: int
-    torsion: tuple[int, ...]
+    __slots__ = ()
 
 
 def _smith_diagonal(mat):

@@ -28,15 +28,14 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from collections import Counter
+from collections import Counter, namedtuple
 from itertools import combinations
 from operator import itemgetter, le
-from typing import NamedTuple
 
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
-from .lattice import InputError, LatticeBasis, QuotientClass, dot, vadd, vsub
+from .lattice import InputError, LatticeBasis, dot, vadd, vsub
 from .neighbourhood import Ball, ball, moves
 
 EXCEPTIONAL = "Exceptional"
@@ -180,7 +179,9 @@ def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, 
     return tuple(sorted(level))
 
 
-class ModuleGens(NamedTuple):
+class ModuleGens(namedtuple(
+    "ModuleGens", "k generators supports classes min_degree_witness m_k f_1"
+)):
     """Minimal generating data of the k-th module, one orbit per entry.
 
     Representatives are the lexicographically smallest translates that
@@ -188,13 +189,7 @@ class ModuleGens(NamedTuple):
     lattice points of each representative.
     """
 
-    k: int
-    generators: tuple[tuple[int, ...], ...]
-    supports: tuple[tuple[tuple[int, ...], ...], ...]
-    classes: tuple[QuotientClass, ...]
-    min_degree_witness: tuple[int, ...]
-    m_k: int
-    f_1: int
+    __slots__ = ()
 
     def render(self) -> tuple[str, ...]:
         return tuple(render_monomial(g) for g in self.generators)
@@ -313,11 +308,10 @@ def modified_min_gens(basis: LatticeBasis, k: int) -> tuple[tuple[int, ...], ...
     return tuple(sorted(out))
 
 
-class GeneratorClassification(NamedTuple):
+class GeneratorClassification(namedtuple("GeneratorClassification", "case witnesses")):
     """Inductive case of one minimal generator, with its certificates."""
 
-    case: str
-    witnesses: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
 
 def is_exceptional(basis: LatticeBasis, g, k: int) -> bool:

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+from collections import namedtuple
 
 from .ideal import MarkovBasis, signed_moves
 from .lattice import InputError, LatticeBasis, vadd, vsub
@@ -16,12 +16,7 @@ from .lattice import InputError, LatticeBasis, vadd, vsub
 MAX_BALL_POINTS = 1_000_000
 
 
-class _MoveSetFields(NamedTuple):
-    basis: LatticeBasis
-    moves: frozenset
-
-
-class MoveSet(_MoveSetFields):
+class MoveSet(namedtuple("MoveSet", "basis moves")):
     """Markov move vectors closed under negation."""
 
     __slots__ = ()

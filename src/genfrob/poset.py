@@ -38,8 +38,8 @@ antichain search live on as oracles in the test suite.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import cached_property
-from typing import NamedTuple
 
 from .counting import _oracle_table, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass, _read_only
@@ -146,12 +146,7 @@ class _CodedPoset:
         return tuple((classes[x], classes[y]) for x, y in self.cover_codes)
 
 
-class _StructurePosetFields(NamedTuple):
-    basis: LatticeBasis
-    f1: int
-
-
-class StructurePoset(_StructurePosetFields, _CodedPoset):
+class StructurePoset(namedtuple("StructurePoset", "basis f1"), _CodedPoset):
     """Every class of degree 0..F_1, ordered by representable differences.
 
     One node vector, each node's residue, fixes the members; the
@@ -206,15 +201,7 @@ def leq(poset: StructurePoset, b: QuotientClass, a: QuotientClass) -> bool:
     return poset.leq(b, a)
 
 
-class _ModulePosetFields(NamedTuple):
-    k: int
-    m_k: int
-    f_1: int
-    nodes: tuple
-    minimal_elements: frozenset
-
-
-class ModulePoset(_ModulePosetFields, _CodedPoset):
+class ModulePoset(namedtuple("ModulePoset", "k m_k f_1 nodes minimal_elements basis"), _CodedPoset):
     """The k-th module inside the structure poset, as one node vector.
 
     A label is a class of the module in the window [m_k, m_k + F_1]
@@ -223,22 +210,14 @@ class ModulePoset(_ModulePosetFields, _CodedPoset):
     r * index + code(t - q * t_s), the coding of ``counting.Thresholds``.
     Adding [e_s] keeps a label at its node and stays a label inside the
     window, so ``nodes[v]``, the least label degree at node v or None,
-    fixes every label, and equal fields on one basis mean equal label
-    sets. The labels, the embedding witnesses (the classes of degree
-    m_k) and the covers, as codes and as classes, are built the first
-    time they are read. The basis is kept beside the fields, out of
-    equality.
+    fixes every label. The basis is a field, so equal module posets have
+    equal label sets, and equal numbers on different lattices differ.
+    The labels, the embedding witnesses (the classes of degree m_k) and
+    the covers, as codes and as classes, are built the first time they
+    are read.
     """
 
     __setattr__ = _read_only
-
-    def __new__(cls, k, m_k, f_1, nodes, minimal_elements, basis):
-        self = super().__new__(cls, k, m_k, f_1, nodes, minimal_elements)
-        vars(self)["basis"] = basis
-        return self
-
-    def __getnewargs__(self):
-        return (*self, self.basis)
 
     @cached_property
     def labels(self) -> frozenset:
@@ -286,14 +265,12 @@ def module_poset(basis: LatticeBasis, k: int) -> ModulePoset:
     return ModulePoset(k, mk, f1, tuple(nodes), minimal, basis)
 
 
-class FinitenessReport(NamedTuple):
+class FinitenessReport(namedtuple(
+    "FinitenessReport", "k_max posets b_values distinct_label_sets full_poset_ks"
+)):
     """Module posets for k = 1..k_max and the induced b-value analytics."""
 
-    k_max: int
-    posets: tuple[ModulePoset, ...]
-    b_values: tuple[int, ...]
-    distinct_label_sets: tuple[frozenset, ...]
-    full_poset_ks: tuple[int, ...]
+    __slots__ = ()
 
 
 def finiteness_report(basis: LatticeBasis, k_max: int) -> FinitenessReport:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import genfrob
 from genfrob import WeightVector, class_label, kernel_basis, parse_monomial
 from genfrob.cli import main, parse_args
 
@@ -521,20 +522,25 @@ def test_walk_over_the_memory_budget_exits_2_at_once(capsys):
     assert "300000000 list entries" in err
 
 
-def test_import_pulls_in_none_of_dataclasses_inspect_argparse_gettext():
-    # Each costs startup time on every call. The modules already loaded
-    # before the import, by site hooks among others, do not count.
+def test_import_pulls_in_none_of_dataclasses_inspect_argparse_gettext_typing():
+    # Each costs startup time on every call. The child runs with -S, so
+    # modules that site hooks import before genfrob do not hide one.
     code = (
         "import sys\n"
         "bare = set(sys.modules)\n"
         "import genfrob.cli\n"
         "print(*sorted(set(sys.modules) - bare))\n"
     )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    # -S drops site-packages from sys.path, so the child is pointed at the
+    # genfrob this suite imported.
+    env = {**os.environ, "PYTHONPATH": str(Path(genfrob.__file__).parents[1])}
+    res = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env
+    )
     assert res.returncode == 0, res.stderr
     added = set(res.stdout.split())
     assert "genfrob.cli" in added
-    assert not added & {"dataclasses", "inspect", "argparse", "gettext"}
+    assert not added & {"dataclasses", "inspect", "argparse", "gettext", "typing"}
 
 
 # Values of the options, and those that may only be attached to their

@@ -1,10 +1,11 @@
 """Contracts of the public record types.
 
 Every record compares and hashes by its fields, refuses assignment,
-survives pickle and copy, and rejects bad input with InputError. The
-one field left out of equality is ``ModulePoset.basis``; a module
-poset's labels and witnesses are read from its node vector, and checked
-like fields.
+survives pickle, copy, ``_replace`` and ``_make``, and rejects bad input
+with InputError. A module poset's basis is a field like the others; its
+labels and witnesses are read from its node vector, and checked like
+fields. Only the records that cache values beside their fields have a
+``__dict__``.
 """
 import copy
 import pickle
@@ -59,6 +60,7 @@ def _classification():
 RECORDS = {
     WeightVector: (lambda: WeightVector((2, 3, 5)), ("a",)),
     LatticeBasis: (_sublattice, ("weight", "vectors")),
+    QuotientClass: (lambda: _sublattice().label((4, 0, 0)), ("degree", "torsion")),
     Fiber: (lambda: fiber(_sublattice(), QuotientClass(6, (0,))), ("label", "points")),
     FrobeniusReport: (
         lambda: sequence_report(_sublattice(), 4),
@@ -94,7 +96,16 @@ RECORDS = {
 # bound_checks is a dict, so a FrobeniusReport has no hash.
 UNHASHABLE = {FrobeniusReport}
 
-params = pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+# The records that keep a __dict__: the plain-class basis, the order with
+# its key cache and the posets with their cached properties.
+WITH_DICT = {LatticeBasis, TermOrder, StructurePoset, ModulePoset}
+
+
+def _params(classes):
+    return pytest.mark.parametrize("cls", list(classes), ids=lambda cls: cls.__name__)
+
+
+params = _params(RECORDS)
 
 
 @params
@@ -132,12 +143,29 @@ def test_pickle_and_copy_round_trips_compare_equal(cls):
             assert getattr(twin, name) == getattr(r, name)
 
 
-def test_uncompared_fields_take_no_part_in_equality():
+@_params(cls for cls in RECORDS if cls is not LatticeBasis)
+def test_replace_and_make_keep_every_field(cls):
+    make, fields = RECORDS[cls]
+    r = make()
+    # For a module poset the second twin is mp._replace(k=mp.k).
+    for twin in (r._replace(), r._replace(**{r._fields[0]: r[0]}), cls._make(r)):
+        assert type(twin) is cls and twin == r
+        for name in fields:
+            assert getattr(twin, name) == getattr(r, name)
+
+
+@_params(cls for cls in RECORDS if cls not in WITH_DICT)
+def test_records_without_cached_values_have_no_dict(cls):
+    make, _ = RECORDS[cls]
+    assert not hasattr(make(), "__dict__")
+
+
+def test_module_posets_on_different_bases_differ():
     mp = module_poset(_sublattice(), 2)
     K = kernel_basis(WeightVector((2, 3, 5)))
-    other = ModulePoset(mp.k, mp.m_k, mp.f_1, mp.nodes, mp.minimal_elements, K)
-    assert other == mp and hash(other) == hash(mp)
-    assert other.basis is K
+    assert ModulePoset(mp.k, mp.m_k, mp.f_1, mp.nodes, mp.minimal_elements, K) != mp
+    twin = ModulePoset(*mp)
+    assert twin == mp and hash(twin) == hash(mp)
 
 
 def test_bad_input_still_raises_input_error():
