@@ -19,15 +19,16 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
+from functools import cached_property
 from itertools import permutations
 from operator import add, ge, itemgetter, neg, sub
 
 from .counting import degree_fiber
-from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _read_only
+from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _Validated, _read_only
 from .lattice import dot, vneg, vsub
 
 
-class TermOrder(namedtuple("TermOrder", "weight perm")):
+class TermOrder(_Validated, namedtuple("TermOrder", "weight perm")):
     """Weighted graded reverse-lexicographic order.
 
     perm lists the variables from most expensive to cheapest; ties in
@@ -40,9 +41,12 @@ class TermOrder(namedtuple("TermOrder", "weight perm")):
         perm = perm or tuple(range(weight.n))
         if sorted(perm) != list(range(weight.n)):
             raise InputError(f"perm {perm} is not a permutation")
-        self = super().__new__(cls, weight, perm)
-        vars(self)["_cheapest_first"] = itemgetter(*reversed(perm))
-        return self
+        return super().__new__(cls, weight, perm)
+
+    @cached_property
+    def _cheapest_first(self):
+        """Reads a monomial's exponents cheapest variable first; kept once read."""
+        return itemgetter(*reversed(self.perm))
 
     def key(self, u):
         """Sort key: ascending key means ascending monomial order."""
@@ -65,7 +69,7 @@ def _neg_part(v):
     return tuple(-x if x < 0 else 0 for x in v)
 
 
-class Binomial(namedtuple("Binomial", "head tail")):
+class Binomial(_Validated, namedtuple("Binomial", "head tail")):
     """Difference of two monomials, head minus tail.
 
     Markov basis elements always have disjoint supports, so the head and
@@ -396,7 +400,7 @@ def _connected(u, v, moves) -> bool:
     return u == v
 
 
-class MarkovBasis(namedtuple("MarkovBasis", "basis elements")):
+class MarkovBasis(_Validated, namedtuple("MarkovBasis", "basis elements")):
     """Minimal binomial generating set of a lattice ideal."""
 
     __slots__ = ()

@@ -52,7 +52,18 @@ def _read_only(self, name, value):
     raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
 
 
-class WeightVector(namedtuple("WeightVector", "a")):
+class _Validated:
+    """Base of the records whose ``__new__`` validates: ``_make``, and so
+    ``_replace``, build the record through it."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class WeightVector(_Validated, namedtuple("WeightVector", "a")):
     """Positive integer weights (a1, ..., an) with gcd 1 and n >= 2."""
 
     __slots__ = ()

@@ -13,10 +13,12 @@ lexicographically smallest nonnegative point of its class.
 The paper's construction, lcms of k ball points around the origin
 minimalised under divisibility up to the lattice action, is kept as the
 independent oracle ``lcm_generator_classes``. It labels only the
-coordinatewise-minimal lcms, which ``minimal_lcms`` finds by a search
-over the values each coordinate takes on the ball points, closing the
-last two coordinates as a staircase, so no k-subset is formed;
-``candidate_lcms``, every lcm, is the tests' reference.
+coordinatewise-minimal lcms. Every lcm family here comes from one
+depth-first search over the values each coordinate takes on the points
+(``_value_prefixes``), so no subset is formed: ``minimal_lcms`` closes
+the last two coordinates as a staircase, and ``candidate_lcms`` (every
+lcm, the tests' reference) and ``subset_lcms`` (for ``classify``) test
+each full prefix by one lemma (``_every_lcm``).
 
 The inductive classification splits each generator into an exceptional
 carry-over, the image of a syzygy between two generators, or the image
@@ -27,8 +29,8 @@ the basis's one walk serves every generator.
 from __future__ import annotations
 
 import re
-from bisect import insort
-from collections import Counter, namedtuple
+from bisect import bisect_right, insort
+from collections import namedtuple
 from itertools import combinations
 from operator import itemgetter, le
 
@@ -80,44 +82,88 @@ def divides_mod_L(basis: LatticeBasis, m, m2) -> bool:
     return has_nonneg_rep(basis, basis.label(vsub(m2, m)))
 
 
+def _kept_points(bl: Ball, k: int, a, degree_cap: int) -> list[tuple[int, ...]]:
+    """The positive parts max(p, 0) of the nonzero ball points, with
+    multiplicity, of degree at most ``degree_cap``: the points whose lcms
+    with the origin are the candidate lcms for k."""
+    if bl.radius != k - 1:
+        raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
+    zero = (0,) * len(a)
+    pos = [tuple(map(max, p, zero)) for p in bl.points if any(p)]
+    if len(pos) < k - 1:
+        raise InputError(f"ball has too few points for {k}-subsets")
+    return [q for q in pos if dot(a, q) <= degree_cap]
+
+
+def _value_prefixes(points, size: int, depth: int, a=None, cap=None):
+    """Each prefix v_0..v_(depth-1) of coordinate values with at least
+    ``size`` points under it, with those points, in lexicographic order.
+
+    Depth first: v_i runs over the i-th coordinates of the points under
+    v_0..v_(i-1), from the size-th smallest up. With a weight ``a`` the
+    search stops a coordinate once the prefix's degree passes ``cap``,
+    which loses nothing when the points are >= 0; with no weight there
+    is no cap.
+    """
+
+    def search(prefix, under):
+        i = len(prefix)
+        if i == depth:
+            yield prefix, under
+            return
+        key = itemgetter(i)
+        under.sort(key=key)
+        for v in sorted(set(map(key, under[size - 1 :]))):
+            if a is not None and dot(a, (*prefix, v)) > cap:
+                break
+            yield from search((*prefix, v), under[: bisect_right(under, v, key=key)])
+
+    return search((), list(points))
+
+
+def _every_lcm(points, size: int, n: int, a=None, cap=None):
+    """Every lcm of ``size`` of the n-coordinate ``points``, with
+    multiplicity, in increasing order; with a weight ``a``, those of
+    degree at most ``cap``.
+
+    Lemma. v is the lcm of some size of the points exactly when at
+    least size of them lie <= v and some size of those attain every
+    coordinate of v: an lcm's points lie under it and attain it, and
+    such points have lcm v. So each v_i is the i-th coordinate of a point
+    under v_0..v_(i-1) with at least size of those at or below it, which
+    makes v a prefix of depth n of ``_value_prefixes``: at most j + 1
+    values a coordinate for j = len(points) - size, so at most (j + 1)^n
+    prefixes rather than C(len(points), j) subsets. The points it leaves
+    under v are those <= v. One attaining point a coordinate is enough,
+    padded to size from the rest, so v is an lcm exactly when the masks
+    of the coordinates min(size, n) of them attain OR to every
+    coordinate; for size >= n, exactly when the lcm of all of them is v.
+    """
+    for v, under in _value_prefixes(points, size, n, a, cap):
+        if size < n:
+            masks = {sum(1 << i for i in range(n) if q[i] == v[i]) for q in under}
+            reach = {0}
+            for _ in range(size):
+                reach = {r | m for r in reach for m in masks}
+            if (1 << n) - 1 in reach:
+                yield v
+        elif tuple(map(max, zip(*under))) == v:
+            yield v
+
+
 def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """lcms of the k-subsets of the ball that contain the origin, sorted.
 
     These are the lcms of the (k-1)-subsets of the nonzero ball points
     with the origin, kept when their degree is at most ``degree_cap``.
-    Such an lcm is >= 0, so a point p enters it as p+ = max(p, 0); as
-    weights are positive, the kept points are the p+ under the cap, with
-    multiplicity. Level 0 is the origin, and level j + 1 holds max(L, q)
-    for L in level j and a kept q not <= L, under the cap, and L itself
-    when it dominates more than j kept points.
-    Proof that level j holds the lcms of j kept points under the cap.
-    For j + 1 points X with lcm M under the cap and q in X, the lcm L of
-    the others is <= M, so in level j. If some q is not <= L, then
-    M = max(L, q); else M = L dominates j + 1 points. Conversely, a q
-    not <= L = lcm(Y) is none of Y's points, and an L dominating more
-    than j points dominates one outside Y.
+    Such an lcm is >= 0, so a point p enters it as p+ = max(p, 0): for
+    k >= 2 they are the lcms of k - 1 kept points (``_every_lcm``), and
+    for k = 1 the origin.
     """
-    if bl.radius != k - 1:
-        raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
-    pos = [tuple(max(x, 0) for x in p) for p in bl.points if any(p)]
-    if len(pos) < k - 1:
-        raise InputError(f"ball has too few points for {k}-subsets")
-    a = weight.a
-    mult = Counter(q for q in pos if dot(a, q) <= degree_cap)
-    level = {(0,) * len(a)}
-    for j in range(k - 1):
-        found = set()
-        for lcm in level:
-            dominated = 0
-            for q, m in mult.items():
-                if all(map(le, q, lcm)):
-                    dominated += m
-                elif dot(a, c := tuple(map(max, lcm, q))) <= degree_cap:
-                    found.add(c)
-            if dominated > j:
-                found.add(lcm)
-        level = found
-    return tuple(sorted(level))
+    kept = _kept_points(bl, k, weight.a, degree_cap)
+    if k == 1:
+        return ((0,) * weight.n,)
+    return tuple(_every_lcm(kept, k - 1, weight.n, weight.a, degree_cap))
 
 
 def _staircase(pairs, j: int) -> list[tuple[int, int]]:
@@ -141,37 +187,20 @@ def _staircase(pairs, j: int) -> list[tuple[int, int]]:
 def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """The coordinatewise-minimal elements of ``candidate_lcms``, sorted.
 
-    With j = k - 1, a depth-first search sets coordinates 0..n-3 in turn
-    to values of the kept points still under the prefix, while at least
-    j lie under it and its degree is within the cap; ``_staircase``
-    closes the last two. One pass in increasing degree keeps each
-    candidate above no earlier one. Lemma 2 of ``lcm_generator_classes``.
+    With j = k - 1, ``_value_prefixes`` sets coordinates 0..n-3 within
+    the cap and ``_staircase`` closes the last two. One pass in
+    increasing degree keeps each candidate above no earlier one. Lemma 2
+    of ``lcm_generator_classes``.
     """
-    if bl.radius != k - 1:
-        raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
-    pos = [tuple(max(x, 0) for x in p) for p in bl.points if any(p)]
-    if len(pos) < k - 1:
-        raise InputError(f"ball has too few points for {k}-subsets")
     a, j = weight.a, k - 1
+    kept = _kept_points(bl, k, a, degree_cap)
     if not j:
         return ((0,) * len(a),)
-    found = []
-
-    def search(prefix, d, points):
-        i = len(prefix)
-        if i == len(a) - 2:
-            found.extend((*prefix, *step) for step in _staircase(sorted(q[i:] for q in points), j))
-            return
-        points.sort(key=itemgetter(i))
-        for t, q in enumerate(points):
-            if t + 1 < len(points) and points[t + 1][i] == q[i]:
-                continue
-            if (e := d + a[i] * q[i]) > degree_cap:
-                break
-            if t + 1 >= j:
-                search((*prefix, q[i]), e, points[: t + 1])
-
-    search((), 0, [q for q in pos if dot(a, q) <= degree_cap])
+    found = [
+        (*v, *step)
+        for v, under in _value_prefixes(kept, j, len(a) - 2, a, degree_cap)
+        for step in _staircase(sorted(q[-2:] for q in under), j)
+    ]
     level = []
     for d, c in sorted((dot(a, c), c) for c in found):
         if d <= degree_cap and not any(all(map(le, m, c)) for m in level):
@@ -222,15 +251,15 @@ def lcm_generator_classes(
     Then ``minimal_lcms`` finds the minimal candidate lcms.
     Proof. (a) A minimal L with deg L <= cap and j kept points under it
     is their lcm, which is a candidate; so these L are the minimal
-    candidates, and each L_i is 0 or a kept point's i-th coordinate.
-    (b) For fixed L_0..L_(n-2), the least L_(n-1) is the j-th smallest
-    last coordinate of the points under that prefix. (c) That value does
+    candidates. (b) By the lemma of ``_every_lcm`` the shared search
+    ``_value_prefixes`` visits the prefix L_0..L_(n-3) of each, and
+    stopping at the cap loses nothing, as degree grows with the point.
+    (c) For fixed L_0..L_(n-2), the least L_(n-1) is the j-th smallest
+    last coordinate of the points under that prefix. (d) That value does
     not rise as L_(n-2) grows, so a candidate whose last coordinate does
-    not fall lies above an earlier one. (d) Degree grows with the point,
-    so stopping at the cap loses nothing. So the search keeps the prefix
-    L_0..L_(n-3) of a minimal L, and the staircase gives L_(n-1) at
-    L_(n-2); every candidate found lies above a minimal L, which the pass
-    in increasing degree keeps first.
+    not fall lies above an earlier one. So the staircase gives L_(n-1)
+    at L_(n-2); every candidate found lies above a minimal L, which the
+    pass in increasing degree keeps first.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -320,22 +349,12 @@ def is_exceptional(basis: LatticeBasis, g, k: int) -> bool:
 
 
 def subset_lcms(points, size: int) -> set:
-    """The lcms of the size-subsets of distinct points, 1 <= size <= len(points).
+    """The lcms of the size-subsets of the points, 1 <= size <= len(points).
 
-    A size-subset is the points S minus some D of j = |S| - size points.
-    Let T_i be j + 1 points that no point outside T_i passes in
-    coordinate i (ties either way), and T the union of the T_i, at most
-    n(j + 1) points. D misses a point of T_i, which attains coordinate i
-    of lcm(S - D); so lcm(S - D) = lcm(T - D). And D & T runs over
-    exactly the D' in T with max(0, j - |S - T|) <= |D'| <= j, padding
-    D' to j points from S - T. So the lcms of the subsets T - D', of
-    |T| - j up to min(|T|, size) points, are the same set, and
-    D -> D & T is onto, so there are no more of them than size-subsets.
+    ``_every_lcm`` with no weight: the points are lattice points, with
+    negative coordinates, so no degree prune holds.
     """
-    j = len(points) - size
-    top = {p for i in range(len(points[0])) for p in sorted(points, key=itemgetter(i))[-j - 1 :]}
-    sizes = range(len(top) - j, min(len(top), size) + 1)
-    return {tuple(map(max, zip(*K))) for r in sizes for K in combinations(top, r)}
+    return set(_every_lcm(points, size, len(points[0])))
 
 
 def classify(
@@ -353,7 +372,8 @@ def classify(
     proper-divisor lcm certifies a syzygy with the unit.
 
     g's dominated points are its orbit's support, translated by g minus
-    the representative; ``subset_lcms`` forms their lcms.
+    the representative; ``subset_lcms`` finds the lcms of their
+    (k_next - 1)-subsets by coordinate values, forming no subset.
     """
     if k_next < 2:
         raise InputError("classification needs k_next at least 2")

@@ -5,7 +5,7 @@ import math
 from collections import namedtuple
 
 from .ideal import MarkovBasis, signed_moves
-from .lattice import InputError, LatticeBasis, vadd, vsub
+from .lattice import InputError, LatticeBasis, _Validated, vadd, vsub
 
 # Most points one move ball may hold. On CPython 3.11 a point costs about
 # 185-215 bytes (its tuple, its dict entry, its slots in the frontier and
@@ -16,7 +16,7 @@ from .lattice import InputError, LatticeBasis, vadd, vsub
 MAX_BALL_POINTS = 1_000_000
 
 
-class MoveSet(namedtuple("MoveSet", "basis moves")):
+class MoveSet(_Validated, namedtuple("MoveSet", "basis moves")):
     """Markov move vectors closed under negation."""
 
     __slots__ = ()

@@ -104,6 +104,8 @@ CASES = [
      "6e8973a3885121ae7a2c724bdff14b71fe3fd00086fcb8728745dc967fead708"),
     ("module -a 3,5,8 -k 40 --format json", 0,
      "1c75cb3a6fff58b771eac16c586cc5dd0ab15bbf4fe86c92b215b45d2c99aca0"),
+    ("module -a 3,5,8 -k 300 --format json", 0,
+     "9e041fa01b845373f94b79a8eb44154228a922b5d9d1091ec0f18773931a8a1e"),
     ("verify -a 101,103,107 --k-max 10", 0,
      "4f44ec57252eaf8e84bc3c81b0bceada83b2fe05928152b6cf1d22d7a470b03b"),
     ("module -a 1,4,7 -k 2 --format json", 0,

@@ -193,12 +193,14 @@ def _minimal(points):
 
 
 def test_minimal_lcms_on_hand_built_balls_match_the_exhaustive_walk():
-    # minimal_lcms reads only the ball's radius and points, so each case
-    # lists its nonzero points by hand: ties in every coordinate, distinct
-    # points with equal positive parts, and two variables, where the
-    # staircase is the whole search. Each k runs uncapped and at every cap
-    # up to the uncapped answer's largest degree, so caps cut the staircase
-    # between its steps; k = 1 is the origin whatever the cap.
+    # minimal_lcms and candidate_lcms read only the ball's radius and
+    # points, so each case lists its nonzero points by hand: ties in every
+    # coordinate, distinct points with equal positive parts, and two
+    # variables, where the staircase is the whole search. Each k runs
+    # uncapped and at every cap up to the uncapped answer's largest degree,
+    # so caps cut the staircase between its steps; k = 1 is the origin
+    # whatever the cap. The repeated positive parts give candidate_lcms
+    # points with multiplicity.
     cases = [
         (
             (1, 2, 3),
@@ -221,10 +223,11 @@ def test_minimal_lcms_on_hand_built_balls_match_the_exhaustive_walk():
             for cap in (10**9, *range(-1, max(map(weight.degree, uncapped)) + 1)):
                 got = minimal_lcms(bl, k, weight, cap)
                 if k == 1:
-                    assert got == (origin,)
+                    assert got == (origin,) == candidate_lcms(bl, k, weight, cap)
                     continue
-                want = _minimal(candidate_lcms_exhaustive(bl, k, weight, cap))
-                assert got == want, (a, k, cap)
+                every = candidate_lcms_exhaustive(bl, k, weight, cap)
+                assert candidate_lcms(bl, k, weight, cap) == every, (a, k, cap)
+                assert got == _minimal(every), (a, k, cap)
                 steps_cut += 0 < len(got) < len(uncapped)
     assert steps_cut >= 20
 
@@ -345,14 +348,14 @@ def test_classify_matches_the_subset_walk_up_to_k_12():
 
 
 def test_subset_lcms_equal_the_lcms_of_every_subset():
-    # Distinct points with many ties in each coordinate. Below n points a
-    # subset, the top points T can hold more than the subset size, so the
-    # left-out sets are padded from outside T.
+    # Distinct points with many ties in each coordinate. With fewer points
+    # a subset than coordinates, the points <= v can have lcm v while no
+    # size of them attain it, so the cover test by masks decides there.
     rng = random.Random(4242)
     small = 0
     for _ in range(400):
-        n = rng.randint(1, 5)
-        count = rng.randint(1, 10)
+        n = rng.randint(1, 6)
+        count = rng.randint(1, 12)
         points = list({tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(count)})
         size = rng.randint(1, len(points))
         walk = {reduce(phi, K) for K in combinations(points, size)}

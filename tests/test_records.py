@@ -2,9 +2,10 @@
 
 Every record compares and hashes by its fields, refuses assignment,
 survives pickle, copy, ``_replace`` and ``_make``, and rejects bad input
-with InputError. A module poset's basis is a field like the others; its
-labels and witnesses are read from its node vector, and checked like
-fields. Only the records that cache values beside their fields have a
+with InputError, whether built directly or by ``_make`` or ``_replace``.
+A module poset's basis is a field like the others; its labels and
+witnesses are read from its node vector, and checked like fields.
+Only the records that cache values beside their fields have a
 ``__dict__``.
 """
 import copy
@@ -185,7 +186,26 @@ def test_bad_input_still_raises_input_error():
         lambda: MarkovBasis(H, (Binomial((4, 0, 1), (1, 2, 1)),)),
         lambda: MarkovBasis(H, (Binomial((5, 0, 1), (0, 5, 0)),)),
         lambda: MoveSet(H, frozenset()),
+        lambda: WeightVector._make([(2, 4)]),
+        lambda: w._replace(a=(2, 4)),
+        lambda: TermOrder(w)._replace(perm=(0, 0, 1)),
+        lambda: Binomial._make([(1, 0), (1, 0)]),
+        lambda: Binomial((1, 0, 0), (0, 1, 0))._replace(head=(0, 1, 0)),
+        lambda: MarkovBasis._make([H, (Binomial((4, 0, 1), (1, 2, 1)),)]),
+        lambda: lattice_ideal(H)._replace(elements=(Binomial((5, 0, 1), (0, 5, 0)),)),
+        lambda: moves(lattice_ideal(H))._replace(moves=frozenset()),
     ]
     for make in bad:
         with pytest.raises(InputError):
             make()
+
+
+def test_a_replaced_term_order_orders_monomials():
+    # Degrees under (3, 5, 8): 11, 14, 16, 16 and 18. The tie at 16 breaks
+    # the other way round under the default order, which perm replaces.
+    w = WeightVector((3, 5, 8))
+    want = [(1, 0, 1), (3, 1, 0), (2, 2, 0), (0, 0, 2), (0, 2, 1)]
+    for order in (TermOrder(w)._replace(perm=(2, 1, 0)), TermOrder._make([w, (2, 1, 0)])):
+        assert sorted(reversed(want), key=order.key) == want
+        assert order.greater((0, 0, 2), (2, 2, 0))
+    assert not TermOrder(w).greater((0, 0, 2), (2, 2, 0))

@@ -12,13 +12,13 @@ calls them.
 ``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
 ``CountTable.row`` and ``CountTable.cell``, which ``CountTable.count``
 reads through, count the table cells read.
-``LatticeBasis.label`` counts the points labelled.
+``LatticeBasis.label`` counts the points labelled, and
+``modules._value_prefixes`` the full prefixes of the lcm search.
 """
 import json
 import math
 import random
 import sys
-from itertools import combinations
 
 import pytest
 
@@ -74,22 +74,24 @@ def test_module_enumerates_one_fiber_per_generator(work, capsys):
     assert work["walks"] == 1
 
 
-def test_classify_forms_the_lcms_of_each_coordinates_top_points_only(monkeypatch, capsys):
+def test_classify_searches_each_coordinates_top_values_only(monkeypatch, capsys):
     # The three generators of (3,5,8) at k = 60 dominate 60, 61 and 62
     # points. Walking their 59-subsets formed C(60, 59) + C(61, 59) +
-    # C(62, 59) = 39,710 lcms; the subsets of each generator's top points
-    # per coordinate (the j + 1 largest, for j points left out) are 351.
-    # classify also draws one pair from modules.combinations: the two
-    # lcms of the third generator, which it compares.
-    formed = 0
+    # C(62, 59) = 39,710 lcms. The search over coordinate values takes each
+    # coordinate from the j + 1 largest values under its prefix, for j
+    # points left out, so it reaches at most 2^3 + 3^3 + 4^3 full prefixes.
+    # It reaches 4, each an lcm: one for each exceptional generator and two
+    # for the third, which classify compares.
+    search = modules._value_prefixes
+    leaves = 0
 
-    def counted(pool, r):
-        nonlocal formed
-        for subset in combinations(pool, r):
-            formed += 1
-            yield subset
+    def counted(*args):
+        nonlocal leaves
+        for leaf in search(*args):
+            leaves += 1
+            yield leaf
 
-    monkeypatch.setattr(modules, "combinations", counted)
+    monkeypatch.setattr(modules, "_value_prefixes", counted)
     assert main(["module", "-a", "3,5,8", "-k", "60", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert [len(s) for s in payload["supports"]] == [60, 61, 62]
@@ -98,7 +100,7 @@ def test_classify_forms_the_lcms_of_each_coordinates_top_points_only(monkeypatch
         "Exceptional",
         "SyzygyWithUnit",
     ]
-    assert formed == 351 + 1
+    assert leaves == 4
 
 
 def test_module_poset_runs_one_walk(work, capsys):
