@@ -1,27 +1,35 @@
 """Pure-difference binomial ideal engine.
 
-Binomials are exponent pairs; S-pairs and reductions are integer vector
-operations, never general polynomial arithmetic. Buchberger's algorithm
-prunes pairs once, when an element is added, by the criteria of Gebauer
-and Moeller (J. Symbolic Comput. 1988), and skips pairs with coprime
-heads. The lattice ideal of a sublattice basis is obtained by
-size-reducing the basis and saturating its binomials by only as many
-variables as a unit-closure test asks for, each pass a reduced Groebner
-basis with that variable cheapest (Hosten and Sturmfels, IPCO 1995):
-the passes stop as soon as the closure proves that saturating the
-cheapest variable of the target order, in a last pass, gives the whole
-lattice ideal. The generating set is then minimalised: each binomial,
-in increasing degree, is dropped when the moves of those kept before it
-connect its head to its tail (Diaconis and Sturmfels, Ann. Statist.
-1998).
+Binomials are exponent pairs at the interface. Inside the Groebner
+kernel and the Markov minimalisation each monomial is one int, its
+exponents in fixed-width fields with a guard bit each, the cheapest
+variable in the most significant field (Bachmann and Schoenemann,
+ISSAC 1998): a divisibility test, a reduction step, an lcm and the
+reverse-lexicographic comparison within one degree are each a few int
+operations. Every exponent is at most its monomial's weighted degree,
+so fields sized from the largest degree a run meets never overflow; a
+run widens them when an S-pair's lcm passes that size.
+
+Buchberger's algorithm prunes pairs once, when an element is added, by
+the criteria of Gebauer and Moeller (J. Symbolic Comput. 1988), and
+skips pairs with coprime heads. The lattice ideal of a sublattice basis
+is obtained by size-reducing the basis and saturating its binomials by
+only as many variables as a unit-closure test asks for, each pass a
+reduced Groebner basis with that variable cheapest (Hosten and
+Sturmfels, IPCO 1995): the passes stop as soon as the closure proves
+that saturating the cheapest variable of the target order, in a last
+pass, gives the whole lattice ideal. The generating set is then
+minimalised: each binomial, in increasing degree, is dropped when the
+moves of those kept before it connect its head to its tail (Diaconis and
+Sturmfels, Ann. Statist. 1998).
 """
 from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations
-from operator import add, ge, itemgetter, neg, sub
+from operator import add, itemgetter, lshift, neg
 
 from .counting import degree_fiber
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _Validated, _read_only
@@ -102,65 +110,116 @@ class Binomial(_Validated, namedtuple("Binomial", "head tail")):
         return cls(m, p)
 
 
-def _support(u) -> int:
-    """Bitmask of the variables with a positive exponent in u, a byte each."""
-    return int.from_bytes(bytes(map(bool, u)), "little")
+def _width(degree: int) -> int:
+    """Field width for monomials up to the given weighted degree.
+
+    Every weight is at least 1, so no exponent exceeds its monomial's
+    degree. The width leaves a guard bit and one spare bit above that
+    degree's bits, so a field holds twice the degree.
+    """
+    return degree.bit_length() + 2
 
 
-def _record(h, t):
-    """Reducer record of the pair: head, tail - head and the head's support."""
-    return h, tuple(map(sub, t, h)), _support(h)
+class _Packing(namedtuple("_Packing", "width shifts terms guard cap")):
+    """Monomials of one term order packed into one int each, in fields of width bits.
+
+    Variable perm[k] holds field k, so the cheapest variable holds the
+    most significant field and, within one weighted degree, the larger
+    monomial is the smaller int. The top bit of each field is a guard
+    bit, 0 in every packed monomial, so with guard the mask of those bits:
+    - g divides u exactly when (u - g) & guard is 0: the lowest field
+      with u_i < g_i borrows and sets its guard bit. This is one
+      operation shorter than ((u | guard) - g) & guard == guard;
+    - a reduction of u by h - t, for h dividing u, is u + (t - h);
+    - an lcm takes each field of u where ((u | guard) - v) keeps its
+      guard bit, and of v elsewhere.
+    shifts holds each variable's field offset, terms its weight and
+    offset, and cap is the largest exponent a field holds.
+    """
+
+    __slots__ = ()
+
+    def encode(self, u) -> int:
+        return sum(map(lshift, u, self.shifts))
+
+    def decode(self, p) -> tuple[int, ...]:
+        cap = self.cap
+        return tuple([p >> s & cap for s in self.shifts])
+
+    def degree(self, p) -> int:
+        cap = self.cap
+        d = 0
+        for a, s in self.terms:
+            d += a * (p >> s & cap)
+        return d
+
+    def key(self, p):
+        """Sort key: ascending key means ascending monomial order."""
+        return self.degree(p), -p
+
+    def lcm(self, u, v) -> int:
+        guard = self.guard
+        ge = ((u | guard) - v) & guard
+        return v ^ ((u ^ v) & (ge - (ge >> (self.width - 1))))
+
+    def record(self, h, t):
+        """Reducer record of the packed pair: head, tail - head and the guard mask."""
+        return h, t - h, self.guard
+
+
+@lru_cache(maxsize=64)
+def _packing(order: TermOrder, width: int) -> _Packing:
+    """The packing of ``order`` with fields of the given width; kept once built."""
+    shifts = [0] * order.weight.n
+    for k, i in enumerate(order.perm):
+        shifts[i] = width * k
+    guard = sum(1 << (s + width - 1) for s in shifts)
+    terms = tuple(zip(order.weight.a, shifts))
+    return _Packing(width, tuple(shifts), terms, guard, (1 << (width - 1)) - 1)
 
 
 def _reduce_step(u, reducers):
-    """u reduced once by the first reducer whose head divides it, or None.
-
-    A head whose support is not inside u's is skipped on its mask alone.
-    """
-    outside = ~_support(u)
-    for gh, step, gm in reducers:
-        if not gm & outside and all(map(ge, u, gh)):
-            return tuple(map(add, u, step))
+    """Packed u reduced once by the first reducer whose head divides it, or None."""
+    for h, step, guard in reducers:
+        if not (u - h) & guard:
+            return u + step
     return None
 
 
 def _reduced(u, reducers):
-    """Normal form of the monomial u: reduced until no head divides it."""
+    """Normal form of the packed monomial u: reduced until no head divides it."""
     while (w := _reduce_step(u, reducers)) is not None:
         u = w
     return u
 
 
-def _normal_form(pair, reducers, order):
-    """Full normal form of a homogeneous binomial pair, head first; None at zero.
+def _normal_form(u, v, reducers):
+    """Full normal form of a homogeneous packed binomial, head first; None at zero.
 
     Both monomials have one weighted degree, and reductions keep it, so
-    they compare by reverse lexicography alone: the larger one has the
-    lexicographically smaller exponents, read cheapest variable first.
+    they compare by reverse lexicography alone: the larger one is the
+    smaller int.
     """
-    cheapest_first = order._cheapest_first
-    u, v = pair
-    cu, cv = cheapest_first(u), cheapest_first(v)
-    if cu > cv:
-        u, v, cv = v, u, cu
+    if u > v:
+        u, v = v, u
     while u != v:
         w = _reduce_step(u, reducers)
         if w is None:
             return u, _reduced(v, reducers)
-        u, cu = w, cheapest_first(w)
-        if cu > cv:
-            u, v, cv = v, u, cu
+        u = w
+        if u > v:
+            u, v = v, u
     return None
-
-
-def _lcm(u, v):
-    return tuple(map(max, u, v))
 
 
 def _buchberger_pairs(pairs, order):
     """Reduced Groebner basis of the ideal generated by homogeneous binomial pairs.
 
-    Each pair must have one weighted degree (see ``_normal_form``).
+    Each pair must have one weighted degree (see ``_normal_form``). The
+    pairs come and go as exponent tuples; in between every monomial is
+    packed (``_Packing``), in fields wide enough for twice the largest
+    input degree. An S-pair whose lcm has a degree past what a field
+    holds first widens the fields of every monomial the run keeps.
     S-pairs are taken in increasing order of their lcm. Pairs are pruned
     once, when an element h is added, by the criteria of Gebauer and
     Moeller (J. Symbolic Comput. 1988):
@@ -170,113 +229,121 @@ def _buchberger_pairs(pairs, order):
       pair properly divides its lcm;
     - F: of the new pairs with equal lcms one is formed, and none when
       one of them has coprime heads (those reduce to zero).
-    Criterion M takes the distinct new lcms in increasing total degree
+    Criterion M takes the distinct new lcms in increasing packed value
     and tests each only against those kept as minimal before it. A proper
-    divisor has a strictly smaller total degree, so it comes earlier; and
-    when one exists, a minimal one divides it, which is kept and divides
-    the lcm too, since divisibility is transitive.
+    divisor is a strictly smaller int, so it comes earlier; and when one
+    exists, a minimal one divides it, which is kept and divides the lcm
+    too, since divisibility is transitive.
     An element whose head the head of h divides leaves the reducer
-    list; its pending pairs stay. Every element keeps the support mask
-    of its head, and each pending pair that of its lcm: a monomial whose
-    support is not inside another's does not divide it, which skips most
-    divisibility tests on the masks alone.
+    list; its pending pairs stay.
     """
-    key = order.key
+    pairs = set(pairs)
+    a = order.weight.a
+    packing = _packing(order, _width(max((dot(a, h) for h, _ in pairs), default=0)))
     elements = []  # reducer records of every element added
     active = []  # indices of the reducers, in the order they were added
     reducers = []  # their records
-    live = {}  # pending pair (i, j) -> (lcm of the heads, its support)
-    queue = []
+    live = {}  # pending pair (i, j) -> lcm of the heads
+    queue = []  # (degree of the lcm, -lcm, i, j)
 
-    def add_element(nf):
+    def add_element(h, t):
+        guard = packing.guard
         new = len(elements)
-        record = _record(*nf)
-        h, _, hm = record
-        elements.append(record)
+        elements.append(packing.record(h, t))
         dead = [
             (i, j)
-            for (i, j), (lcm, lm) in live.items()
-            if not hm & ~lm
-            and all(map(ge, lcm, h))
-            and lcm != _lcm(elements[i][0], h)
-            and lcm != _lcm(elements[j][0], h)
+            for (i, j), lcm in live.items()
+            if not (lcm - h) & guard
+            and lcm != packing.lcm(elements[i][0], h)
+            and lcm != packing.lcm(elements[j][0], h)
         ]
         for ij in dead:
             del live[ij]  # criterion B
-        first = {}  # lcm with h -> (the first reducer giving it, its support)
+        first = {}  # lcm with h -> the first reducer giving it
         coprime = set()  # lcms of the pairs with coprime heads
         for i in active:
-            gh, _, gm = elements[i]
-            lcm = tuple(map(max, gh, h))
+            g = elements[i][0]
+            lcm = packing.lcm(g, h)
             if lcm not in first:
-                first[lcm] = (i, gm | hm)
-            if not gm & hm:
+                first[lcm] = i
+            if lcm == g + h:
                 coprime.add(lcm)
-        minimal = []  # (lcm, support) of the new lcms no other divides
-        for lcm in sorted(first, key=sum):
-            i, lm = first[lcm]
-            outside = ~lm
-            for m, mm in minimal:
-                if not mm & outside and all(map(ge, lcm, m)):
+        minimal = []  # the new lcms no other divides
+        for lcm in sorted(first):
+            for m in minimal:
+                if not (lcm - m) & guard:
                     break  # criterion M
             else:
-                minimal.append((lcm, lm))
+                minimal.append(lcm)
                 if lcm not in coprime:  # else criterion F, or coprime heads
-                    live[i, new] = (lcm, lm)
-                    heapq.heappush(queue, (key(lcm), i, new))
-        active[:] = [
-            i for i in active if hm & ~elements[i][2] or not all(map(ge, elements[i][0], h))
-        ]
+                    i = first[lcm]
+                    live[i, new] = lcm
+                    heapq.heappush(queue, (packing.degree(lcm), -lcm, i, new))
+        active[:] = [i for i in active if (elements[i][0] - h) & guard]
         active.append(new)
         reducers[:] = [elements[i] for i in active]
 
-    for p in sorted(set(pairs), key=lambda p: (key(p[0]), key(p[1]))):
-        nf = _normal_form(p, reducers, order)
+    def widen(degree):
+        nonlocal packing
+        old, packing = packing, _packing(order, _width(degree))
+
+        def repack(p):
+            return packing.encode(old.decode(p))
+
+        elements[:] = [packing.record(repack(h), repack(h + step)) for h, step, _ in elements]
+        reducers[:] = [elements[i] for i in active]
+        for ij, lcm in live.items():
+            live[ij] = repack(lcm)
+        queue[:] = [(d, -repack(-m), i, j) for d, m, i, j in queue]
+        heapq.heapify(queue)
+
+    packed = [tuple(map(packing.encode, p)) for p in pairs]
+    for u, v in sorted(packed, key=lambda p: (packing.degree(p[0]), -p[0], -p[1])):
+        nf = _normal_form(u, v, reducers)
         if nf is not None:
-            add_element(nf)
+            add_element(*nf)
     while queue:
-        _, i, j = heapq.heappop(queue)
-        pending = live.pop((i, j), None)
-        if pending is None:
+        degree, _, i, j = heapq.heappop(queue)
+        if (i, j) not in live:
             continue  # dropped by criterion B
-        lcm = pending[0]
-        left = tuple(map(add, lcm, elements[i][1]))
-        right = tuple(map(add, lcm, elements[j][1]))
-        nf = _normal_form((left, right), reducers, order)
+        if degree > packing.cap:
+            widen(degree)
+        lcm = live.pop((i, j))
+        nf = _normal_form(lcm + elements[i][1], lcm + elements[j][1], reducers)
         if nf is not None:
-            add_element(nf)
+            add_element(*nf)
     # A reducer head is a normal form of those before it, and the heads it
     # divides leave the list: the reducers' heads are already minimal.
-    return _interreduce(reducers, order)
+    return [tuple(map(packing.decode, p)) for p in _interreduce(reducers, packing)]
 
 
-def _minimal_heads(G, order):
-    """Reducer records of the pairs whose heads no other head divides.
+def _minimal_heads(G, packing):
+    """Reducer records of the packed pairs whose heads no other head divides.
 
     In increasing order a proper divisor comes first, so each head is
     tested only against those kept before it.
     """
-    key = order.key
+    guard = packing.guard
     keep = []
-    for h, t in sorted(set(G), key=lambda p: key(p[0])):
-        record = _record(h, t)
-        outside = ~record[2]
-        if any(not km & outside and all(map(ge, h, kh)) for kh, _, km in keep):
-            continue
-        keep.append(record)
+    for h, t in sorted(set(G), key=lambda p: packing.key(p[0])):
+        for k, _, _ in keep:
+            if not (h - k) & guard:
+                break
+        else:
+            keep.append(packing.record(h, t))
     return keep
 
 
-def _interreduce(records, order):
-    """Reduced Groebner basis, sorted, from the records of a homogeneous one.
+def _interreduce(records, packing):
+    """Reduced Groebner basis, packed and sorted, from the records of a homogeneous one.
 
     The records' heads must be minimal. Each tail has one normal form
     modulo them, so one pass of tail reductions gives the reduced basis.
     An element never reduces its own tail: the tail has the head's
     degree, so the head divides it only when they are equal.
     """
-    records = sorted(records, key=lambda r: order.key(r[0]))
-    return [(h, _reduced(tuple(map(add, h, step)), records)) for h, step, _ in records]
+    records = sorted(records, key=lambda r: packing.key(r[0]))
+    return [(h, _reduced(h + step, records)) for h, step, _ in records]
 
 
 def _homogeneous(gens, order):
@@ -295,7 +362,10 @@ def buchberger(gens, order: TermOrder) -> tuple[Binomial, ...]:
 
 
 def _reduces_to_zero(pair, gb_pairs, order) -> bool:
-    return _normal_form(pair, [_record(h, t) for h, t in gb_pairs], order) is None
+    a = order.weight.a
+    packing = _packing(order, _width(max(dot(a, h) for h, _ in (pair, *gb_pairs))))
+    records = [packing.record(*map(packing.encode, p)) for p in gb_pairs]
+    return _normal_form(*map(packing.encode, pair), records) is None
 
 
 def ideal_equal(gens_a, gens_b, order: TermOrder) -> bool:
@@ -318,24 +388,27 @@ def _divide_out(pair, i):
     return h[:i] + (h[i] - c,) + h[i + 1 :], t[:i] + (t[i] - c,) + t[i + 1 :]
 
 
-def _unit_closure(pairs, units) -> set:
-    """Variables made units by the binomials once the given ones are.
+def _supports(pairs):
+    """Bitmasks of the variables in the head and in the tail of each pair."""
+    return [tuple(sum(1 << i for i, x in enumerate(u) if x) for u in p) for p in pairs]
 
-    When one side of x^u - x^v has all its variables in the set, that
-    side is a unit modulo the binomial, so x^u and x^v are both units
-    and every variable of the other side joins the set.
+
+def _unit_closure(supports, units: int) -> int:
+    """Bitmask of the variables made units by the binomials once the given ones are.
+
+    supports holds the head and tail masks of each binomial x^u - x^v.
+    When one side has all its variables in the set, that side is a unit
+    modulo the binomial, so x^u and x^v are both units and every variable
+    of the other side joins the set.
     """
-    units = set(units)
     grew = True
     while grew:
         grew = False
-        for h, t in pairs:
-            for u, v in ((h, t), (t, h)):
-                if all(x == 0 or i in units for i, x in enumerate(v)):
-                    new = {i for i, x in enumerate(u) if x} - units
-                    if new:
-                        units |= new
-                        grew = True
+        for hm, tm in supports:
+            for side, other in ((hm, tm), (tm, hm)):
+                if not other & ~units and side & ~units:
+                    units |= side
+                    grew = True
     return units
 
 
@@ -375,28 +448,28 @@ def signed_moves(vectors) -> frozenset:
     return frozenset(m for v in vectors for m in (tuple(v), vneg(v)))
 
 
-def _steps(u, moves):
-    """The nonnegative points one move away from u."""
-    for mv in moves:
-        w = tuple(map(add, u, mv))
-        if min(w) >= 0:
-            yield w
+def _connected(u, v, moves, guard) -> bool:
+    """True when the packed moves walk u to v through nonnegative points.
 
-
-def _connected(u, v, moves) -> bool:
-    """True when the moves walk u to v through nonnegative points.
-
-    The moves have degree zero, so the walk stays in one finite fiber.
+    A move is a pair (s, t) of packed monomials, the negative and the
+    positive part of its vector: it takes w to w - s + t when w - s sets
+    no guard bit. The moves have degree zero, so the walk stays in one
+    finite fiber.
     """
     seen = {u}
     stack = [u]
     while stack:
-        for w in _steps(stack.pop(), moves):
-            if w == v:
+        w = stack.pop()
+        for s, t in moves:
+            x = w - s
+            if x & guard:
+                continue
+            x += t
+            if x == v:
                 return True
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+            if x not in seen:
+                seen.add(x)
+                stack.append(x)
     return u == v
 
 
@@ -470,39 +543,45 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     """
     if order is None:
         order = TermOrder(basis.weight)
-    everything = set(range(basis.n))
-    saturated = {order.perm[-1]}
+    everything = (1 << basis.n) - 1
+    saturated = 1 << order.perm[-1]
     pairs = [(_pos_part(v), _neg_part(v)) for v in _short_vectors(basis.vectors)]
-    while _unit_closure(pairs, saturated) != everything:
+    while _unit_closure(supports := _supports(pairs), saturated) != everything:
         i = max(
-            everything - saturated,
-            key=lambda j: (len(_unit_closure(pairs, saturated | {j})), -j),
+            (j for j in range(basis.n) if not saturated >> j & 1),
+            key=lambda j: (_unit_closure(supports, saturated | 1 << j).bit_count(), -j),
         )
         pairs = [_divide_out(p, i) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
-        saturated.add(i)
+        saturated |= 1 << i
     gb = _buchberger_pairs(pairs, order)
+    a = basis.weight.a
+    packing = _packing(order, _width(max((dot(a, h) for h, _ in gb), default=0)))
     stripped = [_strip_common(p) for p in gb]
+    packed = [tuple(map(packing.encode, p)) for p in stripped]
     if stripped != gb:
-        gb = _interreduce(_minimal_heads(stripped, order), order)
+        packed = _interreduce(_minimal_heads(packed, packing), packing)
+        gb = [tuple(map(packing.decode, p)) for p in packed]
     for h, t in gb:
         if any(x > 0 and y > 0 for x, y in zip(h, t)):
             raise RuntimeError("saturated basis still has a monomial factor")
 
-    def degree_key(p):
-        return (dot(basis.weight.a, p[0]), order.key(p[0]), order.key(p[1]))
+    def degree_key(q):
+        (h, t), _ = q
+        return (dot(a, h), order.key(h), order.key(t))
 
     # One greedy pass in increasing degree is already minimal (graded
     # Nakayama): a binomial is generated only by binomials of degree at
     # most its own, and a later one of equal degree needed to generate
-    # it would itself have been dropped.
-    kept: list = []
-    moves: set = set()
-    for h, t in sorted(gb, key=degree_key):
-        if _connected(h, t, moves):
+    # it would itself have been dropped. Every point of a walk has the
+    # degree of the binomial tested, so the packing of gb holds it.
+    kept = []
+    moves = []  # (s, t) for a move w -> w - s + t
+    for (h, t), (ph, pt) in sorted(zip(gb, packed), key=degree_key):
+        if _connected(ph, pt, moves, packing.guard):
             continue
-        kept.append((h, t))
-        moves |= signed_moves([vsub(h, t)])
-    return MarkovBasis(basis, tuple(Binomial(h, t) for h, t in kept))
+        kept.append(Binomial(h, t))
+        moves += ((pt, ph), (ph, pt))
+    return MarkovBasis(basis, tuple(kept))
 
 
 class FiberGraph(namedtuple("FiberGraph", "degree vertices edges")):
@@ -544,6 +623,8 @@ def fiber_graph(mb: MarkovBasis, c: QuotientClass) -> FiberGraph:
     moves = signed_moves(mb.vectors)
     edges = set()
     for u in verts:
-        for w in _steps(u, moves):
-            edges.add((u, w) if u <= w else (w, u))
+        for mv in moves:
+            w = tuple(map(add, u, mv))
+            if min(w) >= 0:
+                edges.add((u, w) if u <= w else (w, u))
     return FiberGraph(c.degree, verts, frozenset(edges))

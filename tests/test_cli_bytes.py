@@ -46,6 +46,10 @@ CASES = [
      "1647991894ea8b9ff534df17531d7584e14d3c9a1f0f78b1538815a380ee4c18"),
     ("ideal -a 13,17,29 --basis @ --format json", 0,
      "ff7ae6e69c4004ef8b21cbc1fe3ef85604aad7b84a2f02e71ef7194110d834ff"),
+    ("ideal -a 100003,100019", 0,
+     "b63b50358ddb113763c1ebc64999193bc1ecccbfa35a44d77af75ffb1161f87d"),
+    ("ideal -a 2,3,1000003", 0,
+     "b7146a15ba0626a8245c5fc62672a89c8a72b6e4028660898068dc36ee05831e"),
     ("ball -a 3,4,11 -k 2 --format text", 0,
      "0900c98aad8b1549431ac59bd9c12817172e02ebd54460d0d5afab58cf957a54"),
     ("ball -a 13,17,29 --basis @ -k 2 --format text", 0,

@@ -20,7 +20,7 @@ from genfrob import (
     member,
 )
 from genfrob import ideal
-from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _unit_closure
+from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _supports, _unit_closure
 
 from .oracles import (
     groebner_without_chain_criterion,
@@ -223,6 +223,63 @@ def test_lattice_ideal_matches_groebner_oracle_on_index_six_sublattice_permuted_
     assert got == lattice_ideal_by_groebner(B, order)
 
 
+# Kernels whose Groebner runs pass the starting field width partway
+# through, so the packed monomials are widened before an S-pair is formed.
+WIDENING = ((3, 20, 25, 30), (2, 3, 7, 8, 12), (19, 20, 31, 35), (10, 16, 19, 21, 34))
+
+
+def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
+    widths, runs = [], []
+    original_packing, original_run = ideal._packing, ideal._buchberger_pairs
+
+    def packing(order, width):
+        widths.append(width)
+        return original_packing(order, width)
+
+    def run(pairs, order):
+        widths.clear()
+        out = original_run(pairs, order)
+        runs.append((pairs, order, list(widths)))
+        return out
+
+    monkeypatch.setattr(ideal, "_packing", packing)
+    monkeypatch.setattr(ideal, "_buchberger_pairs", run)
+    for a in WIDENING:
+        runs.clear()
+        B = kernel_basis(WeightVector(a))
+        got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
+        assert got == lattice_ideal_by_groebner(B), a
+        widened = [(pairs, order) for pairs, order, w in runs if len(w) > 1]
+        assert widened, a
+        for pairs, order in widened:
+            assert original_run(pairs, order) == groebner_without_chain_criterion(pairs, order), a
+    # Inputs of degree at most 30 start with fields up to 63; the reduced
+    # basis has x1^131, so a run that kept its first fields would carry
+    # into the next field and give a wrong basis.
+    order = TermOrder(WeightVector((1, 1, 5, 2)), (2, 0, 3, 1))
+    pairs = [
+        ((5, 0, 0, 0), (0, 0, 1, 0)),
+        ((0, 5, 5, 0), (4, 1, 5, 0)),
+        ((1, 0, 0, 2), (0, 5, 0, 0)),
+    ]
+    runs.clear()
+    got = run(pairs, order)
+    assert len(runs[0][2]) > 1
+    assert got == groebner_without_chain_criterion(pairs, order)
+
+
+def test_exponents_far_past_small_fields_match_the_groebner_oracle():
+    # x1^100019 - x2^100003 has degree about 10^10, so 36-bit fields;
+    # (2, 3, 10007) has x1 x2^3335 - x3 next to x1^3 - x2^2
+    for a in ((100003, 100019), (2, 3, 10007)):
+        B = kernel_basis(WeightVector(a))
+        got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
+        assert got == lattice_ideal_by_groebner(B), a
+    order = TermOrder(WeightVector((100003, 100019)))
+    pairs = [((100019, 0), (0, 100003)), ((200038, 0), (100019, 100003))]
+    assert _buchberger_pairs(pairs, order) == groebner_without_chain_criterion(pairs, order)
+
+
 # The Markov basis of the 12-variable ladder instance, as the round of
 # one saturation pass per variable gave it. The oracle takes about 12 s
 # here, so the result is pinned instead.
@@ -264,10 +321,11 @@ def test_lattice_ideal_twelve_variables_matches_pinned_basis():
 
 def test_unit_closure_two_variables():
     # x1^3 - x2^2: either variable a unit makes the other one
-    pairs = [((3, 0), (0, 2))]
-    assert _unit_closure(pairs, {1}) == {0, 1}
-    assert _unit_closure(pairs, {0}) == {0, 1}
-    assert _unit_closure(pairs, set()) == set()
+    supports = _supports([((3, 0), (0, 2))])
+    assert supports == [(0b01, 0b10)]
+    assert _unit_closure(supports, 0b10) == 0b11
+    assert _unit_closure(supports, 0b01) == 0b11
+    assert _unit_closure(supports, 0) == 0
 
 
 def test_unit_closure_weights_containing_one():
@@ -276,8 +334,8 @@ def test_unit_closure_weights_containing_one():
     B = kernel_basis(WeightVector((1, 4, 6)))
     pairs = [(b.head, b.tail) for b in lattice_ideal(B).elements]
     assert pairs == [((4, 0, 0), (0, 1, 0)), ((2, 1, 0), (0, 0, 1))]
-    for seed in ({0}, {1}, {2}):
-        assert _unit_closure(pairs, seed) == {0, 1, 2}
+    for seed in (0b001, 0b010, 0b100):
+        assert _unit_closure(_supports(pairs), seed) == 0b111
 
 
 def test_unit_closure_short_until_a_saturation_pass(monkeypatch):
@@ -286,8 +344,8 @@ def test_unit_closure_short_until_a_saturation_pass(monkeypatch):
     # before the last pass in the target order
     B = kernel_basis(WeightVector((5, 7, 8)))
     start = [((0, 3, 0), (1, 0, 2)), ((0, 1, 1), (3, 0, 0))]
-    assert _unit_closure(start, {2}) == {2}
-    assert _unit_closure(start, {1, 2}) == {0, 1, 2}
+    assert _unit_closure(_supports(start), 0b100) == 0b100
+    assert _unit_closure(_supports(start), 0b110) == 0b111
     runs = []
     original = ideal._buchberger_pairs
 
@@ -336,9 +394,9 @@ def test_buchberger_pairs_hands_the_tail_pass_minimal_heads(monkeypatch):
     heads = []
     original = ideal._interreduce
 
-    def interreduce(records, order):
-        heads.append([r[0] for r in records])
-        return original(records, order)
+    def interreduce(records, packing):
+        heads.append([packing.decode(r[0]) for r in records])
+        return original(records, packing)
 
     monkeypatch.setattr(ideal, "_interreduce", interreduce)
     order = TermOrder(WeightVector((2, 4, 4, 3, 2, 3, 1)), (3, 5, 4, 0, 1, 6, 2))
@@ -349,6 +407,7 @@ def test_buchberger_pairs_hands_the_tail_pass_minimal_heads(monkeypatch):
     ]
     assert len(_buchberger_pairs(pairs, order)) == 6
     lattice_ideal(kernel_basis(WeightVector((11, 13, 17, 19, 23, 29, 31))))
+    assert heads and all(heads)
     for hs in heads:
         assert not [(g, h) for g in hs for h in hs if g != h and all(map(operator.ge, h, g))]
 

@@ -8,8 +8,10 @@ wrapped at every place a ``genfrob`` module binds it, and
 ``poset._covers`` (one Hasse cover build) and ``poset._labels`` (one
 expansion of a module poset's node vector into labels) where ``poset``
 calls them.
-``ideal._buchberger_pairs`` counts Groebner basis runs, and
-``ideal._reduced`` inside ``ideal._interreduce`` its tail normal forms.
+``ideal._buchberger_pairs`` counts Groebner basis runs,
+``ideal._normal_form`` the normal forms of their start pairs and
+S-pairs, and ``ideal._reduced`` inside ``ideal._interreduce`` its tail
+normal forms.
 ``CountTable.row`` and ``CountTable.cell``, which ``CountTable.count``
 reads through, count the table cells read.
 ``LatticeBasis.label`` counts the points labelled, and
@@ -317,3 +319,26 @@ def test_interreduce_makes_one_tail_normal_form_per_element_kept(monkeypatch):
         counts.update(tails=0, kept=0)
         assert len(lattice_ideal(kernel_basis(WeightVector(a))).elements) == elements
         assert counts == {"tails": tails, "kept": tails}, a
+
+
+def test_lattice_ideal_pair_schedule_is_pinned(monkeypatch):
+    # The normal forms the Groebner runs take, of start pairs and
+    # S-pairs, and how many reduce to zero. The pair criteria alone
+    # decide both, so a change of how monomials are stored leaves them.
+    counts = {"forms": 0, "zero": 0}
+    original = ideal._normal_form
+
+    def normal_form(*args):
+        out = original(*args)
+        counts["forms"] += 1
+        counts["zero"] += out is None
+        return out
+
+    monkeypatch.setattr(ideal, "_normal_form", normal_form)
+    for a, forms, zero in (
+        ((11, 13, 17, 19, 23, 29, 31), 282, 217),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 878, 765),
+    ):
+        counts.update(forms=0, zero=0)
+        lattice_ideal(kernel_basis(WeightVector(a)))
+        assert counts == {"forms": forms, "zero": zero}, a
