@@ -120,7 +120,11 @@ class CountTable:
 
     def count(self, c: QuotientClass) -> int:
         """Saturated count for class c; 0 below degree 0."""
-        return self.cell(c.degree, self._torsion_code[c.torsion])
+        try:
+            code = self._torsion_code[c.torsion]
+        except KeyError:
+            raise _torsion_error(c) from None
+        return self.cell(c.degree, code)
 
     def row(self, degree: int) -> list[int]:
         """The saturated counts of the classes of this degree, by torsion code."""
@@ -172,10 +176,16 @@ def degree_fiber(basis: LatticeBasis, degree: int) -> tuple[tuple[int, ...], ...
     )
 
 
+def _torsion_error(c: QuotientClass) -> InputError:
+    return InputError(f"torsion {c.torsion} is not one of the basis's torsions")
+
+
 def fiber(basis: LatticeBasis, c: QuotientClass) -> Fiber:
     """Complete enumeration of the nonnegative points in class c."""
     if c.degree < 0:
         raise InputError("fiber degree must be nonnegative")
+    if c.torsion not in basis.torsion_code:
+        raise _torsion_error(c)
     pts = tuple(
         u for u in degree_fiber(basis, c.degree) if basis.torsion(u) == c.torsion
     )
@@ -500,6 +510,8 @@ def m_value(basis: LatticeBasis, k: int) -> int:
 
 def has_nonneg_rep(basis: LatticeBasis, c: QuotientClass) -> bool:
     """True when class c contains a point of N^n."""
+    if c.torsion not in basis.torsion_code:
+        raise _torsion_error(c)
     return c.degree >= 0 and thresholds(basis, 1).at_least(c, 1)
 
 

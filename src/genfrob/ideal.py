@@ -22,17 +22,22 @@ pass, gives the whole lattice ideal. The generating set is then
 minimalised: each binomial, in increasing degree, is dropped when the
 moves of those kept before it connect its head to its tail (Diaconis and
 Sturmfels, Ann. Statist. 1998).
+
+An ideal has exactly one reduced Groebner basis in a given term order
+(Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 2
+section 7), so ``ideal_equal`` compares the reduced bases of the two
+generating sets.
 """
 from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations
-from operator import add, itemgetter, lshift, neg
+from operator import add, lshift
 
 from .counting import degree_fiber
-from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _Validated, _read_only
+from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _Validated
 from .lattice import dot, vneg, vsub
 
 
@@ -43,7 +48,7 @@ class TermOrder(_Validated, namedtuple("TermOrder", "weight perm")):
     weighted degree break by reverse lexicography over that sequence.
     """
 
-    __setattr__ = _read_only
+    __slots__ = ()
 
     def __new__(cls, weight: WeightVector, perm: tuple[int, ...] = ()):
         perm = perm or tuple(range(weight.n))
@@ -51,14 +56,9 @@ class TermOrder(_Validated, namedtuple("TermOrder", "weight perm")):
             raise InputError(f"perm {perm} is not a permutation")
         return super().__new__(cls, weight, perm)
 
-    @cached_property
-    def _cheapest_first(self):
-        """Reads a monomial's exponents cheapest variable first; kept once read."""
-        return itemgetter(*reversed(self.perm))
-
     def key(self, u):
         """Sort key: ascending key means ascending monomial order."""
-        return (dot(self.weight.a, u), tuple(map(neg, self._cheapest_first(u))))
+        return (dot(self.weight.a, u), tuple(-u[i] for i in reversed(self.perm)))
 
     def greater(self, u, v) -> bool:
         return self.key(u) > self.key(v)
@@ -361,22 +361,13 @@ def buchberger(gens, order: TermOrder) -> tuple[Binomial, ...]:
     return tuple(Binomial(h, t) for h, t in _buchberger_pairs(_homogeneous(gens, order), order))
 
 
-def _reduces_to_zero(pair, gb_pairs, order) -> bool:
-    a = order.weight.a
-    packing = _packing(order, _width(max(dot(a, h) for h, _ in (pair, *gb_pairs))))
-    records = [packing.record(*map(packing.encode, p)) for p in gb_pairs]
-    return _normal_form(*map(packing.encode, pair), records) is None
-
-
 def ideal_equal(gens_a, gens_b, order: TermOrder) -> bool:
-    """True when the two sets of homogeneous binomials span the same ideal."""
-    pa = _homogeneous(gens_a, order)
-    pb = _homogeneous(gens_b, order)
-    ga = _buchberger_pairs(pa, order)
-    gb = _buchberger_pairs(pb, order)
-    return all(_reduces_to_zero(p, ga, order) for p in pb) and all(
-        _reduces_to_zero(p, gb, order) for p in pa
-    )
+    """True when the two sets of homogeneous binomials span the same ideal.
+
+    An ideal has exactly one reduced Groebner basis in a given term
+    order, so the two spans are equal exactly when their reduced bases are.
+    """
+    return buchberger(gens_a, order) == buchberger(gens_b, order)
 
 
 def _divide_out(pair, i):
@@ -560,14 +551,6 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     packed = [tuple(map(packing.encode, p)) for p in stripped]
     if stripped != gb:
         packed = _interreduce(_minimal_heads(packed, packing), packing)
-        gb = [tuple(map(packing.decode, p)) for p in packed]
-    for h, t in gb:
-        if any(x > 0 and y > 0 for x, y in zip(h, t)):
-            raise RuntimeError("saturated basis still has a monomial factor")
-
-    def degree_key(q):
-        (h, t), _ = q
-        return (dot(a, h), order.key(h), order.key(t))
 
     # One greedy pass in increasing degree is already minimal (graded
     # Nakayama): a binomial is generated only by binomials of degree at
@@ -576,11 +559,13 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     # degree of the binomial tested, so the packing of gb holds it.
     kept = []
     moves = []  # (s, t) for a move w -> w - s + t
-    for (h, t), (ph, pt) in sorted(zip(gb, packed), key=degree_key):
-        if _connected(ph, pt, moves, packing.guard):
-            continue
-        kept.append(Binomial(h, t))
-        moves += ((pt, ph), (ph, pt))
+    for ph, pt in sorted(packed, key=lambda p: (packing.key(p[0]), packing.key(p[1]))):
+        h, t = packing.decode(ph), packing.decode(pt)
+        if any(x and y for x, y in zip(h, t)):
+            raise RuntimeError("saturated basis still has a monomial factor")
+        if not _connected(ph, pt, moves, packing.guard):
+            kept.append(Binomial(h, t))
+            moves += ((pt, ph), (ph, pt))
     return MarkovBasis(basis, tuple(kept))
 
 

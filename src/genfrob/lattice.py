@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import cached_property
 from math import gcd
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 
 class InputError(ValueError):
@@ -47,6 +47,15 @@ def xgcd(a, b):
     return g, x, y
 
 
+def _integers(entries, what: str) -> tuple[int, ...]:
+    """The entries as ints; InputError when one is not an integer, such as 3.7, 8.0 or "3"."""
+    entries = tuple(entries)
+    try:
+        return tuple(map(index, entries))
+    except TypeError:
+        raise InputError(f"{what} {entries} must have integer entries") from None
+
+
 def _read_only(self, name, value):
     """``__setattr__`` of the records that keep a ``__dict__``: assignment is refused."""
     raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
@@ -69,7 +78,7 @@ class WeightVector(_Validated, namedtuple("WeightVector", "a")):
     __slots__ = ()
 
     def __new__(cls, a):
-        a = tuple(int(x) for x in a)
+        a = _integers(a, "weights")
         if len(a) < 2:
             raise InputError("need at least two weights")
         if any(x < 1 for x in a):
@@ -214,7 +223,7 @@ class LatticeBasis:
     """
 
     def __init__(self, weight: WeightVector, vectors):
-        vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        vectors = tuple(_integers(v, "basis vector") for v in vectors)
         vars(self).update(weight=weight, vectors=vectors)
         # perfbench/layertrace.py counts and times basis builds by wrapping
         # __post_init__ on the class, so every build goes through it.

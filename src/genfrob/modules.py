@@ -345,6 +345,8 @@ class GeneratorClassification(namedtuple("GeneratorClassification", "case witnes
 
 def is_exceptional(basis: LatticeBasis, g, k: int) -> bool:
     """Generator of the k-th module dominating more than k points: count >= k + 1."""
+    if k < 1:
+        raise InputError("k must be at least 1")
     return thresholds(basis, k + 1).at_least(basis.label(g), k + 1)
 
 

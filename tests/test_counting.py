@@ -11,6 +11,7 @@ from genfrob import (
     CountTable,
     InputError,
     LatticeBasis,
+    QuotientClass,
     WeightVector,
     brute_force_frobenius,
     brute_force_m,
@@ -235,6 +236,25 @@ def test_count_table_validation():
     table = count_table(B, 5, 1)
     with pytest.raises(InputError):
         table.count(class_label(B, (2, 0, 0)))  # degree 6 beyond range
+
+
+def test_classes_with_a_torsion_the_basis_lacks_are_rejected():
+    # has_nonneg_rep said yes to (5, (1,)) on a kernel, whose fiber is
+    # empty, and CountTable.count raised KeyError on the sublattice
+    K = kernel_basis(WeightVector((3, 5, 8)))
+    H = LatticeBasis(WeightVector((13, 17, 29)), ((-17, 13, 0), (-696, 522, 6)))
+    assert H.torsions == tuple((r,) for r in range(6))
+    table = count_table(H, 40, 3)
+    for B, torsion in ((K, (1,)), (K, (0,)), (H, (7,)), (H, (1, 2)), (H, ())):
+        c = QuotientClass(30, torsion)
+        for reader in (has_nonneg_rep, fiber):
+            with pytest.raises(InputError, match="torsion"):
+                reader(B, c)
+        if B is H:
+            with pytest.raises(InputError, match="torsion"):
+                table.count(c)
+    c = QuotientClass(30, (5,))
+    assert has_nonneg_rep(H, c) == bool(fiber(H, c).points) == (table.count(c) >= 1)
 
 
 def _threshold_case(rng, sizes=(2, 3, 3, 4), top=9, max_index=6, twin=0.0):

@@ -20,7 +20,7 @@ from genfrob import (
     member,
 )
 from genfrob import ideal
-from genfrob.ideal import _buchberger_pairs, _reduces_to_zero, _supports, _unit_closure
+from genfrob.ideal import _buchberger_pairs, _supports, _unit_closure
 
 from .oracles import (
     groebner_without_chain_criterion,
@@ -69,6 +69,46 @@ def test_ideal_equal_reflexive_and_proper_subideal():
     assert ideal_equal(mb.elements, mb.elements, order)
     partial = _binomials(order, (1, 1, -1))
     assert not ideal_equal(partial, mb.elements, order)
+
+
+def _equal_by_membership(gens_a, gens_b, order):
+    """Two-sided ideal membership by the oracle Groebner runs: each
+    generator of one side reduces to zero modulo a basis of the other."""
+    pa = [(g.head, g.tail) for g in gens_a]
+    pb = [(g.head, g.tail) for g in gens_b]
+    ga = groebner_without_chain_criterion(pa, order)
+    gb = groebner_without_chain_criterion(pb, order)
+    return all(normal_form(p, ga, order) is None for p in pb) and all(
+        normal_form(p, gb, order) is None for p in pa
+    )
+
+
+def test_ideal_equal_agrees_with_two_sided_oracle_membership():
+    # kernels and sublattices of index up to 6 under permuted orders; each
+    # case compares generating sets of one lattice ideal with each other
+    # and with the proper subideal of the Markov basis less one element
+    rng = random.Random(7407)
+    cases = 0
+    while cases < 40:
+        n = rng.randint(3, 5)
+        a = tuple(rng.randint(2, 13 if n == 3 else 9) for _ in range(n))
+        if math.gcd(*a) != 1:
+            continue
+        vecs = list(kernel_basis(WeightVector(a)).vectors)
+        if rng.random() < 0.6:
+            i, m = rng.randrange(n - 1), rng.randint(2, 6)
+            vecs[i] = tuple(m * x for x in vecs[i])
+        B = LatticeBasis(WeightVector(a), tuple(vecs))
+        order, other = (TermOrder(B.weight, tuple(rng.sample(range(n), n))) for _ in range(2))
+        mb = lattice_ideal(B, order).elements
+        by_groebner = tuple(Binomial(h, t) for h, t in lattice_ideal_by_groebner(B, order))
+        drop = rng.randrange(len(mb))
+        sub = mb[:drop] + mb[drop + 1 :]
+        for gens in (mb, by_groebner, lattice_ideal(B, other).elements, mb[::-1], mb + mb):
+            for x, y, want in ((gens, mb, True), (gens, sub, False), (sub, gens, False)):
+                got = ideal_equal(x, y, order)
+                assert got == _equal_by_membership(x, y, order) == want, (a, B.vectors, order, x, y)
+        cases += 1
 
 
 def test_buchberger_single_binomial_is_its_own_basis():
@@ -150,9 +190,9 @@ def test_markov_basis_minimal_on_seeded_cases():
         pairs = [(b.head, b.tail) for b in mb.elements]
         for i, p in enumerate(pairs):
             rest = pairs[:i] + pairs[i + 1 :]
-            assert not rest or not _reduces_to_zero(
-                p, _buchberger_pairs(rest, order), order
-            ), (a, B.vectors, p)
+            assert not rest or normal_form(
+                p, groebner_without_chain_criterion(rest, order), order
+            ) is not None, (a, B.vectors, p)
             cases += 1
 
 

@@ -103,6 +103,17 @@ def test_invalid_basis_rejected():
         LatticeBasis(w, ((1, 1, -1), (2, 2, -2)))  # dependent
 
 
+def test_non_integer_entries_rejected():
+    # int() would truncate 3.7 to 3 and -5.9 to -5: a different lattice
+    for weights in ((3.7, 5, 8), (3, 5, 8.0), ("3", 5, 8)):
+        with pytest.raises(InputError, match="integer"):
+            WeightVector(weights)
+    w = WeightVector((3, 5, 8))
+    for bad in (-5.9, -5.0, "-5"):
+        with pytest.raises(InputError, match="integer"):
+            LatticeBasis(w, ((bad, 3, 0), (1, 1, -1)))
+
+
 def test_member_iff_zero_class_random():
     rng = random.Random(2024)
     B = kernel_basis(WeightVector((3, 4, 11)))

@@ -28,6 +28,7 @@ from genfrob import (
     lcm_generator_classes,
     minimal_generators,
     modified_min_gens,
+    module_poset,
     moves,
     parse_monomial,
     phi,
@@ -184,6 +185,19 @@ def test_minimal_lcms_radius_check():
     bl = ball(moves(lattice_ideal(B)), 1)
     with pytest.raises(InputError):
         minimal_lcms(bl, 3, B.weight, 100)
+
+
+def test_module_functions_reject_k_below_one():
+    # is_exceptional(B, g, 0) asked count >= 1 and answered True
+    B = kernel_basis(WeightVector((3, 5, 8)))
+    for call in (
+        lambda: is_exceptional(B, (0, 0, 1), 0),
+        lambda: minimal_generators(B, 0),
+        lambda: lcm_generator_classes(B, 0),
+        lambda: module_poset(B, 0),
+    ):
+        with pytest.raises(InputError, match="k must be at least 1"):
+            call()
 
 
 def _minimal(points):

@@ -97,9 +97,9 @@ RECORDS = {
 # bound_checks is a dict, so a FrobeniusReport has no hash.
 UNHASHABLE = {FrobeniusReport}
 
-# The records that keep a __dict__: the plain-class basis, the order with
-# its key cache and the posets with their cached properties.
-WITH_DICT = {LatticeBasis, TermOrder, StructurePoset, ModulePoset}
+# The records that keep a __dict__: the plain-class basis and the posets
+# with their cached properties.
+WITH_DICT = {LatticeBasis, StructurePoset, ModulePoset}
 
 
 def _params(classes):
