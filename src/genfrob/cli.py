@@ -19,6 +19,7 @@ writes the output to stdout or ``-o`` and picks the exit code.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from types import SimpleNamespace
 
@@ -39,9 +40,20 @@ EXIT_OVERFLOW = 4
 EXIT_INTERNAL = 5
 
 
+def _integer(text: str) -> int:
+    """An optionally signed ASCII decimal integer, spaces around it allowed.
+
+    int() alone also takes underscores between digits and non-ASCII
+    digits, so "3_0" would read as 30.
+    """
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_weights(text: str) -> WeightVector:
     try:
-        parts = tuple(int(x) for x in text.split(","))
+        parts = tuple(_integer(x) for x in text.split(","))
     except ValueError as exc:
         raise InputError(f"cannot parse weights {text!r}") from exc
     return WeightVector(parts)
@@ -55,7 +67,7 @@ def _read_basis_file(path: str, weight: WeightVector) -> LatticeBasis:
                 line = line.strip()
                 if not line or line.startswith("#"):
                     continue
-                vectors.append(tuple(int(x) for x in line.split()))
+                vectors.append(tuple(_integer(x) for x in line.split()))
     except OSError as exc:
         raise InputError(f"cannot read basis file {path}: {exc}") from exc
     except ValueError as exc:

@@ -263,6 +263,8 @@ class Thresholds:
 
     def at_least(self, c: QuotientClass, k: int) -> bool:
         """True when class c has at least k nonnegative representatives."""
+        if c.torsion not in self._torsion_code:
+            raise _torsion_error(c)
         j = self._column(k)
         q, r = divmod(c.degree, self.a_s)
         node = r * len(self._torsions) + self._torsion_code[self._shift(c.torsion, -q)]

@@ -8,7 +8,9 @@ ISSAC 1998): a divisibility test, a reduction step, an lcm and the
 reverse-lexicographic comparison within one degree are each a few int
 operations. Every exponent is at most its monomial's weighted degree,
 so fields sized from the largest degree a run meets never overflow; a
-run widens them when an S-pair's lcm passes that size.
+run widens them when an S-pair's lcm passes that size, and hands its
+basis on packed, with the packing that holds it. The lattice ideal's
+last run keeps that packing through the Markov minimalisation.
 
 Buchberger's algorithm prunes pairs once, when an element is added, by
 the criteria of Gebauer and Moeller (J. Symbolic Comput. 1988), and
@@ -32,11 +34,10 @@ from __future__ import annotations
 
 import heapq
 from collections import namedtuple
-from functools import lru_cache
 from itertools import permutations
 from operator import add, lshift
 
-from .counting import degree_fiber
+from .counting import _torsion_error, degree_fiber
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, _Validated
 from .lattice import dot, vneg, vsub
 
@@ -167,9 +168,8 @@ class _Packing(namedtuple("_Packing", "width shifts terms guard cap")):
         return h, t - h, self.guard
 
 
-@lru_cache(maxsize=64)
 def _packing(order: TermOrder, width: int) -> _Packing:
-    """The packing of ``order`` with fields of the given width; kept once built."""
+    """The packing of ``order`` with fields of the given width."""
     shifts = [0] * order.weight.n
     for k, i in enumerate(order.perm):
         shifts[i] = width * k
@@ -216,10 +216,12 @@ def _buchberger_pairs(pairs, order):
     """Reduced Groebner basis of the ideal generated by homogeneous binomial pairs.
 
     Each pair must have one weighted degree (see ``_normal_form``). The
-    pairs come and go as exponent tuples; in between every monomial is
+    pairs come in as exponent tuples, and every monomial of the run is
     packed (``_Packing``), in fields wide enough for twice the largest
     input degree. An S-pair whose lcm has a degree past what a field
-    holds first widens the fields of every monomial the run keeps.
+    holds first widens the fields of every monomial the run keeps. The
+    basis goes out packed and sorted, as ``_interreduce`` gives it,
+    together with the run's last packing, which holds it.
     S-pairs are taken in increasing order of their lcm. Pairs are pruned
     once, when an element h is added, by the criteria of Gebauer and
     Moeller (J. Symbolic Comput. 1988):
@@ -314,7 +316,7 @@ def _buchberger_pairs(pairs, order):
             add_element(*nf)
     # A reducer head is a normal form of those before it, and the heads it
     # divides leave the list: the reducers' heads are already minimal.
-    return [tuple(map(packing.decode, p)) for p in _interreduce(reducers, packing)]
+    return _interreduce(reducers, packing), packing
 
 
 def _minimal_heads(G, packing):
@@ -358,7 +360,8 @@ def _homogeneous(gens, order):
 
 def buchberger(gens, order: TermOrder) -> tuple[Binomial, ...]:
     """Reduced Groebner basis of the ideal generated by homogeneous binomials."""
-    return tuple(Binomial(h, t) for h, t in _buchberger_pairs(_homogeneous(gens, order), order))
+    G, packing = _buchberger_pairs(_homogeneous(gens, order), order)
+    return tuple(Binomial(packing.decode(h), packing.decode(t)) for h, t in G)
 
 
 def ideal_equal(gens_a, gens_b, order: TermOrder) -> bool:
@@ -401,15 +404,6 @@ def _unit_closure(supports, units: int) -> int:
                     units |= side
                     grew = True
     return units
-
-
-def _strip_common(pair):
-    """Divide out the common monomial factor of the two monomials."""
-    h, t = pair
-    common = tuple(min(x, y) for x, y in zip(h, t))
-    if not any(common):
-        return pair
-    return vsub(h, common), vsub(t, common)
 
 
 def _short_vectors(vectors):
@@ -523,14 +517,16 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
 
     Dividing the last pass by powers of x_l alone would give a Groebner
     basis of J : x_l^oo = I_L under ``order`` (Lemma 12.1 again). It
-    strips every common monomial factor instead; each stripped binomial
-    still lies in I_L and its head divides that one, so the stripped set
-    is a Groebner basis of I_L too, and interreducing it gives the
-    reduced one. That basis is unique, so neither the start basis nor
-    the choice of passes changes the result. It is then minimalised in
-    one pass of increasing weighted degree: a binomial lies in the ideal
-    of those kept before it exactly when their moves connect its head to
-    its tail through nonnegative points.
+    strips every common monomial factor instead, on the run's packed
+    monomials, where the factor of x^h - x^t is the fieldwise minimum
+    h + t - lcm(h, t). Each stripped binomial still lies in I_L and its
+    head divides that one, so the stripped set is a Groebner basis of
+    I_L too, and interreducing it gives the reduced one. That basis is
+    unique, so neither the start basis nor the choice of passes changes
+    the result. It is then minimalised in one pass of increasing
+    weighted degree: a binomial lies in the ideal of those kept before
+    it exactly when their moves connect its head to its tail through
+    nonnegative points.
     """
     if order is None:
         order = TermOrder(basis.weight)
@@ -542,15 +538,15 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
             (j for j in range(basis.n) if not saturated >> j & 1),
             key=lambda j: (_unit_closure(supports, saturated | 1 << j).bit_count(), -j),
         )
-        pairs = [_divide_out(p, i) for p in _buchberger_pairs(pairs, order.cheapest_in(i))]
+        G, packing = _buchberger_pairs(pairs, order.cheapest_in(i))
+        pairs = [_divide_out(tuple(map(packing.decode, p)), i) for p in G]
         saturated |= 1 << i
-    gb = _buchberger_pairs(pairs, order)
-    a = basis.weight.a
-    packing = _packing(order, _width(max((dot(a, h) for h, _ in gb), default=0)))
-    stripped = [_strip_common(p) for p in gb]
-    packed = [tuple(map(packing.encode, p)) for p in stripped]
+    gb, packing = _buchberger_pairs(pairs, order)
+    # Dividing out a pair's common factor, its fieldwise minimum
+    # h + t - lcm(h, t), leaves lcm(h, t) - t and lcm(h, t) - h.
+    stripped = [((m := packing.lcm(h, t)) - t, m - h) for h, t in gb]
     if stripped != gb:
-        packed = _interreduce(_minimal_heads(packed, packing), packing)
+        gb = _interreduce(_minimal_heads(stripped, packing), packing)
 
     # One greedy pass in increasing degree is already minimal (graded
     # Nakayama): a binomial is generated only by binomials of degree at
@@ -559,13 +555,12 @@ def lattice_ideal(basis: LatticeBasis, order: TermOrder | None = None) -> Markov
     # degree of the binomial tested, so the packing of gb holds it.
     kept = []
     moves = []  # (s, t) for a move w -> w - s + t
-    for ph, pt in sorted(packed, key=lambda p: (packing.key(p[0]), packing.key(p[1]))):
-        h, t = packing.decode(ph), packing.decode(pt)
-        if any(x and y for x, y in zip(h, t)):
+    for h, t in sorted(gb, key=lambda p: (packing.key(p[0]), packing.key(p[1]))):
+        if packing.lcm(h, t) != h + t:
             raise RuntimeError("saturated basis still has a monomial factor")
-        if not _connected(ph, pt, moves, packing.guard):
-            kept.append(Binomial(h, t))
-            moves += ((pt, ph), (ph, pt))
+        if not _connected(h, t, moves, packing.guard):
+            kept.append(Binomial(packing.decode(h), packing.decode(t)))
+            moves += ((t, h), (h, t))
     return MarkovBasis(basis, tuple(kept))
 
 
@@ -604,6 +599,8 @@ def fiber_graph(mb: MarkovBasis, c: QuotientClass) -> FiberGraph:
     """
     if c.degree < 0:
         raise InputError("fiber degree must be nonnegative")
+    if c.torsion not in mb.basis.torsion_code:
+        raise _torsion_error(c)
     verts = degree_fiber(mb.basis, c.degree)
     moves = signed_moves(mb.vectors)
     edges = set()

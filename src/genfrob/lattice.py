@@ -126,38 +126,29 @@ def _smith_diagonal(mat):
     A = [list(row) for row in mat]
     R = [[int(i == j) for j in range(nrow)] for i in range(nrow)]
 
-    def row_op(i1, i2):
-        # Zero A[i2][t] against the pivot A[i1][t] using xgcd, mirroring on R.
-        a, b = A[i1][t], A[i2][t]
-        if b == 0:
-            return
+    def step(a, b):
+        # A unimodular (x, y, u, v) with u * a + v * b = 0: subtract
+        # b // a times a when a divides b, else the xgcd step.
         if a != 0 and b % a == 0:
-            q = b // a
-            for M in (A, R):
-                M[i2] = [y - q * x for x, y in zip(M[i1], M[i2])]
-            return
+            return 1, 0, -(b // a), 1
         g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for M in (A, R):
-            r1, r2 = M[i1], M[i2]
-            M[i1] = [x * p + y * q for p, q in zip(r1, r2)]
-            M[i2] = [-bg * p + ag * q for p, q in zip(r1, r2)]
+        return x, y, -(b // g), a // g
+
+    def row_op(i1, i2):
+        # Zero A[i2][t] against the pivot A[i1][t], mirroring on R.
+        if A[i2][t]:
+            x, y, u, v = step(A[i1][t], A[i2][t])
+            for M in (A, R):
+                r1, r2 = M[i1], M[i2]
+                M[i1] = [x * p + y * q for p, q in zip(r1, r2)]
+                M[i2] = [u * p + v * q for p, q in zip(r1, r2)]
 
     def col_op(j1, j2):
-        a, b = A[t][j1], A[t][j2]
-        if b == 0:
-            return
-        if a != 0 and b % a == 0:
-            q = b // a
+        if A[t][j2]:
+            x, y, u, v = step(A[t][j1], A[t][j2])
             for row in A:
-                row[j2] -= q * row[j1]
-            return
-        g, x, y = xgcd(a, b)
-        ag, bg = a // g, b // g
-        for row in A:
-            p, q = row[j1], row[j2]
-            row[j1] = x * p + y * q
-            row[j2] = -bg * p + ag * q
+                p, q = row[j1], row[j2]
+                row[j1], row[j2] = x * p + y * q, u * p + v * q
 
     diag = []
     for t in range(min(nrow, ncol)):

@@ -190,6 +190,26 @@ def test_bad_basis_file_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+def test_weights_and_basis_files_take_only_ascii_decimal_integers(tmp_path, capsys):
+    # int() alone reads "3_0" as 30 and the Arabic-Indic digit three as 3
+    for weights in ("3_0,7", "\u0663,7", "3,0x7", "3.0,7", "3,+-7"):
+        assert main(["frobenius", "-a", weights]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot parse weights"), weights
+    path = tmp_path / "basis.txt"
+    for line in ("-1_7 13 0", "-17 1\u0663 0"):
+        path.write_text(line + "\n-116 87 1\n", encoding="utf-8")
+        assert main(["frobenius", "-a", "13,17,29", "--basis", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: bad integer in basis file"), line
+    # signs and the spaces around a number are read as before
+    assert main(["frobenius", "-a", " +3 , 5,8 "]) == 0
+    assert capsys.readouterr().out == "7\n"
+    path.write_text("  -17  +13 0\t\n-116 87 1\n")
+    assert main(["basis", "-a", "13,17,29", "--basis", str(path), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["vectors"] == [[-17, 13, 0], [-116, 87, 1]]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -240,21 +240,31 @@ def test_count_table_validation():
 
 def test_classes_with_a_torsion_the_basis_lacks_are_rejected():
     # has_nonneg_rep said yes to (5, (1,)) on a kernel, whose fiber is
-    # empty, and CountTable.count raised KeyError on the sublattice
+    # empty, and CountTable.count raised KeyError on the sublattice;
+    # Thresholds.at_least zipped the torsion with the moduli, so it read
+    # (7,) as (1,) there
     K = kernel_basis(WeightVector((3, 5, 8)))
     H = LatticeBasis(WeightVector((13, 17, 29)), ((-17, 13, 0), (-696, 522, 6)))
     assert H.torsions == tuple((r,) for r in range(6))
     table = count_table(H, 40, 3)
     for B, torsion in ((K, (1,)), (K, (0,)), (H, (7,)), (H, (1, 2)), (H, ())):
-        c = QuotientClass(30, torsion)
-        for reader in (has_nonneg_rep, fiber):
+        walk = thresholds(B, 2)
+        for degree in (-4, 0, 5, 30):
+            c = QuotientClass(degree, torsion)
             with pytest.raises(InputError, match="torsion"):
-                reader(B, c)
+                has_nonneg_rep(B, c)
+            with pytest.raises(InputError, match="torsion"):
+                walk.at_least(c, 2)
+        with pytest.raises(InputError, match="torsion"):
+            fiber(B, c)
         if B is H:
             with pytest.raises(InputError, match="torsion"):
                 table.count(c)
-    c = QuotientClass(30, (5,))
-    assert has_nonneg_rep(H, c) == bool(fiber(H, c).points) == (table.count(c) >= 1)
+    for torsion in H.torsions:
+        c = QuotientClass(30, torsion)
+        found = has_nonneg_rep(H, c)
+        assert found == bool(fiber(H, c).points) == (table.count(c) >= 1), torsion
+        assert found == thresholds(H, 1).at_least(c, 1), torsion
 
 
 def _threshold_case(rng, sizes=(2, 3, 3, 4), top=9, max_index=6, twin=0.0):

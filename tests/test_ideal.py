@@ -8,6 +8,7 @@ from genfrob import (
     Binomial,
     InputError,
     LatticeBasis,
+    QuotientClass,
     TermOrder,
     WeightVector,
     buchberger,
@@ -33,6 +34,12 @@ from .oracles import (
 
 def _binomials(order, *vectors):
     return [Binomial.from_vector(v, order) for v in vectors]
+
+
+def _tuples(run):
+    """A ``_buchberger_pairs`` result, packed pairs and packing, as exponent pairs."""
+    G, packing = run
+    return [(packing.decode(h), packing.decode(t)) for h, t in G]
 
 
 def test_lattice_ideal_3_5_8():
@@ -292,7 +299,8 @@ def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
         widened = [(pairs, order) for pairs, order, w in runs if len(w) > 1]
         assert widened, a
         for pairs, order in widened:
-            assert original_run(pairs, order) == groebner_without_chain_criterion(pairs, order), a
+            got = _tuples(original_run(pairs, order))
+            assert got == groebner_without_chain_criterion(pairs, order), a
     # Inputs of degree at most 30 start with fields up to 63; the reduced
     # basis has x1^131, so a run that kept its first fields would carry
     # into the next field and give a wrong basis.
@@ -303,7 +311,7 @@ def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
         ((1, 0, 0, 2), (0, 5, 0, 0)),
     ]
     runs.clear()
-    got = run(pairs, order)
+    got = _tuples(run(pairs, order))
     assert len(runs[0][2]) > 1
     assert got == groebner_without_chain_criterion(pairs, order)
 
@@ -317,7 +325,7 @@ def test_exponents_far_past_small_fields_match_the_groebner_oracle():
         assert got == lattice_ideal_by_groebner(B), a
     order = TermOrder(WeightVector((100003, 100019)))
     pairs = [((100019, 0), (0, 100003)), ((200038, 0), (100019, 100003))]
-    assert _buchberger_pairs(pairs, order) == groebner_without_chain_criterion(pairs, order)
+    assert _tuples(_buchberger_pairs(pairs, order)) == groebner_without_chain_criterion(pairs, order)
 
 
 # The Markov basis of the 12-variable ladder instance, as the round of
@@ -423,7 +431,7 @@ def test_buchberger_pairs_matches_groebner_without_pair_pruning():
                     break
         if not pairs:
             continue
-        got = _buchberger_pairs(pairs, order)
+        got = _tuples(_buchberger_pairs(pairs, order))
         assert got == groebner_without_chain_criterion(pairs, order), (a, order.perm, pairs)
         cases += 1
 
@@ -445,7 +453,7 @@ def test_buchberger_pairs_hands_the_tail_pass_minimal_heads(monkeypatch):
         ((0, 0, 0, 0, 0, 1, 1), (1, 0, 0, 0, 1, 0, 0)),
         ((1, 1, 0, 0, 0, 0, 1), (1, 0, 1, 0, 0, 0, 1)),
     ]
-    assert len(_buchberger_pairs(pairs, order)) == 6
+    assert len(_tuples(_buchberger_pairs(pairs, order))) == 6
     lattice_ideal(kernel_basis(WeightVector((11, 13, 17, 19, 23, 29, 31))))
     assert heads and all(heads)
     for hs in heads:
@@ -471,7 +479,7 @@ def test_buchberger_pairs_output_is_reduced_groebner_basis():
                 pairs.append((u, rng.choice(others)))
         if not pairs:
             continue
-        G = _buchberger_pairs(pairs, order)
+        G = _tuples(_buchberger_pairs(pairs, order))
         for i, f in enumerate(G):
             assert order.greater(f[0], f[1])
             for j, g in enumerate(G):
@@ -555,6 +563,16 @@ def test_fiber_graph_rejects_negative_degree():
     mb = lattice_ideal(B)
     with pytest.raises(InputError):
         fiber_graph(mb, class_label(B, (-1, 0, 0)))
+
+
+def test_fiber_graph_rejects_a_torsion_the_basis_lacks():
+    # fiber_graph read only the degree: (16, (4,)) on the (3,5,8) kernel
+    # gave all 3 points of degree 16
+    K = kernel_basis(WeightVector((3, 5, 8)))
+    H = LatticeBasis(WeightVector((13, 17, 29)), ((-17, 13, 0), (-696, 522, 6)))
+    for B, torsion in ((K, (4,)), (K, (0,)), (H, (7,)), (H, ())):
+        with pytest.raises(InputError, match="torsion"):
+            fiber_graph(lattice_ideal(B), QuotientClass(16, torsion))
 
 
 def test_binomial_validation():

@@ -10,8 +10,8 @@ expansion of a module poset's node vector into labels) where ``poset``
 calls them.
 ``ideal._buchberger_pairs`` counts Groebner basis runs,
 ``ideal._normal_form`` the normal forms of their start pairs and
-S-pairs, and ``ideal._reduced`` inside ``ideal._interreduce`` its tail
-normal forms.
+S-pairs, ``ideal._reduced`` inside ``ideal._interreduce`` its tail
+normal forms, and ``ideal._packing`` the packings built.
 ``CountTable.row`` and ``CountTable.cell``, which ``CountTable.count``
 reads through, count the table cells read.
 ``LatticeBasis.label`` counts the points labelled, and
@@ -342,3 +342,26 @@ def test_lattice_ideal_pair_schedule_is_pinned(monkeypatch):
         counts.update(forms=0, zero=0)
         lattice_ideal(kernel_basis(WeightVector(a)))
         assert counts == {"forms": forms, "zero": zero}, a
+
+
+def test_lattice_ideal_builds_one_packing_per_run_and_widening(monkeypatch):
+    # A Groebner run builds its packing once and again at each widening,
+    # and the last run hands its packing on to the strip and the Markov
+    # walk. The 7 primes make two runs, one of which widens once; the 12
+    # primes one run that widens once; (3,5,8) one run that never widens.
+    builds = [0]
+    original = ideal._packing
+
+    def packing(order, width):
+        builds[0] += 1
+        return original(order, width)
+
+    monkeypatch.setattr(ideal, "_packing", packing)
+    for a, want in (
+        ((11, 13, 17, 19, 23, 29, 31), 3),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 2),
+        ((3, 5, 8), 1),
+    ):
+        builds[0] = 0
+        lattice_ideal(kernel_basis(WeightVector(a)))
+        assert builds[0] == want, a
