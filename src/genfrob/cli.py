@@ -29,7 +29,8 @@ from .frobenius import sequence_report
 from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, kernel_basis
 from .lattice import sublattice_index
-from .modules import classify, lcm_generator_classes, minimal_generators, render_monomial
+from .modules import _grown_ball, classify, lcm_generator_classes, minimal_generators
+from .modules import render_monomial
 from .neighbourhood import ball, moves
 from .poset import _check_window, module_poset, poset_to_dot, structure_poset
 
@@ -259,6 +260,8 @@ def _cmd_verify(args, basis):
         raise InputError("k_max must be at least 1")
     markov = lattice_ideal(basis)
     f_values, m_values = kth_degrees(basis, args.k_max)
+    # The lcm oracle's ball, grown once to the last k's radius: over its budget, before any check.
+    _grown_ball(basis, moves(markov), args.k_max - 1)
     # One oracle table for all: F_k scans read to F_K + a_1, labels and lcm cap to m_K + F_1.
     f1 = max(f_values[0], 0)
     _oracle_table(basis, max(f_values[-1] + basis.weight.a[0], m_values[-1] + f1))
@@ -378,7 +381,7 @@ def _read_options(name: str, argv: list, stray: list) -> SimpleNamespace:
             i += 1
         if dest in _INTEGER_OPTIONS:
             try:
-                value = int(value)
+                value = _integer(value)
             except ValueError:
                 _fail(name, f"argument {flag}: invalid int value: {value!r}")
         elif dest == "format" and value not in formats:

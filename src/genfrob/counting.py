@@ -25,8 +25,10 @@ while it covers K; a larger K walks once more and replaces it, so
 ``Thresholds.f`` and ``.m`` hold at least K entries and readers index
 them by k - 1. The oracle readers share one private table of exact
 counts per basis, ``_oracle_table``, which answers every k and is
-rebuilt only when a reader needs a deeper degree; it is never fed from
-the walk, so the engine and the oracles stay independent. The public
+rebuilt only when a reader needs a deeper degree, and the least and
+greatest count per degree that a table works out on first read; it is
+never fed from the walk, so the engine and the oracles stay
+independent. The public
 ``count_table`` builds a fresh table of exactly the cap asked.
 
 Fibers are enumerated directly, once per generator orbit, in
@@ -130,6 +132,22 @@ class CountTable:
         """The saturated counts of the classes of this degree, by torsion code."""
         start = degree * self.index
         return [min(x, self.cap) for x in self._cells[start:start + self.index]]
+
+    @cached_property
+    def _extremes(self) -> tuple[list[int], list[int]]:
+        """Per degree, the least and the greatest count of its classes,
+        worked out on first read. They are exact, so they give the
+        saturated answer to count >= k for every k up to the cap. At index
+        1 each degree has one class, so both are the cells themselves and
+        nothing is copied."""
+        cells, size = self._cells, self.index
+        if size == 1:
+            return cells, cells
+        starts = range(0, len(cells), size)
+        return (
+            [min(cells[start:start + size]) for start in starts],
+            [max(cells[start:start + size]) for start in starts],
+        )
 
     def classes_at(self, degree: int):
         """All classes of the given degree, with their saturated counts."""

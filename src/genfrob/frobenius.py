@@ -4,8 +4,10 @@ F_k is the largest weighted degree at which some quotient class still
 has fewer than k nonnegative representatives. ``frobenius`` and
 ``sequence_report`` read F_k and m_k off the residue-graph engine
 ``counting.kth_degrees``; ``brute_force_frobenius`` and ``brute_force_m``
-are the independent oracles, one scan each of the basis's oracle table
-of exact counts (``_table_past``), sharing no code with the engine.
+are the independent oracles, sharing no code with the engine: one scan
+each of the least or the greatest count per degree of the basis's
+oracle table of exact counts (``_table_past``), which the table works
+out once (``CountTable._extremes``) for every k.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ def _table_past(basis: LatticeBasis, k: int):
     Counts are monotone under adding the first generator:
     count(c, d) >= count(c - [e1], d - a1). So a_1 consecutive degrees
     with every class at count >= k are followed by no class below k, and
-    F_k and m_k <= F_k + 1 both lie below them.
+    F_k and m_k <= F_k + 1 both lie below them. The test reads the
+    table's least count per degree, worked out once per table.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -32,24 +35,26 @@ def _table_past(basis: LatticeBasis, k: int):
     while True:
         table = _oracle_table(basis, rows - 1)
         top = table.max_degree
-        if all(min(table.row(d)) >= k for d in range(top - a1 + 1, top + 1)):
+        if min(table._extremes[0][top - a1 + 1:top + 1]) >= k:
             return table
         rows = 2 * (top + 1)
         del table  # let the shared table go before it is rebuilt deeper
 
 
 def brute_force_frobenius(basis: LatticeBasis, k: int) -> int:
-    """Independent oracle for F_k: scan the oracle table down from its top
-    to the first degree with a class of count < k."""
+    """Independent oracle for F_k: scan the oracle table's least count per
+    degree down from its top to the first degree below k."""
     table = _table_past(basis, k)
-    return next((d for d in range(table.max_degree, -1, -1) if min(table.row(d)) < k), -1)
+    least = table._extremes[0]
+    return next((d for d in range(table.max_degree, -1, -1) if least[d] < k), -1)
 
 
 def brute_force_m(basis: LatticeBasis, k: int) -> int:
-    """Independent oracle for m_k: scan the oracle table up to the first
-    degree with a class of count >= k."""
+    """Independent oracle for m_k: scan the oracle table's greatest count
+    per degree up to the first degree at k or more."""
     table = _table_past(basis, k)
-    return next(d for d in range(table.max_degree + 1) if max(table.row(d)) >= k)
+    greatest = table._extremes[1]
+    return next(d for d in range(table.max_degree + 1) if greatest[d] >= k)
 
 
 def frobenius(basis: LatticeBasis, k: int) -> int:

@@ -13,12 +13,15 @@ lexicographically smallest nonnegative point of its class.
 The paper's construction, lcms of k ball points around the origin
 minimalised under divisibility up to the lattice action, is kept as the
 independent oracle ``lcm_generator_classes``. It labels only the
-coordinatewise-minimal lcms. Every lcm family here comes from one
-depth-first search over the values each coordinate takes on the points
-(``_value_prefixes``), so no subset is formed: ``minimal_lcms`` closes
-the last two coordinates as a staircase, and ``candidate_lcms`` (every
-lcm, the tests' reference) and ``subset_lcms`` (for ``classify``) test
-each full prefix by one lemma (``_every_lcm``).
+coordinatewise-minimal lcms, of the points of one move ball per basis
+grown across k (``_grown_ball``). Every lcm family here comes from one
+step over the values a coordinate takes on the points (``_by_value``),
+so no subset is formed: ``minimal_lcms`` sweeps the coordinates in
+turn, keeps at each value the minimal vectors that were not minimal at
+the value before and closes the last two coordinates as a staircase;
+``candidate_lcms`` (every lcm, the tests' reference) and
+``subset_lcms`` (for ``classify``) test each full prefix of the
+depth-first search ``_value_prefixes`` by one lemma (``_every_lcm``).
 
 The inductive classification splits each generator into an exceptional
 carry-over, the image of a syzygy between two generators, or the image
@@ -28,17 +31,19 @@ the basis's one walk serves every generator.
 """
 from __future__ import annotations
 
+import math
 import re
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import namedtuple
-from itertools import combinations
-from operator import itemgetter, le
+from functools import partial
+from itertools import combinations, compress, groupby
+from operator import itemgetter
 
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, dot, vadd, vsub
-from .neighbourhood import Ball, ball, moves
+from .neighbourhood import Ball, MoveSet, _step, ball, moves
 
 EXCEPTIONAL = "Exceptional"
 SYZYGY_OF_TWO_GENERATORS = "SyzygyOfTwoGenerators"
@@ -90,9 +95,79 @@ def _kept_points(bl: Ball, k: int, a, degree_cap: int) -> list[tuple[int, ...]]:
         raise InputError(f"need a ball of radius {k - 1}, got {bl.radius}")
     zero = (0,) * len(a)
     pos = [tuple(map(max, p, zero)) for p in bl.points if any(p)]
+    return _under_cap(pos, map(partial(dot, a), pos), k, degree_cap)
+
+
+def _under_cap(pos, degrees, k: int, cap: int) -> list[tuple[int, ...]]:
+    """The positive parts ``pos`` whose ``degrees`` are at most cap, once
+    there are the k - 1 of them that a k-subset with the origin needs."""
     if len(pos) < k - 1:
         raise InputError(f"ball has too few points for {k}-subsets")
-    return [q for q in pos if dot(a, q) <= degree_cap]
+    return list(compress(pos, map(cap.__ge__, degrees)))
+
+
+class _GrownBall:
+    """The move ball of one move set, grown across k for the lcm oracle.
+
+    Breadth first by ``neighbourhood._step``, so the points come in order
+    of distance from the origin, which is first, and ``ends[d]`` of them
+    lie within distance d: the ball of a smaller radius is a prefix. Each
+    point's positive part max(p, 0) (``positive``) and its degree
+    (``degrees``) are formed once, when the ball grows past it.
+    """
+
+    def __init__(self, ms: MoveSet, a):
+        origin = (0,) * len(a)
+        self.moves = ms
+        self.distance = {origin: 0}
+        self.frontier = [origin]
+        self.ends = [1]
+        self.positive = [origin]
+        self.degrees = [0]
+        self._a = a
+
+    def grow(self, radius: int) -> None:
+        """Grow the ball to the radius, if it is smaller."""
+        new = []
+        while len(self.ends) <= radius:
+            self.frontier = _step(self.moves, self.distance, self.frontier, len(self.ends), radius)
+            new += self.frontier
+            self.ends.append(self.ends[-1] + len(self.frontier))
+        zero = (0,) * len(self._a)
+        pos = [tuple(map(max, p, zero)) for p in new]
+        self.positive += pos
+        self.degrees += map(partial(dot, self._a), pos)
+
+
+def _grown_ball(basis: LatticeBasis, ms: MoveSet, radius: int) -> _GrownBall:
+    """The basis's move ball of ms, grown to at least the radius.
+
+    The basis keeps one grown ball, next to its walk and its oracle
+    table, and starts a new one for another move set. A growth past
+    MAX_BALL_POINTS raises InputError and leaves no ball behind.
+    """
+    grown = basis._memo.pop("ball", None)
+    if grown is None or grown.moves.moves != ms.moves:
+        grown = _GrownBall(ms, basis.weight.a)
+    grown.grow(radius)
+    basis._memo["ball"] = grown
+    return grown
+
+
+def _by_value(points: list, i: int, size: int, top):
+    """Each value v <= top of coordinate i with at least ``size`` of the
+    points at or below it, in increasing order, with those points.
+
+    Sorts the points by coordinate i, once, so the points at or below
+    each v are a prefix: v runs over the i-th coordinates from the
+    size-th smallest up.
+    """
+    key = itemgetter(i)
+    points.sort(key=key)
+    for v in sorted(set(map(key, points[size - 1 :]))):
+        if v > top:
+            break
+        yield v, points[: bisect_right(points, v, key=key)]
 
 
 def _value_prefixes(points, size: int, depth: int, a=None, cap=None):
@@ -100,25 +175,22 @@ def _value_prefixes(points, size: int, depth: int, a=None, cap=None):
     ``size`` points under it, with those points, in lexicographic order.
 
     Depth first: v_i runs over the i-th coordinates of the points under
-    v_0..v_(i-1), from the size-th smallest up. With a weight ``a`` the
-    search stops a coordinate once the prefix's degree passes ``cap``,
-    which loses nothing when the points are >= 0; with no weight there
-    is no cap.
+    v_0..v_(i-1), from the size-th smallest up (``_by_value``). With a
+    weight ``a`` the search stops a coordinate once the prefix's degree
+    passes ``cap``, which loses nothing when the points are >= 0; with no
+    weight there is no cap.
     """
 
-    def search(prefix, under):
+    def search(prefix, under, room):
         i = len(prefix)
         if i == depth:
             yield prefix, under
             return
-        key = itemgetter(i)
-        under.sort(key=key)
-        for v in sorted(set(map(key, under[size - 1 :]))):
-            if a is not None and dot(a, (*prefix, v)) > cap:
-                break
-            yield from search((*prefix, v), under[: bisect_right(under, v, key=key)])
+        top = math.inf if a is None else room // a[i]
+        for v, below in _by_value(under, i, size, top):
+            yield from search((*prefix, v), below, None if a is None else room - a[i] * v)
 
-    return search((), list(points))
+    return search((), list(points), cap)
 
 
 def _every_lcm(points, size: int, n: int, a=None, cap=None):
@@ -166,46 +238,74 @@ def candidate_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int
     return tuple(_every_lcm(kept, k - 1, weight.n, weight.a, degree_cap))
 
 
-def _staircase(pairs, j: int) -> list[tuple[int, int]]:
-    """The minimal (v, t) with at least j of the sorted ``pairs`` <= them.
+def _staircase(points, j: int) -> list[tuple[int, int]]:
+    """The minimal (v, t) with at least j of the ``points`` <= them on
+    their last two coordinates, for points sorted by the second-last.
 
     The two-dimensional maxima walk of Kung, Luccio and Preparata: t is
-    the j-th smallest second coordinate of the pairs up to the end of a
-    run of equal v, a step when it falls below the last step's t.
+    the j-th smallest last coordinate of the points up to the end of a
+    run of equal v, a step when it falls below the last step's t. Only
+    the j smallest are kept, sorted.
     """
     steps = []
     lasts = []
-    for r, (v, y) in enumerate(pairs):
-        insort(lasts, y)
-        if r + 1 < len(pairs) and pairs[r + 1][0] == v:
-            continue
-        if len(lasts) >= j and (not steps or lasts[j - 1] < steps[-1][1]):
-            steps.append((v, lasts[j - 1]))
+    for v, run in groupby(points, itemgetter(-2)):
+        lasts += map(itemgetter(-1), run)
+        lasts.sort()
+        del lasts[j:]
+        if len(lasts) == j and (not steps or lasts[-1] < steps[-1][1]):
+            steps.append((v, lasts[-1]))
     return steps
 
 
 def minimal_lcms(bl: Ball, k: int, weight, degree_cap: int) -> tuple[tuple[int, ...], ...]:
     """The coordinatewise-minimal elements of ``candidate_lcms``, sorted.
 
-    With j = k - 1, ``_value_prefixes`` sets coordinates 0..n-3 within
-    the cap and ``_staircase`` closes the last two. One pass in
-    increasing degree keeps each candidate above no earlier one. Lemma 2
-    of ``lcm_generator_classes``.
+    With j = k - 1, ``_sweep`` takes the kept points' coordinates in
+    turn, each upward, and closes the last two with ``_staircase``. At
+    each value it keeps the minimal vectors that were not minimal at the
+    value before: the vectors with j points under them only gain as the
+    value grows, so a minimal one lies above an earlier candidate exactly
+    when it was minimal before, and one set difference replaces a pass
+    comparing each candidate with every kept one. Lemma 2 of
+    ``lcm_generator_classes``, (d) for the set difference.
     """
-    a, j = weight.a, k - 1
-    kept = _kept_points(bl, k, a, degree_cap)
+    a = weight.a
+    return _minimal_lcms(_kept_points(bl, k, a, degree_cap), k - 1, a, degree_cap)
+
+
+def _minimal_lcms(kept: list, j: int, a, cap: int) -> tuple[tuple[int, ...], ...]:
+    """The minimal vectors of degree at most cap with at least j of the
+    kept points under them, sorted; for j = 0 the origin.
+
+    ``_sweep`` finds them, with some above the cap, which go here.
+    """
     if not j:
         return ((0,) * len(a),)
-    found = [
-        (*v, *step)
-        for v, under in _value_prefixes(kept, j, len(a) - 2, a, degree_cap)
-        for step in _staircase(sorted(q[-2:] for q in under), j)
-    ]
-    level = []
-    for d, c in sorted((dot(a, c), c) for c in found):
-        if d <= degree_cap and not any(all(map(le, m, c)) for m in level):
-            level.append(c)
-    return tuple(sorted(level))
+    return tuple(sorted(u for u in _sweep(kept, j, 0, a, cap) if dot(a, u) <= cap))
+
+
+def _sweep(points: list, j: int, i: int, a, room: int) -> list[tuple[int, ...]]:
+    """The minimal u = (u_i, .., u_(n-1)) with at least j of the points
+    <= u on coordinates i..n-1: every such u whose degree on those
+    coordinates is at most ``room``, and perhaps some above it.
+
+    Coordinate i is swept upward (``_by_value``); at each value v the
+    points with x_i <= v recurse, and the last two coordinates are a
+    staircase. (v, u) is minimal exactly when u is minimal at v but was
+    not at the value before: Lemma 2 (d) of ``lcm_generator_classes``.
+    """
+    if i == len(a) - 2:
+        key = itemgetter(i)
+        points.sort(key=key)
+        return _staircase(points[: bisect_right(points, room // a[i], key=key)], j)
+    found = []
+    last = set()
+    for v, under in _by_value(points, i, j, room // a[i]):
+        steps = _sweep(under, j, i + 1, a, room - a[i] * v)
+        found += [(v, *u) for u in steps if u not in last]
+        last = set(steps)
+    return found
 
 
 class ModuleGens(namedtuple(
@@ -236,7 +336,10 @@ def lcm_generator_classes(
     degree m_k + max(F_1, 0), minimalised under divisibility modulo L
     read from the basis's oracle counting table. Only the
     coordinatewise-minimal lcms are found (``minimal_lcms``) and
-    labelled; by Lemma 1 that gives the same orbits.
+    labelled; by Lemma 1 that gives the same orbits. The ball is the
+    basis's one ball of the Markov moves (``_grown_ball``), grown only
+    when k - 1 passes its radius; the ball of radius k - 1 is a prefix of
+    it, with each point's positive part and degree formed once.
 
     Lemma 1. If L1 < L2 are candidate lcms, then [L2] - [L1] = [L2 - L1]
     is representable and, of positive degree, nonzero, so [L2] is not
@@ -251,15 +354,27 @@ def lcm_generator_classes(
     Then ``minimal_lcms`` finds the minimal candidate lcms.
     Proof. (a) A minimal L with deg L <= cap and j kept points under it
     is their lcm, which is a candidate; so these L are the minimal
-    candidates. (b) By the lemma of ``_every_lcm`` the shared search
-    ``_value_prefixes`` visits the prefix L_0..L_(n-3) of each, and
-    stopping at the cap loses nothing, as degree grows with the point.
-    (c) For fixed L_0..L_(n-2), the least L_(n-1) is the j-th smallest
-    last coordinate of the points under that prefix. (d) That value does
-    not rise as L_(n-2) grows, so a candidate whose last coordinate does
-    not fall lies above an earlier one. So the staircase gives L_(n-1)
-    at L_(n-2); every candidate found lies above a minimal L, which the
-    pass in increasing degree keeps first.
+    candidates. As degree grows with the vector, they are the minimal
+    vectors with j kept points under them that lie within the cap.
+    (b) Each L_i is the i-th coordinate of a point under L with at least
+    j of those at or below it, else L_i could fall; so sweeping
+    coordinate i over those values (``_by_value``) misses none, and
+    stopping once the degree passes the cap loses nothing. (c) On the
+    last two coordinates, the least L_(n-1) at L_(n-2) is the j-th
+    smallest last coordinate of the points up to L_(n-2), which does not
+    rise as L_(n-2) grows; the steps where it falls are the minimal
+    pairs, the staircase. (d) For coordinate i < n - 2 let R_v be the set
+    of u = (u_(i+1), .., u_(n-1)) with at least j of the points with
+    x_i <= v under u. R_v only grows with v, so (v, u) is minimal exactly
+    when u is minimal in R_v and u is not in R_w, for w the value before
+    v. A minimal u of R_v that lies in R_w is minimal in R_w too, and a
+    minimal u of R_w lies in R_w: so u lies in R_w exactly when it was
+    minimal at w, and the minimal (v, u) are the minimal vectors at v
+    less those at w, one set difference with no pass comparing
+    candidates. The cap keeps this exact within it: a u within the cap
+    at v is within it at w < v, so the answers at v and at w both hold
+    it or both do not; what the cut lets through above the cap goes at
+    the end.
     """
     if k < 1:
         raise InputError("k must be at least 1")
@@ -267,8 +382,10 @@ def lcm_generator_classes(
         markov = lattice_ideal(basis)
     f_values, m_values = kth_degrees(basis, k)
     cap = m_values[-1] + max(f_values[0], 0)
-    bl = ball(moves(markov), k - 1)
-    orbits = {basis.label(g) for g in minimal_lcms(bl, k, basis.weight, cap)}
+    grown = _grown_ball(basis, moves(markov), k - 1)
+    end = grown.ends[k - 1]
+    kept = _under_cap(grown.positive[1:end], grown.degrees[1:end], k, cap)
+    orbits = {basis.label(g) for g in _minimal_lcms(kept, k - 1, basis.weight.a, cap)}
     table = _oracle_table(basis, cap)
     return frozenset(
         cls

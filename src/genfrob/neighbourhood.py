@@ -60,21 +60,33 @@ def ball(ms: MoveSet, k: int) -> Ball:
     dist = {origin: 0}
     frontier = [origin]
     for depth in range(1, k + 1):
-        nxt = []
-        for p in frontier:
-            for mv in ms.moves:
-                q = vadd(p, mv)
-                if q not in dist:
-                    dist[q] = depth
-                    nxt.append(q)
-            if len(dist) > MAX_BALL_POINTS:
-                raise InputError(
-                    f"the move ball of radius {k} passes the budget of {MAX_BALL_POINTS} "
-                    f"points at distance {depth}"
-                )
-        # Unsorted: distances, the sorted points and the depth named above do not depend on order.
-        frontier = nxt
+        frontier = _step(ms, dist, frontier, depth, k)
     return Ball(k, dist)
+
+
+def _step(ms: MoveSet, dist: dict, frontier: list, depth: int, radius: int) -> list:
+    """One breadth-first step towards a ball of the given radius: the
+    points one move from the frontier that ``dist`` lacks, entered in it
+    at this depth and returned in the order they are reached.
+
+    The one step of ``ball`` and of the lcm oracle's ball grown across k
+    (``modules._grown_ball``). Raises InputError once ``dist`` holds
+    more than MAX_BALL_POINTS points, checked after each frontier point.
+    """
+    nxt = []
+    for p in frontier:
+        for mv in ms.moves:
+            q = vadd(p, mv)
+            if q not in dist:
+                dist[q] = depth
+                nxt.append(q)
+        if len(dist) > MAX_BALL_POINTS:
+            raise InputError(
+                f"the move ball of radius {radius} passes the budget of {MAX_BALL_POINTS} "
+                f"points at distance {depth}"
+            )
+    # Unsorted: distances, the sorted points and the depth named above do not depend on order.
+    return nxt
 
 
 def distance(ms: MoveSet, u, v, *, cap: int):

@@ -566,6 +566,17 @@ def thresholds_by_heap(basis, k_max):
     return t
 
 
+def _ascii_int(text: str) -> int:
+    """int() of an optionally signed run of ASCII digits, spaces around
+    it allowed, as the CLI reads its integers; int() alone also takes
+    underscores between digits and non-ASCII digits."""
+    body = text.strip()
+    digits = body[1:] if body[:1] in ("+", "-") else body
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(body)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="genfrob",
@@ -580,9 +591,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-o", "--output", help="write output to this path")
         p.add_argument("--format", choices=formats, default="text")
         if k:
-            p.add_argument("-k", type=int, default=1)
+            p.add_argument("-k", type=_ascii_int, default=1)
         if k_max:
-            p.add_argument("--k-max", dest="k_max", type=int, default=4)
+            p.add_argument("--k-max", dest="k_max", type=_ascii_int, default=4)
 
     common(sub.add_parser("basis", help="kernel or sublattice basis and index"))
     common(sub.add_parser("ideal", help="minimal Markov basis of the lattice ideal"))
@@ -590,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("module", help="minimal generators of the k-th module"), k=True)
     p = sub.add_parser("poset", help="structure poset, or module poset with -k")
     common(p, formats=("text", "json", "dot"))
-    p.add_argument("-k", type=int, default=None)
+    p.add_argument("-k", type=_ascii_int, default=None)
     common(sub.add_parser("frobenius", help="k-th Frobenius number"), k=True)
     common(sub.add_parser("sequence", help="F/m/b sequence report"), k_max=True)
     common(sub.add_parser("verify", help="pipeline against the counting and lcm oracles"),

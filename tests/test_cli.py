@@ -126,6 +126,48 @@ def test_verify_over_the_table_budget_exits_2(monkeypatch, capsys):
     assert len(builds) == 1
 
 
+def test_verify_over_the_ball_budget_exits_2_before_any_check(monkeypatch, capsys):
+    # The lcm oracle's ball is grown to radius K - 1 right after the walk,
+    # so an over-budget K refuses before any per-k oracle runs. The ball
+    # of (3,5,8) holds 2r^2 + 2r + 1 points, 545 at radius 16 and 1,741 at
+    # radius 29; a ball per k refused only at k = 17, after 16 F_k scans.
+    import genfrob.cli as cli
+    from genfrob import neighbourhood
+
+    scans = []
+    real = cli.brute_force_frobenius
+    monkeypatch.setattr(cli, "brute_force_frobenius", lambda b, k: scans.append(k) or real(b, k))
+    monkeypatch.setattr(neighbourhood, "MAX_BALL_POINTS", 500)
+    assert main(["verify", "-a", "3,5,8", "--k-max", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: the move ball of radius 29 passes the budget of 500 points at distance 16\n"
+    )
+    assert scans == []
+    # Within the budget the same run answers.
+    assert main(["verify", "-a", "3,5,8", "--k-max", "16"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 64
+    assert scans == list(range(1, 17))
+
+
+@pytest.mark.parametrize("argv", [
+    ["frobenius", "-a", "3,5,8", "-k", "1_0"],
+    ["frobenius", "-a", "3,5,8", "-k", "\u0661\u0660"],
+    ["verify", "-a", "3,5,8", "--k-max", "1_0"],
+    ["sequence", "-a", "3,5,8", "--k-max=\u0664"],
+])
+def test_k_options_read_ascii_decimal_digits_only(argv, capsys):
+    # int() alone reads "1_0" and the Arabic-Indic digits for 10 as 10, so
+    # `frobenius -a 3,5,8 -k 1_0` printed 39, F_10 of (3,5,8).
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid int value" in err.splitlines()[-1]
+
+
 def test_verify_k_max_below_one_exits_2():
     for k_max in ("0", "-3"):
         res = run_cli(["verify", "-a", "3,5,8", "--k-max", k_max])
@@ -650,6 +692,8 @@ def test_table_parser_reads_every_argv_as_the_reference_parser():
     ["frob", "-a", "3,5"],
     ["-a", "3,5"],
     [],
+    ["frobenius", "-a", "3,5", "-k", "1_0"],
+    ["sequence", "-a", "3,5", "--k-max", "\u0664"],
 ])
 def test_both_parsers_exit_2_on_malformed_argv(argv, capsys):
     for parse in (parse_args, build_parser().parse_args):

@@ -14,6 +14,7 @@ from genfrob import (
     Ball,
     InputError,
     LatticeBasis,
+    TermOrder,
     WeightVector,
     ball,
     candidate_lcms,
@@ -178,6 +179,39 @@ def test_minimal_lcms_are_the_minimal_candidate_lcms():
         cases += 1
     assert uncapped >= 100
     assert {(index, k) for index in (1, 2, 3) for k in range(1, 7)} <= kinds
+
+
+def test_lcm_oracle_grows_one_ball_across_k_and_move_sets():
+    # The basis keeps one move ball and grows it only when a k needs a
+    # larger radius, so k = 4, 2, 6, 3 read prefixes of one radius-5 ball.
+    # The Markov basis of another term order has another move set, which
+    # starts a new ball. Every call equals the call on a fresh basis, on
+    # kernels and on sublattices of index 2, 3 and 5.
+    cases = [
+        ((5, 7, 11, 13), None, (0, 2, 1, 3)),
+        ((6, 10, 15), None, (0, 2, 1)),
+        ((5, 7, 11, 13), ((-7, 5, 0, 0), (-33, 22, 1, 0), (-78, 52, 0, 2)), (0, 2, 1, 3)),
+        ((3, 5, 8), ((-5, 3, 0), (-48, 24, 3)), (1, 0, 2)),
+        ((4, 6, 9), ((-3, 2, 0), (45, -45, 10)), (1, 0, 2)),
+    ]
+    ks = (4, 2, 6, 3)
+    for a, vectors, perm in cases:
+        weight = WeightVector(a)
+
+        def fresh():
+            return kernel_basis(weight) if vectors is None else LatticeBasis(weight, vectors)
+
+        want = {k: lcm_generator_classes(fresh(), k) for k in ks}
+        shared = fresh()
+        markovs = (lattice_ideal(shared), lattice_ideal(shared, TermOrder(weight, perm)))
+        assert moves(markovs[0]).moves != moves(markovs[1]).moves, a
+        for mb in (*markovs, markovs[0]):
+            for k in ks:
+                assert lcm_generator_classes(shared, k, mb) == want[k], (a, vectors, k)
+            assert len(shared._memo["ball"].ends) == 6
+        for k in ks:
+            for mb in markovs:
+                assert lcm_generator_classes(shared, k, mb) == want[k], (a, vectors, k)
 
 
 def test_minimal_lcms_radius_check():

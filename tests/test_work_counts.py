@@ -16,11 +16,15 @@ normal forms, and ``ideal._packing`` the packings built.
 reads through, count the table cells read.
 ``LatticeBasis.label`` counts the points labelled, and
 ``modules._value_prefixes`` the full prefixes of the lcm search.
+``neighbourhood._step`` (one breadth-first step of a move ball, bound in
+``neighbourhood`` and ``modules``) counts the ball points formed, and
+``CountTable._extremes`` the row extremes worked out per table.
 """
 import json
 import math
 import random
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -38,6 +42,7 @@ from genfrob import (
     lcm_generator_classes,
     module_poset,
     modules,
+    neighbourhood,
     poset,
 )
 from genfrob.cli import main
@@ -189,6 +194,58 @@ def test_verify_runs_one_walk_and_builds_no_covers(work, capsys):
     assert work["tables"] == 1
     assert work["labels"] == 0
     assert work["covers"] == 0
+
+
+def test_verify_forms_each_ball_point_once(monkeypatch, capsys):
+    # The lcm oracle grows one ball across k: radius 19 on (3,5,8) holds
+    # 761 points, the origin and 760 formed in 19 steps. A fresh ball per
+    # k formed the sum of the balls of radius 0..19, 5,340 points.
+    steps = []
+    original = neighbourhood._step
+
+    def step(*args):
+        out = original(*args)
+        steps.append(len(out))
+        return out
+
+    for mod in (neighbourhood, modules):
+        monkeypatch.setattr(mod, "_step", step)
+    assert main(["verify", "-a", "3,5,8", "--k-max", "20"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 80
+    assert len(steps) == 19
+    assert 1 + sum(steps) == 761
+
+
+def test_oracle_tables_work_out_their_row_extremes_once(work, monkeypatch, capsys):
+    # brute_force_frobenius and brute_force_m scan each degree's least and
+    # greatest count for every k; each table works them out on first read.
+    builds = [0]
+    original = counting.CountTable.__dict__["_extremes"].func
+
+    def extremes(self):
+        builds[0] += 1
+        return original(self)
+
+    prop = cached_property(extremes)
+    prop.__set_name__(counting.CountTable, "_extremes")
+    monkeypatch.setattr(counting.CountTable, "_extremes", prop)
+    assert main(["verify", "-a", "13,17,29", "--k-max", "4"]) == 0
+    capsys.readouterr()
+    assert work["tables"] == builds[0] == 1
+    K6 = kernel_basis(WeightVector((13, 17, 29)))
+    index6 = LatticeBasis(K6.weight, ((-17, 13, 0), (-696, 522, 6)))
+    for basis, presized in ((K6, True), (index6, True), (kernel_basis(K6.weight), False)):
+        f_values, m_values = counting.kth_degrees(basis, 6)
+        if presized:
+            counting._oracle_table(basis, f_values[-1] + basis.weight.a[0])
+        work["tables"] = builds[0] = 0
+        assert tuple(brute_force_frobenius(basis, k) for k in range(1, 7)) == f_values
+        assert tuple(brute_force_m(basis, k) for k in range(1, 7)) == m_values
+        # without a table sized for k = 6, the scans grow it by doubling
+        assert builds[0] == work["tables"] + presized > 0, (basis, presized)
+    # At index 1 a degree has one class, so the extremes are the cells.
+    least, greatest = K6._memo["table"]._extremes
+    assert least is greatest is K6._memo["table"]._cells
 
 
 def test_a_larger_k_rebuilds_no_oracle_table(work):
