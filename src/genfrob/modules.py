@@ -36,8 +36,8 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
-from itertools import combinations, compress, groupby
-from operator import itemgetter
+from itertools import combinations, compress, groupby, repeat
+from operator import itemgetter, le
 
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
@@ -103,7 +103,7 @@ def _under_cap(pos, degrees, k: int, cap: int) -> list[tuple[int, ...]]:
     there are the k - 1 of them that a k-subset with the origin needs."""
     if len(pos) < k - 1:
         raise InputError(f"ball has too few points for {k}-subsets")
-    return list(compress(pos, map(cap.__ge__, degrees)))
+    return list(compress(pos, map(le, degrees, repeat(cap))))
 
 
 class _GrownBall:
