@@ -11,16 +11,21 @@ against it in one pass, and the help and usage text are built from it.
 
 A handler takes the parsed options and the basis and writes nothing. It
 returns a JSON payload as a dict without the weights (``--format
-json``), its text as a list of lines, or DOT text as one string; or it
+json``), its text as a list of lines, or, for ``poset``, an iterator of
+text chunks that make up the whole output, the weights included; or it
 raises InputError, or ``_Mismatch`` with the lines of a failed verify
-report. ``main`` alone builds the basis, puts "a" first in a payload,
-writes the output to stdout or ``-o`` and picks the exit code.
+report. ``poset`` works out every code, cover and minimal element and
+runs every check before it returns, so its chunks only format text, a
+constant number of list items each, and an error leaves stdout empty
+and no ``-o`` file. ``main`` alone builds the basis, puts "a" first in a
+payload, writes the output to stdout or ``-o`` and picks the exit code.
 """
 from __future__ import annotations
 
 import json
 import re
 import sys
+from itertools import chain
 from types import SimpleNamespace
 
 from .counting import _oracle_table, kth_degrees, m_value
@@ -32,7 +37,8 @@ from .lattice import sublattice_index
 from .modules import _grown_ball, classify, lcm_generator_classes, minimal_generators
 from .modules import render_monomial
 from .neighbourhood import ball, moves
-from .poset import _check_window, module_poset, poset_to_dot, structure_poset
+from .poset import _check_window, _chunks, _dot_chunks, _texts_by_code, module_poset
+from .poset import structure_poset
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 2
@@ -83,13 +89,15 @@ def _make_basis(args) -> LatticeBasis:
     return kernel_basis(weight)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, out) -> None:
+    """Write out, a str or an iterator of str chunks, to stdout or -o."""
+    chunks = (out,) if isinstance(out, str) else out
     if args.output is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         raise InputError(f"cannot write output file {args.output}: {exc}") from exc
 
@@ -214,28 +222,65 @@ def _cmd_poset(args, basis):
     if args.format == "dot":
         if args.k is not None:
             raise InputError("DOT output is for the structure poset only; drop -k")
-        return poset_to_dot(structure_poset(basis))
+        return _dot_chunks(structure_poset(basis))
     if args.k is None:
         poset = structure_poset(basis)
     else:  # listed labels share the structure poset's budget
         _check_window(basis, kth_degrees(basis, args.k)[0][0], "module poset's window")
         poset = module_poset(basis, args.k)
-    # Each label's [degree, *torsion] list, built once from its code.
+    codes, covers = poset.label_codes, poset.cover_codes
     index, torsions = basis.index, basis.torsions
-    codes = poset.label_codes
-    labels = [[z // index, *torsions[z % index]] for z in codes]
     if args.format == "text":
-        texts = [str(x) for x in labels]
-        by_code = dict(zip(codes, texts))
-        return ["labels: [" + ", ".join(texts) + "]",
-                *(f"cover: {by_code[x]} < {by_code[y]}" for x, y in poset.cover_codes)]
-    by_code = dict(zip(codes, labels))
-    hasse = [[by_code[x], by_code[y]] for x, y in poset.cover_codes]
-    payload = {"k": args.k, "poset": {"labels": labels, "hasse": hasse}}
+        texts = _texts_by_code(basis, codes, "[", ["".join(f", {t}" for t in tor) + "]"
+                                                   for tor in torsions])
+        return chain(
+            _joined("labels: [", codes, lambda part: [texts[z] for z in part], ", ", "]\n"),
+            _chunks(covers, lambda part: "".join(
+                [f"cover: {texts[x]} < {texts[y]}\n" for x, y in part])),
+        )
+    # A label's text at each of its two depths: in "labels" and in "hasse".
+    head, tails = _label_parts(torsions, " " * 6)
+    by_code = _texts_by_code(basis, codes, *_label_parts(torsions, " " * 8))
+    start = ('{\n  "a": ' + _indented(list(basis.weight.a), "  ") +
+             f',\n  "k": {json.dumps(args.k)},\n  "poset": {{\n    "labels": ')
+    end = "\n  }"
     if args.k is not None:
-        payload["minimal"] = [[c.degree, *c.torsion] for c in sorted(poset.minimal_elements)]
-        payload["m_k"] = poset.m_k
-    return payload
+        minimal = [[c.degree, *c.torsion] for c in sorted(poset.minimal_elements)]
+        end += f',\n  "minimal": {_indented(minimal, "  ")},\n  "m_k": {poset.m_k}'
+    return chain(
+        [start],
+        _json_list(codes, lambda part: [f"{head}{z // index}{tails[z % index]}" for z in part]),
+        [',\n    "hasse": '],
+        _json_list(covers, lambda part: [f"[\n        {by_code[x]},\n        {by_code[y]}\n      ]"
+                                         for x, y in part]),
+        [end + "\n}\n"],
+    )
+
+
+def _label_parts(torsions, pad: str) -> tuple:
+    """The head and, per torsion code, the tail of a label's JSON text at
+    indent pad: head + degree + tail is the label's text."""
+    inner = pad + "  "
+    return "[\n" + inner, ["".join(f",\n{inner}{t}" for t in tor) + "\n" + pad + "]"
+                           for tor in torsions]
+
+
+def _json_list(items, text):
+    """The JSON text, in chunks, of a list at indent 4 whose items' texts,
+    text(part) for a run of items, are at indent 6."""
+    if not items:
+        return iter(["[]"])
+    return _joined("[\n      ", items, text, ",\n      ", "\n    ]")
+
+
+def _joined(opening: str, items, text, sep: str, closing: str):
+    """opening + sep.join(the items' texts) + closing, in chunks, where
+    text(part) gives the texts of a run of items."""
+    parts = _chunks(items, text)
+    yield opening + sep.join(next(parts, ()))
+    for part in parts:
+        yield sep + sep.join(part)
+    yield closing
 
 
 def _cmd_frobenius(args, basis):
@@ -477,7 +522,8 @@ def main(argv=None) -> int:
     """Run one command on argv and return its exit code.
 
     The basis is built here, the command's result written here: a JSON
-    payload after the weights "a", a list of lines, or text as it is.
+    payload after the weights "a", a list of lines, or text chunks as
+    they come.
     """
     args = parse_args(argv)
     code = EXIT_OK

@@ -40,6 +40,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from functools import cached_property
+from itertools import chain
 
 from .counting import _oracle_table, m_value, thresholds
 from .lattice import InputError, LatticeBasis, QuotientClass, _read_only
@@ -48,9 +49,11 @@ from .lattice import InputError, LatticeBasis, QuotientClass, _read_only
 # structure poset, or one listed module poset's window, may hold; its
 # covers number at most the atoms times the elements. On CPython 3.11
 # `poset -a 1001,1003,1007` (335,334 elements, 3 atoms, 1,002,991
-# covers) peaks at about 330 MB of RSS as text, 365 MB as DOT and
-# 465 MB as JSON, mostly the cover pairs and the output text, so a
-# structure poset stays under about 500 MB.
+# covers) peaks at about 185 MB of RSS as text, DOT or JSON: about
+# 150 MB for the cover pairs, the rest the label texts, one per code,
+# since the output is written in chunks of _CHUNK items and its 102 MB
+# of JSON is never held whole. So a structure poset stays under about
+# 200 MB.
 # (10007, 10009, 10037) has 6,814,762 elements.
 MAX_POSET_ELEMENTS = 360_000
 
@@ -357,16 +360,45 @@ def max_antichain_size(poset: StructurePoset) -> int:
     return len(elems) - sum(1 for w in match_of if w >= 0)
 
 
+# The list items (labels, covers, nodes or edges) formatted into one chunk
+# of written text.
+_CHUNK = 4096
+
+
+def _chunks(items, text):
+    """text(part) for each run of _CHUNK items in turn."""
+    for lo in range(0, len(items), _CHUNK):
+        yield text(items[lo:lo + _CHUNK])
+
+
+def _texts_by_code(basis: LatticeBasis, codes, head: str, tails) -> list:
+    """Each member's text, head + its degree + tails[its torsion code], at
+    its code in a list (None at codes that are not members)."""
+    index = basis.index
+    texts = [None] * (codes[-1] + 1 if codes else 0)
+    for z in codes:
+        texts[z] = f"{head}{z // index}{tails[z % index]}"
+    return texts
+
+
+def _dot_chunks(poset: StructurePoset):
+    """The text of ``poset_to_dot`` in chunks, _CHUNK nodes or edges each.
+
+    The codes and covers are read, and the node names formed, before
+    the chunks are returned.
+    """
+    codes, covers = poset.label_codes, poset.cover_codes
+    tails = [":" + ",".join(map(str, t)) if t else "" for t in poset.basis.torsions]
+    names = _texts_by_code(poset.basis, codes, "", tails)
+    return chain(
+        ["digraph hasse {\n  rankdir=BT;\n"],
+        _chunks(codes, lambda part: "".join([f'  "{names[z]}";\n' for z in part])),
+        _chunks(covers, lambda part: "".join(
+            [f'  "{names[x]}" -> "{names[y]}";\n' for x, y in part])),
+        ["}\n"],
+    )
+
+
 def poset_to_dot(poset: StructurePoset) -> str:
     """Hasse diagram in DOT format, edges from smaller to larger."""
-    index = poset.basis.index
-    torsions = poset.basis.torsions
-    names = {}
-    for z in poset.label_codes:
-        y, u = divmod(z, index)
-        names[z] = f"{y}:" + ",".join(map(str, torsions[u])) if torsions[u] else str(y)
-    lines = ["digraph hasse {", "  rankdir=BT;"]
-    lines += [f'  "{name}";' for name in names.values()]
-    lines += [f'  "{names[x]}" -> "{names[y]}";' for x, y in poset.cover_codes]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return "".join(_dot_chunks(poset))
