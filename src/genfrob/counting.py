@@ -378,10 +378,21 @@ def _node_step(basis: LatticeBasis, s: int, degree: int, torsion) -> tuple:
 
 
 def _node_map(a_s: int, index: int, rem: int, low, high) -> list[int]:
-    """The node reached from each node, in node order, for one ``_node_step``."""
-    return [r * index + c for r in range(rem, a_s) for c in low] + [
-        r * index + c for r in range(rem) for c in high
-    ]
+    """The node reached from each node, in node order, for one ``_node_step``.
+
+    Node r * index + c goes to (r + rem) * index + low[c] below the wrap,
+    the first cut = (a_s - rem) * index nodes, and to
+    (r + rem - a_s) * index + high[c] past it. So the map is filled by
+    two strided slices per torsion code, O(index) interpreted steps, in
+    one list of exactly a_s * index slots.
+    """
+    nodes = a_s * index
+    cut = nodes - rem * index
+    out = [0] * nodes
+    for c in range(index):
+        out[c:cut:index] = range(rem * index + low[c], nodes + low[c], index)
+        out[cut + c::index] = range(high[c], rem * index + high[c], index)
+    return out
 
 
 # Largest a_s * index * K, the residue nodes times the list length, that
@@ -433,6 +444,15 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     U (X + a)). Each lap adds L * a_i to whatever goes round again, so a
     cycle is done within about K laps. Every run checks the
     bound F_k <= m_k + max(F_1, 0).
+
+    A merge takes the node's list old and its predecessor's shifted by
+    a_i, ys, both sorted. When old is empty or ys[-1] <= old[0], the K
+    smallest are ys followed by the head of old, one concatenation;
+    only runs that interleave are sorted. Every list the walk keeps is
+    made by a slice, a concatenation or list() of a range, which size it
+    to its length (list() rounds an odd length up one slot, as the
+    allocator's 16-byte blocks do anyway); an in-place += or a list
+    built by appends would keep about an eighth more per node.
     """
     if k_max < 1:
         raise InputError("k must be at least 1")
@@ -458,7 +478,7 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     # trans[j][node]: the node reached by adding generator gens[j].
     trans = [_node_map(a_s, index, *_node_step(basis, s, a[i], units[i].torsion)) for i in gens]
 
-    reached = [[] for _ in range(nodes)]
+    reached = [[]] * nodes  # a node's list is replaced, never changed in place
     step = a[gens[0]]
     cycle = [0]
     x = trans[0][0]
@@ -468,7 +488,7 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     lap = len(cycle) * step
     span = k_max * lap
     for x, d in zip(cycle, range(0, lap, step)):
-        reached[x] = [*range(d, d + span, lap)]
+        reached[x] = list(range(d, d + span, lap))
 
     for i, table in zip(gens[1:], trans[1:]):
         step = a[i]
@@ -486,7 +506,11 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
                 seen[x] = 1
                 old = reached[x]
                 if prev and (len(old) < k_max or prev[0] + step < old[-1]):
-                    prev = reached[x] = sorted(old + [d + step for d in prev])[:k_max]
+                    ys = [d + step for d in prev]
+                    if not old or ys[-1] <= old[0]:
+                        prev = reached[x] = ys + old[:k_max - len(ys)]
+                    else:
+                        prev = reached[x] = sorted(old + ys)[:k_max]
                 else:
                     prev = old
                 x = table[x]
@@ -499,14 +523,17 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
                 if len(old) == k_max and carry[0] + step >= old[-1]:
                     break
                 ys = [d + step for d in carry]
-                new = reached[x] = sorted(old + ys)[:k_max]
+                if not old or ys[-1] <= old[0]:
+                    new = reached[x] = ys + old[:k_max - len(ys)]
+                else:
+                    new = reached[x] = sorted(old + ys)[:k_max]
                 top = new[-1]
                 kept = min(len(new) - bisect_left(ys, top), bisect_right(old, top))
                 carry = ys[: len(new) - kept]
                 x = table[x]
 
-    short = sum(len(degs) < k_max for degs in reached)
-    if short:
+    if min(map(len, reached)) < k_max:
+        short = sum(len(degs) < k_max for degs in reached)
         raise RuntimeError(f"residue-graph walk left {short} of {nodes} nodes short")
     t = Thresholds(basis, reached, s)
     f1 = max(t.f[0], 0)

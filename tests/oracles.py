@@ -566,6 +566,18 @@ def thresholds_by_heap(basis, k_max):
     return t
 
 
+def node_map_by_rows(a_s, index, rem, low, high):
+    """``genfrob.counting._node_map`` by one step per node.
+
+    The node map as the package built it before it was filled by strided
+    slices: node r * index + c goes to (r + rem) * index + low[c] for
+    r < a_s - rem, and to (r + rem - a_s) * index + high[c] past the wrap.
+    """
+    return [r * index + c for r in range(rem, a_s) for c in low] + [
+        r * index + c for r in range(rem) for c in high
+    ]
+
+
 def _ascii_int(text: str) -> int:
     """int() of an optionally signed run of ASCII digits, spaces around
     it allowed, as the CLI reads its integers; int() alone also takes

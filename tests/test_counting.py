@@ -1,3 +1,4 @@
+import bisect
 import gc
 import math
 import random
@@ -33,6 +34,7 @@ from .oracles import (
     class_count,
     count_representations,
     count_table_by_rows,
+    node_map_by_rows,
     representations,
     thresholds_by_heap,
 )
@@ -434,6 +436,137 @@ def test_walk_keeps_no_second_copy_of_its_lists():
         tracemalloc.stop()
     assert len(t.m) == 400
     assert peak <= 1.1 * kept, (peak, kept)
+
+
+def _scaled_kernel(weights, multipliers):
+    """The sublattice on the kernel basis rows of the weights, row i
+    times multipliers[i]."""
+    K = kernel_basis(WeightVector(weights))
+    return LatticeBasis(
+        K.weight, tuple(tuple(m * x for x in v) for m, v in zip(multipliers, K.vectors))
+    )
+
+
+def test_node_maps_by_slices_match_the_row_by_row_maps(monkeypatch):
+    from genfrob import counting
+
+    rng = random.Random(3737)
+    for _ in range(600):
+        a_s, index = rng.randint(1, 60), rng.randint(1, 8)
+        rem = 0 if rng.random() < 0.2 else rng.randrange(a_s)
+        low, high = rng.sample(range(index), index), rng.sample(range(index), index)
+        got = counting._node_map(a_s, index, rem, low, high)
+        assert got == node_map_by_rows(a_s, index, rem, low, high), (a_s, index, rem, low, high)
+        assert sorted(got) == list(range(a_s * index))  # a permutation of the nodes
+    # The maps of real walks and atoms, on torsions Z/2 x Z/2, Z/2 x Z/4,
+    # Z/3 x Z/3 and Z/2 x Z/6: the walk's maps as the spy sees them built,
+    # the atoms' from their steps.
+    built = []
+
+    def spy(*args):
+        out = node_map_by_rows(*args)
+        built.append(args)
+        assert real(*args) == out, args
+        return out
+
+    real = counting._node_map
+    monkeypatch.setattr(counting, "_node_map", spy)
+    cases = [
+        _scaled_kernel((13, 17, 29), (2, 2)),
+        _scaled_kernel((13, 17, 29), (2, 4)),
+        _scaled_kernel((13, 17, 29), (3, 3)),
+        _scaled_kernel((5, 7, 11, 13), (2, 2, 3)),
+    ]
+    steps = []
+    for B in cases:
+        assert len(B.torsion_moduli) == 2
+        t = thresholds(B, 3)
+        assert len(built) == B.n - 1
+        maps = t.atom_maps
+        assert len(built) == B.n - 1 + len(maps) > B.n - 1
+        for (d, step), (deg, m) in zip(t._atom_steps, maps):
+            assert d == deg and m == node_map_by_rows(t.a_s, B.index, *step)
+        steps += built[: B.n - 1]
+        built.clear()
+    # some steps move torsion codes, some differently below and past the wrap
+    assert any(list(low) != sorted(low) for *_, low, _ in steps)
+    assert any(low != high for *_, low, high in steps)
+
+
+def test_walk_merges_concatenate_runs_that_do_not_interleave(monkeypatch):
+    # A merge of a node's list old with its predecessor's shifted by the
+    # step, ys, concatenates when ys ends at or below old's start and
+    # sorts old + ys otherwise. A carry lap's merge sorts, if it does,
+    # and then hands ys and old to the bisections of its carry
+    # arithmetic, so the spies see each carry merge's runs and whether
+    # it sorted; a first lap's sorts show in sorted alone.
+    from genfrob import counting
+
+    events = []
+
+    def left(ys, top):
+        events.append(("ys", ys))
+        return bisect.bisect_left(ys, top)
+
+    def right(old, top):
+        events.append(("old", old))
+        return bisect.bisect_right(old, top)
+
+    def spy_sorted(xs, **kw):
+        if isinstance(xs, list) and all(isinstance(x, int) for x in xs):
+            events.append(("sort", xs))
+        return sorted(xs, **kw)
+
+    monkeypatch.setattr(counting, "bisect_left", left)
+    monkeypatch.setattr(counting, "bisect_right", right)
+    monkeypatch.setattr(counting, "sorted", spy_sorted, raising=False)
+    rng = random.Random(4141)
+    kinds = {"concatenate": 0, "tie": 0, "sort": 0, "first-lap sort": 0}
+    for _ in range(200):
+        B = _threshold_case(rng, sizes=(2, 3, 4, 5), top=12, max_index=16, twin=0.15)
+        K = rng.randint(1, 12)
+        events.clear()
+        t, h = thresholds(B, K), thresholds_by_heap(B, K)
+        assert (t.f, t.m) == (h.f, h.m), (B, K)
+        for k in range(1, K + 1):
+            assert t.least_degrees(k) == h.least_degrees(k), (B, k)
+        carried = set()
+        for i, (kind, xs) in enumerate(events):
+            if kind != "old":
+                continue
+            ys, old = events[i - 1][1], xs
+            sorted_before = i >= 2 and events[i - 2] == ("sort", old + ys)
+            if not old or ys[-1] <= old[0]:
+                assert not sorted_before, (B, K, old, ys)
+                kinds["tie" if old and ys[-1] == old[0] else "concatenate"] += 1
+            else:
+                assert sorted_before, (B, K, old, ys)
+                kinds["sort"] += 1
+                carried.add(i - 2)
+        kinds["first-lap sort"] += sum(
+            kind == "sort" and i not in carried for i, (kind, _) in enumerate(events)
+        )
+    assert all(kinds.values()), kinds
+
+
+def test_walk_lists_are_exact_size():
+    # Every list the walk keeps, and every node map, holds no spare slot:
+    # a list built by appends or by += would. list() sizes an odd length
+    # one slot up, to the even count the allocator rounds to in any case,
+    # so the sublattice's walk is taken at an even K, though not a
+    # multiple of 4, the size [*range(...)] would round to.
+    cases = [
+        (kernel_basis(WeightVector((1001, 1003, 1007))), 20),
+        (_scaled_kernel((13, 17, 29), (1, 6)), 18),
+        (_scaled_kernel((13, 17, 29), (2, 4)), 18),
+    ]
+    for B, K in cases:
+        t = thresholds(B, K)
+        assert B.index in (1, 6, 8) and len(t.m) == K
+        lists = [t._reached, *t._reached, *(m for _, m in t.atom_maps)]
+        for xs in lists:
+            assert sys.getsizeof(xs) == sys.getsizeof(xs[:]), (B, len(xs))
+        assert any(len(xs) == K for xs in t._reached)
 
 
 def test_walk_budget_admits_the_ladder_and_refuses_before_allocating():
