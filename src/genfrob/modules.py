@@ -36,14 +36,14 @@ import re
 from bisect import bisect_right
 from collections import namedtuple
 from functools import partial
-from itertools import combinations, compress, groupby, repeat
+from itertools import combinations, compress, groupby, islice, repeat
 from operator import itemgetter, le
 
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
 from .lattice import InputError, LatticeBasis, dot, vadd, vsub
-from .neighbourhood import Ball, MoveSet, _step, ball, moves
+from .neighbourhood import Ball, MoveSet, ball, moves
 
 EXCEPTIONAL = "Exceptional"
 SYZYGY_OF_TWO_GENERATORS = "SyzygyOfTwoGenerators"
@@ -106,50 +106,25 @@ def _under_cap(pos, degrees, k: int, cap: int) -> list[tuple[int, ...]]:
     return list(compress(pos, map(le, degrees, repeat(cap))))
 
 
-class _GrownBall:
-    """The move ball of one move set, grown across k for the lcm oracle.
+def _grown_ball(basis: LatticeBasis, ms: MoveSet, radius: int) -> tuple:
+    """The basis's move ball of ms, grown to at least the radius, with
+    each point's positive part max(p, 0) and its degree, in ball order.
 
-    Breadth first by ``neighbourhood._step``, so the points come in order
-    of distance from the origin, which is first, and ``ends[d]`` of them
-    lie within distance d: the ball of a smaller radius is a prefix. Each
-    point's positive part max(p, 0) (``positive``) and its degree
-    (``degrees``) are formed once, when the ball grows past it.
+    The basis keeps one such ball, next to its walk and its oracle
+    table, and starts a new one for another move set. The positive parts
+    and degrees are formed once, for the points a growth adds. A growth
+    past MAX_BALL_POINTS raises InputError and leaves no ball behind.
     """
-
-    def __init__(self, ms: MoveSet, a):
-        origin = (0,) * len(a)
-        self.moves = ms
-        self.distance = {origin: 0}
-        self.frontier = [origin]
-        self.ends = [1]
-        self.positive = [origin]
-        self.degrees = [0]
-        self._a = a
-
-    def grow(self, radius: int) -> None:
-        """Grow the ball to the radius, if it is smaller."""
-        new = []
-        while len(self.ends) <= radius:
-            self.frontier = _step(self.moves, self.distance, self.frontier, len(self.ends), radius)
-            new += self.frontier
-            self.ends.append(self.ends[-1] + len(self.frontier))
-        zero = (0,) * len(self._a)
-        pos = [tuple(map(max, p, zero)) for p in new]
-        self.positive += pos
-        self.degrees += map(partial(dot, self._a), pos)
-
-
-def _grown_ball(basis: LatticeBasis, ms: MoveSet, radius: int) -> _GrownBall:
-    """The basis's move ball of ms, grown to at least the radius.
-
-    The basis keeps one grown ball, next to its walk and its oracle
-    table, and starts a new one for another move set. A growth past
-    MAX_BALL_POINTS raises InputError and leaves no ball behind.
-    """
+    zero = (0,) * basis.n
     grown = basis._memo.pop("ball", None)
-    if grown is None or grown.moves.moves != ms.moves:
-        grown = _GrownBall(ms, basis.weight.a)
-    grown.grow(radius)
+    if grown is None or grown[0].moves.moves != ms.moves:
+        grown = (Ball(0, {zero: 0}, ms), [zero], [0])
+    bl, positive, degrees = grown
+    start = len(bl)
+    bl.grow(radius)
+    pos = [tuple(map(max, p, zero)) for p in islice(bl.distance, start, None)]
+    positive += pos
+    degrees += map(partial(dot, basis.weight.a), pos)
     basis._memo["ball"] = grown
     return grown
 
@@ -339,7 +314,8 @@ def lcm_generator_classes(
     labelled; by Lemma 1 that gives the same orbits. The ball is the
     basis's one ball of the Markov moves (``_grown_ball``), grown only
     when k - 1 passes its radius; the ball of radius k - 1 is a prefix of
-    it, with each point's positive part and degree formed once.
+    it, with each point's positive part and degree formed once. A Markov
+    basis of another lattice basis is refused.
 
     Lemma 1. If L1 < L2 are candidate lcms, then [L2] - [L1] = [L2 - L1]
     is representable and, of positive degree, nonzero, so [L2] is not
@@ -380,11 +356,13 @@ def lcm_generator_classes(
         raise InputError("k must be at least 1")
     if markov is None:
         markov = lattice_ideal(basis)
+    elif markov.basis != basis:
+        raise InputError("the Markov basis is of another lattice basis")
     f_values, m_values = kth_degrees(basis, k)
     cap = m_values[-1] + max(f_values[0], 0)
-    grown = _grown_ball(basis, moves(markov), k - 1)
-    end = grown.ends[k - 1]
-    kept = _under_cap(grown.positive[1:end], grown.degrees[1:end], k, cap)
+    bl, positive, degrees = _grown_ball(basis, moves(markov), k - 1)
+    end = bl.ends[k - 1]
+    kept = _under_cap(positive[1:end], degrees[1:end], k, cap)
     orbits = {basis.label(g) for g in _minimal_lcms(kept, k - 1, basis.weight.a, cap)}
     table = _oracle_table(basis, cap)
     return frozenset(

@@ -1,4 +1,10 @@
-"""Lattice graph induced by Markov moves: balls and graph distance."""
+"""Lattice graph induced by Markov moves: balls and graph distance.
+
+One breadth-first search serves the move graph: a ``Ball`` grown in
+place, whose one step is ``_step``. ``ball`` is such a ball at the
+origin, the lcm oracle keeps one per basis grown across k
+(``modules._grown_ball``), and ``distance`` grows two towards each other.
+"""
 from __future__ import annotations
 
 import math
@@ -28,18 +34,44 @@ class MoveSet(_Validated, namedtuple("MoveSet", "basis moves")):
 
 
 class Ball:
-    """All lattice points within a given move distance of the origin."""
+    """The lattice points within a move distance of a centre, grown in place.
 
-    def __init__(self, radius: int, distance: dict):
+    ``distance`` maps each point to its move distance from the centre, in
+    the order the points were reached, the centre first, and ``ends[d]`` of
+    them lie within distance d: the ball of a smaller radius is a prefix.
+    ``grow`` steps breadth first through ``_step`` by the move set ``ms``;
+    with no move set the ball is one given whole, which cannot grow.
+    """
+
+    def __init__(self, radius: int, distance: dict, ms: MoveSet | None = None):
         self.radius = radius
         self.distance = distance
-        self.points = tuple(sorted(distance))
+        self.moves = ms
+        self.ends = [sum(d <= r for d in distance.values()) for r in range(radius + 1)]
+        self._frontier = [p for p, d in distance.items() if d == radius]
+
+    @property
+    def points(self) -> tuple:
+        """The points, sorted."""
+        return tuple(sorted(self.distance))
 
     def __contains__(self, p) -> bool:
         return p in self.distance
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.distance)
+
+    def grow(self, radius: int) -> None:
+        """Grow the ball to the radius, if it is smaller.
+
+        Raises InputError as ``_step`` does, and leaves the ball part grown.
+        """
+        while self.radius < radius:
+            self._frontier = _step(
+                self.moves, self.distance, self._frontier, self.radius + 1, radius
+            )
+            self.ends.append(len(self.distance))
+            self.radius += 1
 
 
 def moves(mb: MarkovBasis) -> MoveSet:
@@ -56,12 +88,9 @@ def ball(ms: MoveSet, k: int) -> Ball:
     """
     if k < 0:
         raise InputError("radius must be nonnegative")
-    origin = (0,) * ms.basis.n
-    dist = {origin: 0}
-    frontier = [origin]
-    for depth in range(1, k + 1):
-        frontier = _step(ms, dist, frontier, depth, k)
-    return Ball(k, dist)
+    bl = Ball(0, {(0,) * ms.basis.n: 0}, ms)
+    bl.grow(k)
+    return bl
 
 
 def _step(ms: MoveSet, dist: dict, frontier: list, depth: int, radius: int) -> list:
@@ -69,9 +98,9 @@ def _step(ms: MoveSet, dist: dict, frontier: list, depth: int, radius: int) -> l
     points one move from the frontier that ``dist`` lacks, entered in it
     at this depth and returned in the order they are reached.
 
-    The one step of ``ball`` and of the lcm oracle's ball grown across k
-    (``modules._grown_ball``). Raises InputError once ``dist`` holds
-    more than MAX_BALL_POINTS points, checked after each frontier point.
+    The one code that expands a move frontier, for ``Ball.grow``. Raises
+    InputError once ``dist`` holds more than MAX_BALL_POINTS points,
+    checked after each frontier point.
     """
     nxt = []
     for p in frontier:
@@ -92,10 +121,13 @@ def _step(ms: MoveSet, dist: dict, frontier: list, depth: int, radius: int) -> l
 def distance(ms: MoveSet, u, v, *, cap: int):
     """Move-graph distance between two lattice points, or inf beyond cap.
 
-    Translation invariant, so computed as a bidirectional search from
-    the origin to v - u, each side bounded by half the cap. Raises
-    InputError once one side holds more than MAX_BALL_POINTS points,
-    checked after each frontier point's moves as in ``ball``.
+    Translation invariant, so computed as two balls, one at the origin
+    and one at v - u: while their radii sum below the cap, the one with
+    the smaller frontier (the origin's on a tie) grows by one step. No
+    earlier step met the other ball, so the first step that reaches it
+    gives the distance. Raises InputError once one ball holds more than
+    MAX_BALL_POINTS points, checked after each frontier point's moves as
+    in ``ball``.
     """
     for p in (u, v):
         if not ms.basis.contains(p):
@@ -106,39 +138,17 @@ def distance(ms: MoveSet, u, v, *, cap: int):
     origin = (0,) * ms.basis.n
     if target == origin:
         return 0
-    side_a = {origin: 0}
-    side_b = {target: 0}
-    frontier_a = [origin]
-    frontier_b = [target]
-    depth_a = depth_b = 0
-    while frontier_a and frontier_b and depth_a + depth_b < cap:
-        if len(frontier_a) <= len(frontier_b):
-            side, frontier, other = side_a, frontier_a, side_b
-            depth_a += 1
-            depth = depth_a
-        else:
-            side, frontier, other = side_b, frontier_b, side_a
-            depth_b += 1
-            depth = depth_b
-        nxt = []
-        for p in frontier:
-            for mv in ms.moves:
-                q = vadd(p, mv)
-                if q in side:
-                    continue
-                if q in other:
-                    return depth + other[q]
-                side[q] = depth
-                nxt.append(q)
-            if len(side) > MAX_BALL_POINTS:
-                raise InputError(
-                    f"the move search from {u} to {v} passes the budget of "
-                    f"{MAX_BALL_POINTS} points on one side at distance {depth}"
-                )
-        # Unsorted: any meeting found while one side expands depth d is at the
-        # distance, since a shorter path would have met at an earlier depth.
-        if side is side_a:
-            frontier_a = nxt
-        else:
-            frontier_b = nxt
+    sides = (Ball(0, {origin: 0}, ms), Ball(0, {target: 0}, ms))
+    while sides[0].radius + sides[1].radius < cap:
+        near, far = sorted(sides, key=lambda bl: len(bl._frontier))
+        try:
+            near.grow(near.radius + 1)
+        except InputError:
+            raise InputError(
+                f"the move search from {u} to {v} passes the budget of "
+                f"{MAX_BALL_POINTS} points on one side at distance {near.radius + 1}"
+            ) from None
+        met = [far.distance[q] for q in near._frontier if q in far.distance]
+        if met:
+            return near.radius + min(met)
     return math.inf

@@ -208,7 +208,7 @@ def test_lcm_oracle_grows_one_ball_across_k_and_move_sets():
         for mb in (*markovs, markovs[0]):
             for k in ks:
                 assert lcm_generator_classes(shared, k, mb) == want[k], (a, vectors, k)
-            assert len(shared._memo["ball"].ends) == 6
+            assert len(shared._memo["ball"][0].ends) == 6
         for k in ks:
             for mb in markovs:
                 assert lcm_generator_classes(shared, k, mb) == want[k], (a, vectors, k)
@@ -232,6 +232,16 @@ def test_module_functions_reject_k_below_one():
     ):
         with pytest.raises(InputError, match="k must be at least 1"):
             call()
+
+
+def test_lcm_oracle_refuses_a_markov_basis_of_another_lattice():
+    # The moves of (3,5,7) gave (3,5,8) at k = 3 orbits of degree 15, 16
+    # and 17; its own give 16, 18 and 20.
+    B = kernel_basis(WeightVector((3, 5, 8)))
+    other = lattice_ideal(kernel_basis(WeightVector((3, 5, 7))))
+    with pytest.raises(InputError, match="another lattice basis"):
+        lcm_generator_classes(B, 3, other)
+    assert sorted(c.degree for c in lcm_generator_classes(B, 3, lattice_ideal(B))) == [16, 18, 20]
 
 
 def _minimal(points):

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from genfrob import (
+    Ball,
     InputError,
+    LatticeBasis,
     MoveSet,
     WeightVector,
     ball,
@@ -169,12 +171,52 @@ def test_distance_inf_beyond_cap():
     assert distance(ms, (0, 0, 0), far, cap=2) == math.inf
 
 
+# Kernels, and sublattices of index 2, 3 and 2.
+BASES = [
+    ((3, 5, 8), None),
+    ((3, 4, 11), None),
+    ((5, 7, 11, 13), None),
+    ((3, 5, 8), ((-5, 3, 0), (-32, 16, 2))),
+    ((3, 5, 8), ((-5, 3, 0), (-48, 24, 3))),
+    ((5, 7, 11, 13), ((-7, 5, 0, 0), (-33, 22, 1, 0), (-78, 52, 0, 2))),
+]
+
+
+def _move_set(a, vectors):
+    weight = WeightVector(a)
+    basis = kernel_basis(weight) if vectors is None else LatticeBasis(weight, vectors)
+    return moves(lattice_ideal(basis))
+
+
 def test_ball_distances_agree_with_distance():
-    mb = lattice_ideal(kernel_basis(WeightVector((3, 5, 8))))
-    ms = moves(mb)
-    bl = ball(ms, 3)
-    for p in bl.points:
-        assert distance(ms, (0, 0, 0), p, cap=6) == bl.distance[p]
+    # Every point p of the radius-4 ball, from a seeded start u of the ball
+    # to u + p: distance is p's ball distance within cap 8, and inf under a
+    # cap one below it.
+    rng = random.Random(404)
+    for a, vectors in BASES:
+        ms = _move_set(a, vectors)
+        bl = ball(ms, 4)
+        points = bl.points
+        for p in points:
+            u = rng.choice(points)
+            d = bl.distance[p]
+            assert distance(ms, u, vadd(u, p), cap=8) == d, (a, vectors, u, p)
+            if d:
+                assert distance(ms, u, vadd(u, p), cap=d - 1) == math.inf, (a, vectors, u, p)
+
+
+def test_a_grown_ball_equals_the_ball_of_its_radius():
+    # Grown 0 -> 3 -> 1 -> 5, a ball reaches its points in the order of
+    # ball(ms, 5), and the ball of each smaller radius is a prefix of it.
+    for a, vectors in BASES:
+        ms = _move_set(a, vectors)
+        grown = Ball(0, {(0,) * len(a): 0}, ms)
+        for radius in (3, 1, 5):
+            grown.grow(radius)
+        want = ball(ms, 5)
+        assert grown.radius == 5
+        assert list(grown.distance.items()) == list(want.distance.items()), (a, vectors)
+        assert grown.ends == [len(ball(ms, d)) for d in range(6)], (a, vectors)
 
 
 def test_path_inside_dominated_set():
