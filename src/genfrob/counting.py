@@ -40,7 +40,6 @@ reference for supports and counts.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import cached_property
 from operator import add, itemgetter
@@ -232,18 +231,21 @@ class Thresholds:
     hold F_1..F_K and m_1..m_K for the K of the walk, which may exceed
     the K asked of ``thresholds``; a k outside 1..K raises KeyError.
 
-    Only the per-node lists are kept: t_k(node) is reached[node][k - 1],
-    and ``least_degrees(k)`` is that column. Taking an atom g away moves
-    all the classes of a node to one node, so ``atom_maps`` holds, per
-    atom, deg g and that node map, laid out on first read from torsion
-    shifts worked out with the walk, and ``minimal_nodes`` reads them.
+    Per node only a sorted list and an int offset are kept, and the nodes
+    of one run of a cycle share one list: t_k(node) is
+    reached[node][k - 1] + offsets[node], and ``least_degrees(k)`` is
+    that column. ``f`` and ``m`` are handed in by the walk, which works
+    them out from its runs. Taking an atom g away moves all the classes
+    of a node to one node, so ``atom_maps`` holds, per atom, deg g and
+    that node map, laid out on first read from torsion shifts worked out
+    with the walk, and ``minimal_nodes`` reads them.
     ``a_s``, ``block_codes`` and ``block_orders`` lay out the nodes for
     the posets. The basis keeps its last walk, so the walk keeps no
     reference to the basis: the cycle would hold both until a full
     garbage collection.
     """
 
-    def __init__(self, basis: LatticeBasis, reached, s: int):
+    def __init__(self, basis: LatticeBasis, reached, offsets, s: int, f, m):
         a_s = basis.weight.a[s]
         units = basis.units
         self.a_s = a_s
@@ -252,10 +254,7 @@ class Thresholds:
         self._torsions = basis.torsions
         self._torsion_code = basis.torsion_code
         self._reached = reached
-        f, m = [], []
-        for col in zip(*reached):  # one column t_k at a time
-            f.append(max(max(col) - a_s, -1))
-            m.append(min(col))
+        self._offsets = offsets
         self.f = tuple(f)
         self.m = tuple(m)
         self._atoms = tuple(sorted(  # see atoms()
@@ -286,12 +285,12 @@ class Thresholds:
         j = self._column(k)
         q, r = divmod(c.degree, self.a_s)
         node = r * len(self._torsions) + self._torsion_code[self._shift(c.torsion, -q)]
-        return c.degree >= self._reached[node][j]
+        return c.degree >= self._reached[node][j] + self._offsets[node]
 
     def least_degrees(self, k: int) -> list[int]:
         """t_k(node) for every node: its least degree with count >= k."""
         j = self._column(k)
-        return [degs[j] for degs in self._reached]
+        return list(map(add, map(itemgetter(j), self._reached), self._offsets))
 
     def node_class(self, node: int, d: int) -> QuotientClass:
         """The class of degree d at a node; d must have the node's residue."""
@@ -396,12 +395,101 @@ def _node_map(a_s: int, index: int, rem: int, low, high) -> list[int]:
 
 
 # Largest a_s * index * K, the residue nodes times the list length, that
-# one walk may hold. An entry is an int and its slot in a node's list:
-# 40 bytes under tracemalloc, and about 60 bytes of peak RSS with the
-# merges' temporaries ((100003, 100019, 100043) with K = 50 needs 5.0M
-# entries and peaks at 311 MB on CPython 3.11), so a walk stays under
-# about 500 MB.
+# one walk may hold. That is the worst case, with as many runs as nodes:
+# the nodes of one run share a list, so a walk keeps runs * K entries,
+# but where every node enters the running K smallest, as on the cycles
+# of length 1 of a weight that is a multiple of a_s, each keeps its own.
+# An entry is a slot in a list and mostly an int of its own: 40 bytes
+# under tracemalloc and about 40 bytes of peak RSS on CPython 3.11
+# ((10007, 10009, 20014) with K = 400, 4.0M entries, peaks at 171 MB),
+# so a walk stays under about 330 MB.
 MAX_WALK_ENTRIES = 8_000_000
+
+
+def _k_smallest(xs: list, ys: list, k: int) -> list:
+    """The k smallest of two sorted lists of at most k entries, for a ys
+    that enters: xs is shorter than k or ys[0] < xs[-1]. Runs that do not
+    interleave are concatenated, and only the rest are sorted; a slice or
+    a concatenation sizes the list to its length."""
+    if not xs or xs[-1] <= ys[0]:
+        return xs + ys[:k - len(xs)]
+    if ys[-1] <= xs[0]:
+        return ys + xs[:k - len(ys)]
+    return sorted(xs + ys)[:k]
+
+
+def _first_lists(reached, offsets, table, step: int, k_max: int) -> list:
+    """The first generator's lists, in place, and its one run.
+
+    The nodes of node 0's cycle, of length L, share range(0, K * L * step,
+    L * step), the node at position p with offset p * step; every other
+    node stays empty. A run is (list, first offset, last offset).
+    """
+    cycle = [0]
+    x = table[0]
+    while x:
+        cycle.append(x)
+        x = table[x]
+    lap = len(cycle) * step
+    first = list(range(0, k_max * lap, lap))
+    for x, d in zip(cycle, range(0, lap, step)):
+        reached[x] = first
+        offsets[x] = d
+    return [(first, 0, lap - step)]
+
+
+def _add_generator(reached, offsets, table, step: int, k_max: int) -> list:
+    """A later generator's lists, in place, round each cycle of its node
+    map ``table``, and their runs; see ``thresholds``."""
+    inf = float("inf")
+    runs = []
+    seen = bytearray(len(reached))
+    start = 0
+    while (start := seen.find(0, start)) >= 0:
+        # Fold 1: A at the cycle's end; cut is A[-1] once A is full.
+        ks, cut = [], inf
+        x, d = start, 0
+        while True:
+            seen[x] = 1
+            own = reached[x]
+            if own and own[0] + offsets[x] - d < cut:
+                shift = offsets[x] - d
+                ks = _k_smallest(ks, [v + shift for v in own], k_max)
+                if len(ks) == k_max:
+                    cut = ks[-1]
+            x = table[x]
+            d += step
+            if x == start:
+                break
+        if not ks:
+            continue  # no multiset reaches this cycle yet
+        # t = B by doubling, from A; lap = L * step.
+        t, lap, shift = ks, d, d
+        while len(t) < k_max or t[0] + shift < t[-1]:
+            t = _k_smallest(t, [v + shift for v in t], k_max)
+            shift += shift
+        # Fold 2, from d = lap on: t = K-smallest((A_P - lap) U B), which
+        # is K-smallest(t U own list - lap) of the node before, formed
+        # only where it changes and written with offset lap + P * step; lo
+        # is the first offset of the run that t serves.
+        cut = t[-1]
+        x, d, lo = start, lap, lap
+        while True:
+            own = reached[x]
+            if own and own[0] + offsets[x] - d < cut:
+                shift = offsets[x] - d
+                if d > lo:
+                    runs.append((t, lo, d - step))
+                t = _k_smallest(t, [v + shift for v in own], k_max)
+                cut, lo = t[-1], d
+            reached[x] = t
+            offsets[x] = d
+            x = table[x]
+            d += step
+            if x == start:
+                break
+        runs.append((t, lo, d - step))
+    return runs
 
 
 def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
@@ -424,35 +512,47 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
 
     The walk is the k-best form of the round-robin algorithm (Boecker
     and Liptak, Algorithmica 2007). It adds the other generators one at
-    a time and keeps, per node, the K = k_max smallest degrees of multisets
-    of the generators added so far. Adding a_i permutes the nodes, and a
-    multiset with a copy of a_i is one at the predecessor plus a_i, so
-    the new lists solve t(x) = K-smallest(t_old(x) U (t(pred x) + a_i))
-    round each cycle of the permutation:
+    a time and keeps, per node, the K = k_max smallest degrees of
+    multisets of the generators added so far, as a shared sorted list
+    plus an int offset. Adding a_i permutes the nodes, and a multiset
+    with a copy of a_i is one at the predecessor plus a_i. On one cycle
+    of length L, with x_P the node at position P from its start and
+    w_P = t_old(x_P) - P * a_i, the new lists are
 
-    - the first generator's lists are closed-form: the node at position
-      p on node 0's cycle of length L gets p * a_i + j * L * a_i for
-      j < K, and every other node stays empty;
-    - each later generator takes one lap round each cycle that merges
-      every node with its predecessor's list, then keeps going round
-      passing on only what each node has just gained, and the cycle is
-      done when a node gains nothing.
+        t(x_P) = P * a_i + K-smallest(A_P U (B + L * a_i)),
 
-    Passing on only the gains is exact because the K smallest of a union
-    depend only on the K smallest of each part: if P' = K-smallest(P U X),
-    then K-smallest(T U (P' + a)) = K-smallest(K-smallest(T U (P + a))
-    U (X + a)). Each lap adds L * a_i to whatever goes round again, so a
-    cycle is done within about K laps. Every run checks the
-    bound F_k <= m_k + max(F_1, 0).
+    with A_P the K smallest w_Q over Q <= P and B those of w_Q + j * L * a_i
+    over every Q and j >= 0. This is exact because the K smallest of a
+    union depend only on the K smallest of each part, so ties and
+    multiplicities come out as in a merge of every list.
 
-    A merge takes the node's list old and its predecessor's shifted by
-    a_i, ys, both sorted. When old is empty or ys[-1] <= old[0], the K
-    smallest are ys followed by the head of old, one concatenation;
-    only runs that interleave are sorted. Every list the walk keeps is
-    made by a slice, a concatenation or list() of a range, which size it
-    to its length (list() rounds an odd length up one slot, as the
-    allocator's 16-byte blocks do anyway); an in-place += or a list
-    built by appends would keep about an eighth more per node.
+    - The first generator's lists are closed-form: the nodes of node 0's
+      cycle share range(0, K * L * a_i, L * a_i), the node at position p
+      with offset p * a_i, and every other node stays empty.
+    - Each later generator takes two folds round each cycle
+      (``_add_generator``). The first works out A at the cycle's end: a
+      node's list enters only while A is short or when its least w is
+      below A[-1], so most steps compare two ints. B comes from that A by
+      doubling: after r rounds it holds the terms of fewer than 2^r laps,
+      O(K log K * log laps) in all, where a closure lap by lap takes up
+      to about K laps. The second fold works a lap up, from t = B: with
+      t_P = K-smallest((A_P - L * a_i) U B), which is
+      K-smallest(t_{P-1} U (w_P - L * a_i)), a node's list enters t in
+      the same way, and t is written with offset (L + P) * a_i, in place.
+      The nodes between two entries are one run and share one list, so
+      a later generator costs O(L + runs * K).
+
+    Every list the walk keeps is made by a slice, a concatenation or
+    list() of a range (``_k_smallest``), which size it to its length
+    (list() rounds an odd length up one slot, as the allocator's 16-byte
+    blocks do anyway); an in-place += or a list built by appends, as a
+    comprehension is, would keep about an eighth more. That is why the
+    second fold shifts its offsets a lap up rather than B's entries.
+
+    f and m come from the last generator's runs: within a run the
+    offsets grow with the position, so t_k is largest at the run's last
+    node and least at its first. Every walk checks the bound
+    F_k <= m_k + max(F_1, 0).
     """
     if k_max < 1:
         raise InputError("k must be at least 1")
@@ -475,71 +575,31 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     units = basis.units
     gens = [i for i in range(n) if i != s]
 
-    # trans[j][node]: the node reached by adding generator gens[j].
-    trans = [_node_map(a_s, index, *_node_step(basis, s, a[i], units[i].torsion)) for i in gens]
-
-    reached = [[]] * nodes  # a node's list is replaced, never changed in place
-    step = a[gens[0]]
-    cycle = [0]
-    x = trans[0][0]
-    while x:
-        cycle.append(x)
-        x = trans[0][x]
-    lap = len(cycle) * step
-    span = k_max * lap
-    for x, d in zip(cycle, range(0, lap, step)):
-        reached[x] = list(range(d, d + span, lap))
-
-    for i, table in zip(gens[1:], trans[1:]):
-        step = a[i]
-        seen = bytearray(nodes)
-        for start in range(nodes):
-            if seen[start]:
-                continue
-            # First lap, from start's successor round to start's
-            # predecessor: each node merges its predecessor's whole list,
-            # which it has not seen yet.
-            seen[start] = 1
-            prev = reached[start]
-            x = table[start]
-            while x != start:
-                seen[x] = 1
-                old = reached[x]
-                if prev and (len(old) < k_max or prev[0] + step < old[-1]):
-                    ys = [d + step for d in prev]
-                    if not old or ys[-1] <= old[0]:
-                        prev = reached[x] = ys + old[:k_max - len(ys)]
-                    else:
-                        prev = reached[x] = sorted(old + ys)[:k_max]
-                else:
-                    prev = old
-                x = table[x]
-            # From start on, pass on only the degrees just gained. new is
-            # a prefix of old merged with a prefix of ys; counting ties at
-            # its top as old, the gain is ys[:len(new) - kept].
-            carry = prev
-            while carry:
-                old = reached[x]
-                if len(old) == k_max and carry[0] + step >= old[-1]:
-                    break
-                ys = [d + step for d in carry]
-                if not old or ys[-1] <= old[0]:
-                    new = reached[x] = ys + old[:k_max - len(ys)]
-                else:
-                    new = reached[x] = sorted(old + ys)[:k_max]
-                top = new[-1]
-                kept = min(len(new) - bisect_left(ys, top), bisect_right(old, top))
-                carry = ys[: len(new) - kept]
-                x = table[x]
+    # Node x's degrees are reached[x][j] + offsets[x]; a list is shared
+    # by the nodes of a run and replaced, never changed in place. The node
+    # maps, the node reached by adding each generator, are built one at a
+    # time.
+    reached = [[]] * nodes
+    offsets = [0] * nodes
+    maps = (_node_map(a_s, index, *_node_step(basis, s, a[i], units[i].torsion)) for i in gens)
+    runs = _first_lists(reached, offsets, next(maps), a[gens[0]], k_max)
+    for i, table in zip(gens[1:], maps):
+        runs.clear()  # let the generator before's lists go as they are replaced
+        runs = _add_generator(reached, offsets, table, a[i], k_max)
 
     if min(map(len, reached)) < k_max:
         short = sum(len(degs) < k_max for degs in reached)
         raise RuntimeError(f"residue-graph walk left {short} of {nodes} nodes short")
-    t = Thresholds(basis, reached, s)
-    f1 = max(t.f[0], 0)
-    for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
-        if f > m + f1:
-            raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
+    # One column t_k of the runs at a time, each a tuple of references: a
+    # list of every column would hold as many references as the lists.
+    lists, lows, tops = zip(*runs)
+    f = [max(max(map(add, col, tops)) - a_s, -1) for col in zip(*lists)]
+    m = [min(map(add, col, lows)) for col in zip(*lists)]
+    f1 = max(f[0], 0)
+    for k, (fk, mk) in enumerate(zip(f, m), start=1):
+        if fk > mk + f1:
+            raise RuntimeError(f"F_{k} = {fk} exceeds the bound m_k + F_1 = {mk + f1}")
+    t = Thresholds(basis, reached, offsets, s, f, m)
     basis._memo["walk"] = t
     return t
 

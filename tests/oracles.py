@@ -469,7 +469,9 @@ def thresholds_by_heap(basis, k_max):
 
     The engine before its round-robin form, kept as the oracle the round
     robin is checked against: it builds the same residue graph and
-    returns the package's ``Thresholds``, but finds t_k(r) with a heap.
+    returns the package's ``Thresholds``, but finds t_k(r) with a heap,
+    keeps one list per node with offset 0, and works out F_k and m_k from
+    those lists itself.
 
     Let a_s be the smallest weight. Every point of N^n is a multiset M of
     the other generators plus some multiple of e_s, so the count of a
@@ -558,12 +560,14 @@ def thresholds_by_heap(basis, k_max):
                 heapq.heappush(heap, (d + steps[jj], nxt))
     if unfilled:
         raise RuntimeError(f"residue-graph walk left {unfilled} of {nodes} nodes short")
-    t = Thresholds(basis, reached, s)
-    f1 = max(t.f[0], 0)
-    for k, (f, m) in enumerate(zip(t.f, t.m), start=1):
-        if f > m + f1:
-            raise RuntimeError(f"F_{k} = {f} exceeds the bound m_k + F_1 = {m + f1}")
-    return t
+    columns = list(zip(*reached))  # one column t_k at a time
+    f = [max(max(col) - a_s, -1) for col in columns]
+    m = [min(col) for col in columns]
+    f1 = max(f[0], 0)
+    for k, (fk, mk) in enumerate(zip(f, m), start=1):
+        if fk > mk + f1:
+            raise RuntimeError(f"F_{k} = {fk} exceeds the bound m_k + F_1 = {mk + f1}")
+    return Thresholds(basis, reached, [0] * nodes, s, f, m)
 
 
 def node_map_by_rows(a_s, index, rem, low, high):

@@ -1,4 +1,3 @@
-import bisect
 import gc
 import math
 import random
@@ -383,6 +382,32 @@ def test_round_robin_matches_heap_walk():
     assert any(kind[2] for kind in kinds)
     assert any(kind[3] and not kind[2] for kind in kinds)  # e.g. (4, 4, 5)
     assert {kind[4] for kind in kinds} == set(range(1, 31))
+    # A weight that is a multiple of the smallest moves no node's residue,
+    # so its cycles are those of a torsion shift, of length 1 at index 1:
+    # the laps' doubling closes each of them. Two fixed cases and seeded
+    # ones with a forced multiple, on kernels and scaled kernels.
+    cases = [
+        (kernel_basis(WeightVector((101, 103, 202))), 100),
+        (kernel_basis(WeightVector((13, 26, 39, 17))), 200),
+    ]
+    while len(cases) < 80:
+        n = rng.randint(3, 5)
+        a = [rng.randint(2, 15) for _ in range(n - 1)]
+        a.insert(rng.randrange(n), min(a) * rng.randint(1, 4))
+        if math.gcd(*a) == 1:
+            multipliers = [rng.choice((1, 1, 2, 3)) for _ in range(n - 1)]
+            cases.append((_scaled_kernel(tuple(a), multipliers), rng.randint(1, 30)))
+    for B, K in cases:
+        t, h = thresholds(B, K), thresholds_by_heap(B, K)
+        assert (t.f, t.m) == (h.f, h.m), (B, K)
+        for k in range(1, K + 1):
+            assert list(t.least_classes(k)) == list(h.least_classes(k)), (B, k)
+        # A cycle whose start does not enter keeps the doubling's list
+        # itself; it is exact-size too (only list() of a range, at an odd
+        # K, rounds up one slot).
+        for xs in t._reached:
+            assert len(xs) % 2 or sys.getsizeof(xs) == sys.getsizeof(xs[:]), (B, K)
+    assert any(B.index > 1 for B, _ in cases)
 
 
 def test_basis_keeps_its_last_walk_and_no_longer():
@@ -494,59 +519,59 @@ def test_node_maps_by_slices_match_the_row_by_row_maps(monkeypatch):
 
 
 def test_walk_merges_concatenate_runs_that_do_not_interleave(monkeypatch):
-    # A merge of a node's list old with its predecessor's shifted by the
-    # step, ys, concatenates when ys ends at or below old's start and
-    # sorts old + ys otherwise. A carry lap's merge sorts, if it does,
-    # and then hands ys and old to the bisections of its carry
-    # arithmetic, so the spies see each carry merge's runs and whether
-    # it sorted; a first lap's sorts show in sorted alone.
+    # Every merge of the folds and of the laps' doubling takes a run ys
+    # that enters the running K smallest xs: xs is short or ys starts
+    # below xs[-1], so a node whose own list does not enter costs no
+    # merge. A merge concatenates when one run ends at or below the
+    # other's start and sorts xs + ys otherwise; the spies see each
+    # merge's runs and whether it sorted.
     from genfrob import counting
 
-    events = []
+    merges, sorts = [], []
 
-    def left(ys, top):
-        events.append(("ys", ys))
-        return bisect.bisect_left(ys, top)
-
-    def right(old, top):
-        events.append(("old", old))
-        return bisect.bisect_right(old, top)
+    def spy_merge(xs, ys, k):
+        before = len(sorts)
+        out = real(xs, ys, k)
+        merges.append((xs, ys, k, out, len(sorts) > before))
+        return out
 
     def spy_sorted(xs, **kw):
         if isinstance(xs, list) and all(isinstance(x, int) for x in xs):
-            events.append(("sort", xs))
+            sorts.append(xs)
         return sorted(xs, **kw)
 
-    monkeypatch.setattr(counting, "bisect_left", left)
-    monkeypatch.setattr(counting, "bisect_right", right)
+    real = counting._k_smallest
+    monkeypatch.setattr(counting, "_k_smallest", spy_merge)
     monkeypatch.setattr(counting, "sorted", spy_sorted, raising=False)
     rng = random.Random(4141)
-    kinds = {"concatenate": 0, "tie": 0, "sort": 0, "first-lap sort": 0}
+    kinds = {"after": 0, "before": 0, "tie": 0, "sort": 0}
     for _ in range(200):
         B = _threshold_case(rng, sizes=(2, 3, 4, 5), top=12, max_index=16, twin=0.15)
         K = rng.randint(1, 12)
-        events.clear()
+        merges.clear()
         t, h = thresholds(B, K), thresholds_by_heap(B, K)
         assert (t.f, t.m) == (h.f, h.m), (B, K)
         for k in range(1, K + 1):
             assert t.least_degrees(k) == h.least_degrees(k), (B, k)
-        carried = set()
-        for i, (kind, xs) in enumerate(events):
-            if kind != "old":
-                continue
-            ys, old = events[i - 1][1], xs
-            sorted_before = i >= 2 and events[i - 2] == ("sort", old + ys)
-            if not old or ys[-1] <= old[0]:
-                assert not sorted_before, (B, K, old, ys)
-                kinds["tie" if old and ys[-1] == old[0] else "concatenate"] += 1
+        for xs, ys, k, out, did_sort in merges:
+            assert k == K and 0 < len(ys) <= K and len(xs) <= K, (B, K, xs, ys)
+            assert len(xs) < K or ys[0] < xs[-1], (B, K, xs, ys)
+            assert out == sorted(xs + ys)[:K], (B, K, xs, ys)
+            if not xs or xs[-1] <= ys[0] or ys[-1] <= xs[0]:
+                assert not did_sort, (B, K, xs, ys)
+                if xs and (xs[-1] == ys[0] or ys[-1] == xs[0]):
+                    kinds["tie"] += 1
+                else:
+                    kinds["after" if not xs or xs[-1] < ys[0] else "before"] += 1
             else:
-                assert sorted_before, (B, K, old, ys)
+                assert did_sort, (B, K, xs, ys)
                 kinds["sort"] += 1
-                carried.add(i - 2)
-        kinds["first-lap sort"] += sum(
-            kind == "sort" and i not in carried for i, (kind, _) in enumerate(events)
-        )
     assert all(kinds.values()), kinds
+    # On the ladder, far fewer merges than the 2 * 1,001 steps of the two
+    # folds round the second generator's cycles.
+    merges.clear()
+    thresholds(kernel_basis(WeightVector((1001, 1003, 1007))), 20)
+    assert 0 < len(merges) < 400, len(merges)
 
 
 def test_walk_lists_are_exact_size():

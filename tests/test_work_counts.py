@@ -18,7 +18,8 @@ reads through, count the table cells read.
 ``modules._value_prefixes`` the full prefixes of the lcm search.
 ``neighbourhood._step`` (one breadth-first step of a move ball, the only
 code that expands one) counts the ball points formed, and
-``CountTable._extremes`` the row extremes worked out per table.
+``CountTable._extremes`` the row extremes worked out per table. A
+finished walk is counted by the distinct lists its nodes share.
 """
 import json
 import math
@@ -163,6 +164,20 @@ def test_structure_poset_builds_its_covers_once(work, capsys):
         if lines is not None:
             assert len(out.splitlines()) == lines
         assert work == {**work, "walks": 1, "covers": 1}
+
+
+def test_walk_shares_one_list_per_run():
+    # Nodes on one run of a cycle share one list, each node with its own
+    # offset: the distinct lists a finished walk holds, out of one per node.
+    cases = [
+        ((1001, 1003, 1007), 1, 3),
+        ((1001, 1003, 1007), 20, 60),
+        ((10007, 10009, 10037, 10039, 10061), 100, 485),
+    ]
+    for weights, K, lists in cases:
+        t = counting.thresholds(kernel_basis(WeightVector(weights)), K)
+        assert len(t._reached) == weights[0]
+        assert len({id(xs) for xs in t._reached}) == lists, (weights, K)
 
 
 def test_finiteness_report_runs_one_walk(work):
