@@ -23,7 +23,6 @@ payload, writes the output to stdout or ``-o`` and picks the exit code.
 from __future__ import annotations
 
 import json
-import re
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -34,8 +33,8 @@ from .frobenius import sequence_report
 from .ideal import lattice_ideal
 from .lattice import InputError, LatticeBasis, QuotientClass, WeightVector, kernel_basis
 from .lattice import sublattice_index
-from .modules import _grown_ball, classify, lcm_generator_classes, minimal_generators
-from .modules import render_monomial
+from .modules import _grown_ball, classify, generator_classes, lcm_generator_classes
+from .modules import minimal_generators, render_monomial
 from .neighbourhood import ball, moves
 from .poset import _check_window, _chunks, _dot_chunks, _texts_by_code, module_poset
 from .poset import structure_poset
@@ -53,7 +52,10 @@ def _integer(text: str) -> int:
     int() alone also takes underscores between digits and non-ASCII
     digits, so "3_0" would read as 30.
     """
-    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+    digits = text.strip()
+    if digits[:1] in ("+", "-"):
+        digits = digits[1:]
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(text)
     return int(text)
 
@@ -311,10 +313,10 @@ def _cmd_verify(args, basis):
     f1 = max(f_values[0], 0)
     _oracle_table(basis, max(f_values[-1] + basis.weight.a[0], m_values[-1] + f1))
     checks = []  # (k, what was compared, whether it matched)
-    for k, fk in enumerate(f_values, start=1):
+    for k, (fk, mk) in enumerate(zip(f_values, m_values), start=1):
         oracle = brute_force_frobenius(basis, k)
         checks.append((k, f"pipeline F_k={fk} oracle F_k={oracle}", fk == oracle))
-        gens = minimal_generators(basis, k)
+        classes = set(generator_classes(basis, k))
         mp = module_poset(basis, k)
         # A minimal element is a generator's class moved down by m_k. With
         # F_1 = -1 the module poset's window is empty by convention, so it
@@ -323,13 +325,12 @@ def _cmd_verify(args, basis):
         minimal = {QuotientClass(c.degree + mp.m_k, c.torsion) for c in mp.minimal_elements}
         if not minimal:
             minimal = {QuotientClass(mp.m_k, basis.zero_class.torsion)}
-        checks.append((k, f"generator orbits={len(gens.generators)} "
-                          f"poset minimal elements={len(minimal)}", set(gens.classes) == minimal))
+        checks.append((k, f"generator orbits={len(classes)} "
+                          f"poset minimal elements={len(minimal)}", classes == minimal))
         oracle_classes = lcm_generator_classes(basis, k, markov)
-        checks.append((k, f"lcm oracle orbits={len(oracle_classes)}",
-                       oracle_classes == frozenset(gens.classes)))
+        checks.append((k, f"lcm oracle orbits={len(oracle_classes)}", oracle_classes == classes))
         m_oracle = brute_force_m(basis, k)
-        checks.append((k, f"pipeline m_k={gens.m_k} oracle m_k={m_oracle}", gens.m_k == m_oracle))
+        checks.append((k, f"pipeline m_k={mk} oracle m_k={m_oracle}", mk == m_oracle))
     lines = [f"k={k} {text} {'ok' if match else 'MISMATCH'}" for k, text, match in checks]
     if all(match for _, _, match in checks):
         return lines

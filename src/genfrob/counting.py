@@ -471,17 +471,23 @@ def _add_generator(reached, offsets, table, step: int, k_max: int) -> list:
         # Fold 2, from d = lap on: t = K-smallest((A_P - lap) U B), which
         # is K-smallest(t U own list - lap) of the node before, formed
         # only where it changes and written with offset lap + P * step; lo
-        # is the first offset of the run that t serves.
-        cut = t[-1]
+        # is the first offset of the run that t serves. At the last node
+        # A_P is A, and K-smallest((A - lap) U B) is B - lap: B itself is
+        # written there, with offset P * step, and nothing is merged.
+        b, cut = t, t[-1]
         x, d, lo = start, lap, lap
         while True:
             own = reached[x]
             if own and own[0] + offsets[x] - d < cut:
-                shift = offsets[x] - d
                 if d > lo:
                     runs.append((t, lo, d - step))
-                t = _k_smallest(t, [v + shift for v in own], k_max)
-                cut, lo = t[-1], d
+                if table[x] == start:
+                    t, d = b, d - lap
+                else:
+                    shift = offsets[x] - d
+                    t = _k_smallest(t, [v + shift for v in own], k_max)
+                    cut = t[-1]
+                lo = d
             reached[x] = t
             offsets[x] = d
             x = table[x]
@@ -539,8 +545,12 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
       t_P = K-smallest((A_P - L * a_i) U B), which is
       K-smallest(t_{P-1} U (w_P - L * a_i)), a node's list enters t in
       the same way, and t is written with offset (L + P) * a_i, in place.
-      The nodes between two entries are one run and share one list, so
-      a later generator costs O(L + runs * K).
+      At the cycle's last node A_P is A, so t is B - L * a_i there: where
+      that node's list enters, B itself is written, with offset P * a_i,
+      and no merge is made (one merge in seven on the cycles of length 1
+      of (1001, 1003, 2002) at K = 20). The nodes between two entries are
+      one run and share one list, so a later generator costs
+      O(L + runs * K).
 
     Every list the walk keeps is made by a slice, a concatenation or
     list() of a range (``_k_smallest``), which size it to its length

@@ -7,8 +7,10 @@ orbits are read from the residue-walk thresholds of ``counting``: a
 class c is a generator orbit exactly when count(c) >= k and
 count(c - [e_i]) < k for every i (the monomial-module criterion). It is
 enough to test the atoms among the [e_i], since every [e_i] is an atom
-plus a representable class. Each orbit is reported by the
-lexicographically smallest nonnegative point of its class.
+plus a representable class. ``generator_classes`` gives the orbits'
+classes alone, with no fiber enumerated; ``minimal_generators`` reports
+each orbit by the lexicographically smallest nonnegative point of its
+class, with its support.
 
 The paper's construction, lcms of k ball points around the origin
 minimalised under divisibility up to the lattice action, is kept as the
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from functools import partial
 from itertools import combinations, compress, groupby, islice, repeat
@@ -42,7 +44,7 @@ from operator import itemgetter, le
 from .counting import _oracle_table, fiber, has_nonneg_rep, kth_degrees, thresholds
 from .counting import m_value  # noqa: F401  (re-exported)
 from .ideal import MarkovBasis, lattice_ideal
-from .lattice import InputError, LatticeBasis, dot, vadd, vsub
+from .lattice import InputError, LatticeBasis, QuotientClass, dot, vadd, vsub
 from .neighbourhood import Ball, MoveSet, ball, moves
 
 EXCEPTIONAL = "Exceptional"
@@ -306,7 +308,7 @@ def lcm_generator_classes(
 ) -> frozenset:
     """Generator orbits of the k-th module by the lcm construction.
 
-    The independent oracle for ``minimal_generators``: lcms of the
+    The independent oracle for ``generator_classes``: lcms of the
     k-subsets of the radius k-1 ball that contain the origin, up to
     degree m_k + max(F_1, 0), minimalised under divisibility modulo L
     read from the basis's oracle counting table. Only the
@@ -323,7 +325,10 @@ def lcm_generator_classes(
     [L2]), then c - [L1] is a sum of two representable classes and of
     positive degree, so [L1] rules out c too. Every candidate dominates
     a minimal one, so minimalising the classes of the minimal lcms gives
-    the same set as minimalising those of all candidates.
+    the same set as minimalising those of all candidates. Only classes of
+    lower degree can rule out c: for c2 != c with c - c2 representable, a
+    representative of c - c2 is nonzero, so deg c2 < deg c. The orbits are
+    sorted, and each is tested against those of lower degree alone.
 
     Lemma 2. Let the kept points be the p+ = max(p, 0) of the nonzero
     ball points with deg(p+) <= cap, with multiplicity, and j = k - 1 >= 1.
@@ -363,51 +368,58 @@ def lcm_generator_classes(
     bl, positive, degrees = _grown_ball(basis, moves(markov), k - 1)
     end = bl.ends[k - 1]
     kept = _under_cap(positive[1:end], degrees[1:end], k, cap)
-    orbits = {basis.label(g) for g in _minimal_lcms(kept, k - 1, basis.weight.a, cap)}
+    orbits = sorted({basis.label(g) for g in _minimal_lcms(kept, k - 1, basis.weight.a, cap)})
     table = _oracle_table(basis, cap)
     return frozenset(
         cls
         for cls in orbits
         if not any(
-            cls2 != cls and table.count(basis.class_sub(cls, cls2)) >= 1 for cls2 in orbits
+            table.count(basis.class_sub(cls, cls2)) >= 1
+            for cls2 in orbits[: bisect_left(orbits, cls.degree, key=itemgetter(0))]
         )
     )
 
 
-def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
-    """Canonical orbit representatives of the k-th module's generators.
+def generator_classes(basis: LatticeBasis, k: int) -> tuple[QuotientClass, ...]:
+    """The classes of the k-th module's generator orbits, in node order.
 
     Tests one candidate per residue node, the least class of count >= k
     there, kept by ``Thresholds.minimal_nodes``: the candidate of degree
     d = t_k(r) at node r is dropped when some atom g has
     d - deg g >= t_k(map_g[r]), one comparison per atom on the walk's
-    node maps. The support of a representative r, its dominated lattice
-    points, is {r - u : u in the fiber of its class}; the fiber is
-    sorted, so r is its first point and r - u over it reversed is sorted
-    too.
+    node maps. No fiber is enumerated. The least class has degree m_k.
     """
     t = thresholds(basis, k)
     least = t.least_degrees(k)
+    classes = tuple(t.node_class(node, least[node]) for node in t.minimal_nodes(least))
+    if min((c.degree for c in classes), default=None) != t.m[k - 1]:
+        raise RuntimeError("no generator found at the minimum degree")
+    return classes
+
+
+def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
+    """Canonical orbit representatives of the k-th module's generators.
+
+    The orbits are the classes of ``generator_classes``. The support of a
+    representative r, its dominated lattice points, is
+    {r - u : u in the fiber of its class}; the fiber is sorted, so r is
+    its first point and r - u over it reversed is sorted too.
+    """
     reps = []
-    for node in t.minimal_nodes(least):
-        cls = t.node_class(node, least[node])
+    for cls in generator_classes(basis, k):
         points = fiber(basis, cls).points
         rep = points[0]
         reps.append((cls.degree, rep, tuple(vsub(rep, u) for u in reversed(points)), cls))
     reps.sort()  # reps are distinct, so the classes are never compared
     generators = tuple(r[1] for r in reps)
-    supports = tuple(r[2] for r in reps)
-    classes = tuple(r[3] for r in reps)
-    m_k = t.m[k - 1]
-    if not generators or reps[0][0] != m_k:
-        raise RuntimeError("no generator found at the minimum degree")
+    t = thresholds(basis, k)
     return ModuleGens(
         k=k,
         generators=generators,
-        supports=supports,
-        classes=classes,
+        supports=tuple(r[2] for r in reps),
+        classes=tuple(r[3] for r in reps),
         min_degree_witness=generators[0],
-        m_k=m_k,
+        m_k=t.m[k - 1],
         f_1=t.f[0],
     )
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 import genfrob
 from genfrob import WeightVector, class_label, kernel_basis, parse_monomial
-from genfrob.cli import main, parse_args
+from genfrob.cli import _integer, main, parse_args
 
 from .oracles import build_parser
 
@@ -166,6 +167,19 @@ def test_k_options_read_ascii_decimal_digits_only(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "invalid int value" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text", [
+    "", "+", "-", "+-1", "--1", " 12 ", "1_0", "\uff11\uff12", "-0", "+7", "007",
+    "1 2", "\u0663", "\u00b2", "12\n", "\t-5 ", "0x7", "3.0",
+])
+def test_integer_reads_what_the_signed_ascii_decimal_pattern_matches(text):
+    # The same strings as re.fullmatch(r"[+-]?[0-9]+", text.strip()), with no pattern.
+    if re.fullmatch(r"[+-]?[0-9]+", text.strip()) is None:
+        with pytest.raises(ValueError):
+            _integer(text)
+    else:
+        assert _integer(text) == int(text)
 
 
 def test_verify_k_max_below_one_exits_2():

@@ -572,6 +572,11 @@ def test_walk_merges_concatenate_runs_that_do_not_interleave(monkeypatch):
     merges.clear()
     thresholds(kernel_basis(WeightVector((1001, 1003, 1007))), 20)
     assert 0 < len(merges) < 400, len(merges)
+    # A cycle's last node takes B with no merge: on the 1,001 cycles of
+    # length 1 of (1001, 1003, 2002) a merge there made 7,007 in all.
+    merges.clear()
+    thresholds(kernel_basis(WeightVector((1001, 1003, 2002))), 20)
+    assert len(merges) == 6006
 
 
 def test_walk_lists_are_exact_size():

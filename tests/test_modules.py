@@ -22,6 +22,7 @@ from genfrob import (
     classify,
     divides_mod_L,
     dominated_points,
+    generator_classes,
     is_exceptional,
     kernel_basis,
     kth_degrees,
@@ -41,6 +42,7 @@ from genfrob.modules import _staircase, minimal_lcms, subset_lcms
 from .oracles import (
     candidate_lcms_exhaustive,
     classify_by_support,
+    generator_classes_by_class_tests,
     lcm_generator_classes_all_candidates,
 )
 
@@ -112,6 +114,29 @@ def _random_sublattice(rng, max_index=9, ns=(2, 3, 3, 4)):
         tuple(sum(c * v[x] for c, v in zip(row, K.vectors)) for x in range(n)) for row in rows
     )
     return LatticeBasis(K.weight, vectors)
+
+
+def test_generator_classes_are_the_classes_of_minimal_generators():
+    # The walk's classes alone, with no fiber, against the classes that
+    # minimal_generators reports beside its fibers and the class-by-class
+    # oracle: kernels, sublattices of index up to 9 and weights with a 1
+    # (F_1 = -1, which only a kernel has: a sublattice's torsion classes of
+    # degree 0 hold no point), k = 1..5.
+    rng = random.Random(4040)
+    bases = [kernel_basis(WeightVector((1, 4, 7)))]
+    bases += [_random_sublattice(rng) for _ in range(80)]
+    kinds = set()
+    for B in bases:
+        f, m = kth_degrees(B, 5)
+        for k in range(1, 6):
+            classes = generator_classes(B, k)
+            assert len(set(classes)) == len(classes), (B, k)
+            assert min(c.degree for c in classes) == m[k - 1], (B, k)
+            assert set(classes) == set(minimal_generators(B, k).classes), (B, k)
+            assert sorted(classes) == generator_classes_by_class_tests(B, k), (B, k)
+        kinds.add((B.index > 1, f[0] < 0))
+    assert kinds == {(False, False), (False, True), (True, False)}
+    assert max(B.index for B in bases) > 3
 
 
 def test_candidate_lcms_matches_exhaustive_oracle():

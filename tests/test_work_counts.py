@@ -13,7 +13,8 @@ calls them.
 S-pairs, ``ideal._reduced`` inside ``ideal._interreduce`` its tail
 normal forms, and ``ideal._packing`` the packings built.
 ``CountTable.row`` and ``CountTable.cell``, which ``CountTable.count``
-reads through, count the table cells read.
+reads through, count the table cells read, by the module poset and by
+the lcm oracle's minimality scan.
 ``LatticeBasis.label`` counts the points labelled, and
 ``modules._value_prefixes`` the full prefixes of the lcm search.
 ``neighbourhood._step`` (one breadth-first step of a move ball, the only
@@ -209,6 +210,8 @@ def test_verify_runs_one_walk_and_builds_no_covers(work, capsys):
     assert work["tables"] == 1
     assert work["labels"] == 0
     assert work["covers"] == 0
+    # The orbit line reads the walk's classes, so no fiber is enumerated.
+    assert work["fibers"] == 0
 
 
 def test_verify_forms_each_ball_point_once(monkeypatch, capsys):
@@ -312,6 +315,30 @@ def test_lcm_oracle_labels_only_the_minimal_lcms(monkeypatch):
     monkeypatch.setattr(LatticeBasis, "label", label)
     assert len(lcm_generator_classes(basis, 5, markov)) == 9
     assert labels[0] == 51
+
+
+def test_lcm_oracle_tests_each_orbit_against_lower_degrees_only(monkeypatch):
+    # Only a class of lower degree can rule an orbit out, so the
+    # minimality scan reads a table cell for a labelled orbit only against
+    # the orbits below it; tested against every other orbit, it read 20,
+    # 67, 110 and 149 cells at k = 2..5.
+    basis = kernel_basis(WeightVector((31, 37, 41, 43)))
+    markov = lattice_ideal(basis)
+    cells = 0
+    cell = counting.CountTable.cell
+
+    def counted(self, degree, code):
+        nonlocal cells
+        cells += 1
+        return cell(self, degree, code)
+
+    monkeypatch.setattr(counting.CountTable, "cell", counted)
+    read = []
+    for k in range(1, 6):
+        cells = 0
+        orbits = len(lcm_generator_classes(basis, k, markov))
+        read.append((orbits, cells))
+    assert read == [(1, 0), (4, 10), (7, 36), (8, 54), (9, 75)]
 
 
 def test_is_exceptional_shares_one_walk_across_generators(work):
