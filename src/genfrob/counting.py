@@ -394,15 +394,20 @@ def _node_map(a_s: int, index: int, rem: int, low, high) -> list[int]:
     return out
 
 
-# Largest a_s * index * K, the residue nodes times the list length, that
-# one walk may hold. That is the worst case, with as many runs as nodes:
-# the nodes of one run share a list, so a walk keeps runs * K entries,
-# but where every node enters the running K smallest, as on the cycles
-# of length 1 of a weight that is a multiple of a_s, each keeps its own.
-# An entry is a slot in a list and mostly an int of its own: 40 bytes
-# under tracemalloc and about 40 bytes of peak RSS on CPython 3.11
-# ((10007, 10009, 20014) with K = 400, 4.0M entries, peaks at 171 MB),
-# so a walk stays under about 330 MB.
+# Largest a_s * index * (K + 6) that one walk may hold: the residue nodes
+# times the list length, plus 6 entries a node for what each node keeps
+# whatever K is (its slots in the lists and offsets, its node map entry,
+# its list's header and its run). That is the worst case, with as many
+# runs as nodes: the nodes of one run share a list, so a walk keeps
+# runs * K entries, but where every node enters the running K smallest,
+# as on the cycles of length 1 of a weight that is a multiple of a_s,
+# each keeps its own. On CPython 3.11 an entry, a slot in a list and
+# mostly an int of its own, costs about 50 bytes of peak RSS with the
+# walk's temporaries, and a node at K = 1 about 335, 7 entries. At the
+# budget's edge, on such cycles, (1142857, 1142858, 2285714) with K = 1
+# peaks at 401 MB, (100003, 100004, 200006) with K = 73 at 422 MB and
+# (50021, 50022, 100042) with K = 153 at 388 MB, so a walk stays under
+# about 430 MB.
 MAX_WALK_ENTRIES = 8_000_000
 
 
@@ -573,11 +578,11 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
     n = basis.n
     s = a.index(min(a))
     a_s = a[s]
-    entries = a_s * basis.index * k_max
+    entries = a_s * basis.index * (k_max + 6)
     if entries > MAX_WALK_ENTRIES:
         raise InputError(
-            f"the residue walk for k = {k_max} needs a_s * index * k = {entries} list "
-            f"entries, over the budget of {MAX_WALK_ENTRIES}"
+            f"the residue walk for k = {k_max} needs a_s * index * (k + 6) = {entries} "
+            f"list entries, over the budget of {MAX_WALK_ENTRIES}"
         )
     basis._memo.pop("walk", None)  # let the old lists go before the new ones are built
     index = basis.index

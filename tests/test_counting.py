@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import sys
 import tracemalloc
 import weakref
@@ -602,10 +603,14 @@ def test_walk_lists_are_exact_size():
 def test_walk_budget_admits_the_ladder_and_refuses_before_allocating():
     from genfrob.counting import MAX_WALK_ENTRIES
 
-    assert MAX_WALK_ENTRIES >= 100003 * 50  # (100003, 100019, 100043), K = 50
+    assert MAX_WALK_ENTRIES >= 100003 * (50 + 6)  # (100003, 100019, 100043), K = 50
+    assert MAX_WALK_ENTRIES >= 1000003 * (1 + 6)  # (1000003, 1000033, 1000037), K = 1
+    assert MAX_WALK_ENTRIES >= 10007 * (400 + 6)  # (10007, 10009, 20014), K = 400
+    assert MAX_WALK_ENTRIES < 7999999 * (1 + 6)  # (7999999, 8000001, 8000003), K = 1
     B = kernel_basis(WeightVector((2, 3)))
-    k = MAX_WALK_ENTRIES // 2 + 1
-    with pytest.raises(InputError, match=f"needs a_s \\* index \\* k = {2 * k} list entries"):
+    k = MAX_WALK_ENTRIES // 2 - 5
+    need = f"needs a_s * index * (k + 6) = {2 * (k + 6)} list entries"
+    with pytest.raises(InputError, match=re.escape(need)):
         thresholds(B, k)
     assert kth_degrees(B, 2) == ((1, 7), (0, 6))
 
