@@ -408,6 +408,8 @@ def minimal_generators(basis: LatticeBasis, k: int) -> ModuleGens:
     reps = []
     for cls in generator_classes(basis, k):
         points = fiber(basis, cls).points
+        if not points:
+            raise RuntimeError(f"no nonnegative point in a generator class of degree {cls.degree}")
         rep = points[0]
         reps.append((cls.degree, rep, tuple(vsub(rep, u) for u in reversed(points)), cls))
     reps.sort()  # reps are distinct, so the classes are never compared

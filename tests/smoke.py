@@ -140,11 +140,15 @@ ROWS = [
     Row("genfrob frobenius -a 3,5,8 -k 1_0", 10, exit=2,
         err_last="genfrob frobenius: error: argument -k: invalid int value: '1_0'"),
     # Markov bases: the unit tests count elements only, so a slower Groebner
-    # kernel would pass them; the 15-variable bytes pin the packed strip,
-    # and degrees near 10^10 the field width.
-    Row(f"python -m genfrob ideal -a {PRIMES_12} --format json", 20, json=generators(26)),
+    # kernel would pass them; the 12- and 15-variable bytes pin the kernel
+    # and the packed strip, the index-6 bytes the saturation passes, and
+    # degrees near 10^10 the field width.
+    Row(f"python -m genfrob ideal -a {PRIMES_12} --format json", 20, json=generators(26),
+        sha256="e5fdd557eb5b2239c3694204b872347b31f9a03af1d0aa80672791d76751c03a"),
     Row(f"genfrob ideal -a {PRIMES_12},59,61,67 --format json", 20, json=generators(29),
         sha256="8cb470b12b1c2408a05565afe5ce94bc512662999497eeeed49dd1a28ba3ed25"),
+    Row("genfrob ideal -a 13,17,29 --basis {tmp}/index6.basis --format json", 20,
+        sha256="ff7ae6e69c4004ef8b21cbc1fe3ef85604aad7b84a2f02e71ef7194110d834ff"),
     Row("genfrob ideal -a 100003,100019", 20, stdout="x1^100019 - x2^100003\n"),
     # Ladder inputs near 10^6, the walk budget at K = 1, a long sequence
     # and a module on an index-5000 sublattice.

@@ -204,27 +204,29 @@ def test_markov_basis_minimal_on_seeded_cases():
 
 
 def test_lattice_ideal_matches_groebner_oracle():
-    # kernels and sublattices of index 2-6, in the kernel basis or a
-    # second basis of the same lattice, under the default or a permuted
-    # order; the oracle saturates to a fixpoint and tests each greedy
-    # candidate by a Groebner run
+    # 300 kernels and sublattices of index 2-6, then 40 sublattices of
+    # index 7-9, in the kernel basis or a second basis of the same lattice,
+    # under the default or a permuted order; the oracle saturates to a
+    # fixpoint and tests each greedy candidate by a Groebner run
     rng = random.Random(5105)
     cases = 0
-    while cases < 300:
+    while cases < 340:
         n = rng.randint(2, 6)
         top = 13 if n <= 4 else 9
         a = tuple(rng.randint(1 if rng.random() < 0.25 else 2, top) for _ in range(n))
         if math.gcd(*a) != 1:
             continue
         vecs = [list(v) for v in kernel_basis(WeightVector(a)).vectors]
-        if rng.random() < 0.6:
-            i, m = rng.randrange(n - 1), rng.randint(2, 6)
+        high = cases >= 300
+        if high or rng.random() < 0.6:
+            i, m = rng.randrange(n - 1), rng.randint(7, 9) if high else rng.randint(2, 6)
             vecs[i] = [m * x for x in vecs[i]]
         if n > 2 and rng.random() < 0.5:
             i, j = rng.sample(range(n - 1), 2)
             c = rng.choice((-2, -1, 1, 2))
             vecs[i] = [x + c * y for x, y in zip(vecs[i], vecs[j])]
         B = LatticeBasis(WeightVector(a), tuple(tuple(v) for v in vecs))
+        assert not high or 7 <= B.index <= 9
         order = TermOrder(B.weight, tuple(rng.sample(range(n), n))) if rng.random() < 0.3 else None
         got = [(b.head, b.tail) for b in lattice_ideal(B, order).elements]
         assert got == lattice_ideal_by_groebner(B, order), (a, B.vectors, order)

@@ -72,9 +72,8 @@ def raise_f2(monkeypatch):
 
 
 def run(capsys, argv):
-    """(exit code, stdout), with an exception that escapes main, such as
-    the IndexError of ``module`` on a generator class with an empty fiber,
-    standing for the exit code."""
+    """(exit code, stdout), with an exception that escapes main, a
+    traceback from the CLI, standing for the exit code."""
     try:
         code = main(argv)
     except Exception as exc:
@@ -110,3 +109,16 @@ def test_verify_catches_each_fault_that_changes_output(plant, monkeypatch, capsy
         code, out = run(capsys, ["verify", "--k-max", str(K), *opts])
         assert code == 5 or (code == 3 and "MISMATCH" in out), (opts, code, out)
     assert changed
+
+
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+def test_module_on_a_generator_class_with_no_point_is_an_internal_error(k, monkeypatch, capsys, tmp_path):
+    # The shifted torsion hands minimal_generators a class with an empty
+    # fiber on the index-6 sublattice; that is an engine defect, exit 5.
+    path = tmp_path / "index6.basis"
+    path.write_text(BASES[1][1])
+    shift_torsion(monkeypatch)
+    assert main(["module", "-k", k, "--format", "json", "-a", "13,17,29", "--basis", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: no nonnegative point in a generator class")

@@ -434,8 +434,9 @@ def test_lattice_ideal_pair_schedule_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideal, "_normal_form", normal_form)
     for a, forms, zero in (
-        ((11, 13, 17, 19, 23, 29, 31), 282, 217),
-        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 878, 765),
+        ((11, 13, 17, 19, 23, 29, 31), 299, 234),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 901, 788),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67), 1576, 1420),
     ):
         counts.update(forms=0, zero=0)
         lattice_ideal(kernel_basis(WeightVector(a)))
