@@ -19,10 +19,13 @@ runs every check before it returns, so its chunks only format text, a
 constant number of list items each, and an error leaves stdout empty
 and no ``-o`` file. ``main`` alone builds the basis, puts "a" first in a
 payload, writes the output to stdout or ``-o`` and picks the exit code.
+A write that fails, to stdout (a closed pipe, a full device) or to
+``-o``, exits 2 with one ``error:`` line and no traceback.
 """
 from __future__ import annotations
 
 import json
+import os
 import sys
 from itertools import chain
 from types import SimpleNamespace
@@ -36,7 +39,7 @@ from .lattice import sublattice_index
 from .modules import _grown_ball, classify, generator_classes, lcm_generator_classes
 from .modules import minimal_generators, render_monomial
 from .neighbourhood import ball, moves
-from .poset import _check_window, _chunks, _dot_chunks, _texts_by_code, module_poset
+from .poset import _check_window, _dot_chunks, _listing, _texts_by_code, module_poset
 from .poset import structure_poset
 
 EXIT_OK = 0
@@ -95,7 +98,14 @@ def _emit(args, out) -> None:
     """Write out, a str or an iterator of str chunks, to stdout or -o."""
     chunks = (out,) if isinstance(out, str) else out
     if args.output is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as exc:
+            # The recipe of the signal module's SIGPIPE note: fd 1 goes to
+            # devnull, so the flush at exit has nowhere to fail.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise InputError(f"cannot write output: {exc}") from exc
         return
     try:
         with open(args.output, "w", encoding="utf-8") as fh:
@@ -236,9 +246,8 @@ def _cmd_poset(args, basis):
         texts = _texts_by_code(basis, codes, "[", ["".join(f", {t}" for t in tor) + "]"
                                                    for tor in torsions])
         return chain(
-            _joined("labels: [", codes, lambda part: [texts[z] for z in part], ", ", "]\n"),
-            _chunks(covers, lambda part: "".join(
-                [f"cover: {texts[x]} < {texts[y]}\n" for x, y in part])),
+            _listing(codes, lambda part: [texts[z] for z in part], "labels: [", ", ", "]\n"),
+            _listing(covers, lambda part: [f"cover: {texts[x]} < {texts[y]}\n" for x, y in part]),
         )
     # A label's text at each of its two depths: in "labels" and in "hasse".
     head, tails = _label_parts(torsions, " " * 6)
@@ -270,19 +279,7 @@ def _label_parts(torsions, pad: str) -> tuple:
 def _json_list(items, text):
     """The JSON text, in chunks, of a list at indent 4 whose items' texts,
     text(part) for a run of items, are at indent 6."""
-    if not items:
-        return iter(["[]"])
-    return _joined("[\n      ", items, text, ",\n      ", "\n    ]")
-
-
-def _joined(opening: str, items, text, sep: str, closing: str):
-    """opening + sep.join(the items' texts) + closing, in chunks, where
-    text(part) gives the texts of a run of items."""
-    parts = _chunks(items, text)
-    yield opening + sep.join(next(parts, ()))
-    for part in parts:
-        yield sep + sep.join(part)
-    yield closing
+    return _listing(items, text, "[\n      ", ",\n      ", "\n    ]") if items else ["[]"]
 
 
 def _cmd_frobenius(args, basis):

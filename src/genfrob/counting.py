@@ -413,13 +413,9 @@ MAX_WALK_ENTRIES = 8_000_000
 
 def _k_smallest(xs: list, ys: list, k: int) -> list:
     """The k smallest of two sorted lists of at most k entries, for a ys
-    that enters: xs is shorter than k or ys[0] < xs[-1]. Runs that do not
-    interleave are concatenated, and only the rest are sorted; a slice or
-    a concatenation sizes the list to its length."""
-    if not xs or xs[-1] <= ys[0]:
-        return xs + ys[:k - len(xs)]
-    if ys[-1] <= xs[0]:
-        return ys + xs[:k - len(ys)]
+    that enters: xs is shorter than k or ys[0] < xs[-1]. Timsort merges
+    the two sorted runs in linear time, and the slice sizes the list to
+    its length."""
     return sorted(xs + ys)[:k]
 
 
@@ -557,8 +553,8 @@ def thresholds(basis: LatticeBasis, k_max: int) -> Thresholds:
       one run and share one list, so a later generator costs
       O(L + runs * K).
 
-    Every list the walk keeps is made by a slice, a concatenation or
-    list() of a range (``_k_smallest``), which size it to its length
+    Every list the walk keeps is made by a slice (``_k_smallest``) or
+    list() of a range, which size it to its length
     (list() rounds an odd length up one slot, as the allocator's 16-byte
     blocks do anyway); an in-place += or a list built by appends, as a
     comprehension is, would keep about an eighth more. That is why the

@@ -360,15 +360,18 @@ def max_antichain_size(poset: StructurePoset) -> int:
     return len(elems) - sum(1 for w in match_of if w >= 0)
 
 
-# The list items (labels, covers, nodes or edges) formatted into one chunk
-# of written text.
+# The list items (labels, covers, nodes or edges) that _listing formats
+# into one chunk of written text.
 _CHUNK = 4096
 
 
-def _chunks(items, text):
-    """text(part) for each run of _CHUNK items in turn."""
-    for lo in range(0, len(items), _CHUNK):
-        yield text(items[lo:lo + _CHUNK])
+def _listing(items, text, opening="", sep="", closing=""):
+    """opening + sep.join(the items' texts) + closing, in chunks of _CHUNK
+    items, where text(part) gives the texts of a run of items."""
+    parts = (sep.join(text(items[lo:lo + _CHUNK])) for lo in range(0, len(items), _CHUNK))
+    yield opening + next(parts, "")
+    yield from (sep + part for part in parts)
+    yield closing
 
 
 def _texts_by_code(basis: LatticeBasis, codes, head: str, tails) -> list:
@@ -391,11 +394,10 @@ def _dot_chunks(poset: StructurePoset):
     tails = [":" + ",".join(map(str, t)) if t else "" for t in poset.basis.torsions]
     names = _texts_by_code(poset.basis, codes, "", tails)
     return chain(
-        ["digraph hasse {\n  rankdir=BT;\n"],
-        _chunks(codes, lambda part: "".join([f'  "{names[z]}";\n' for z in part])),
-        _chunks(covers, lambda part: "".join(
-            [f'  "{names[x]}" -> "{names[y]}";\n' for x, y in part])),
-        ["}\n"],
+        _listing(codes, lambda part: [f'  "{names[z]}";\n' for z in part],
+                 "digraph hasse {\n  rankdir=BT;\n"),
+        _listing(covers, lambda part: [f'  "{names[x]}" -> "{names[y]}";\n' for x, y in part],
+                 closing="}\n"),
     )
 
 

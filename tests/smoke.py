@@ -65,6 +65,18 @@ def generators(n: int) -> Callable[[str], bool]:
 
 EXC = "Exceptional"
 PRIMES_12 = "11,13,17,19,23,29,31,37,41,43,47,53"
+# Reads 10 bytes of the script's 1 MB of JSON and closes the pipe; prints
+# ok on exit 2 with no traceback, before exit or in the flush at exit.
+CLOSED_PIPE = """
+import subprocess as sp
+child = sp.Popen(['genfrob', 'poset', '-a', '101,103,107', '--format', 'json'],
+                 stdout=sp.PIPE, stderr=sp.PIPE)
+child.stdout.read(10)
+child.stdout.close()
+err = child.stderr.read().decode()
+clean = 'Traceback' not in err and 'Exception ignored' not in err
+print('ok' if child.wait() == 2 and clean else err)
+"""
 
 ROWS = [
     # The README's --format json examples, byte for byte.
@@ -123,6 +135,8 @@ ROWS = [
     Row("genfrob ball -a 3,5,8 -k 300 --format json", 20, lines=903015,
         sha256="cb8eacb58e2fdb6438b0653cad0a3eb9c9dd7cc37b178f945ed98e4972c1b190"),
     Row("genfrob ball -a 3,5,8 -k 100000", 20, exit=2, err="error: the move ball"),
+    # A reader that closes stdout early: the script's exit path.
+    Row(f'python -c "{CLOSED_PIPE}"', 20, stdout="ok\n"),
     # Edge inputs: a weight of 1 (F_1 = -1), two variables, an index-10000
     # sublattice, a k past the walk budget, the removed --threads option
     # and integers that int() alone would misread (3_0 as 30, 1_0 as 10).

@@ -424,6 +424,32 @@ def test_output_file(tmp_path):
     assert out.read_text() == "17\n"
 
 
+def test_a_closed_stdout_pipe_exits_2_without_a_traceback():
+    # The reader takes 10 of about 1 MB of JSON, far over a pipe's buffer,
+    # and closes the pipe; the exit-time flush must not fail again.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "genfrob", "poset", "-a", "101,103,107", "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.read(10) == b'{\n  "a": ['
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=20) == 2
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+def test_a_full_stdout_exits_2_without_a_traceback():
+    with open("/dev/full", "w") as full:
+        res = subprocess.run(
+            [sys.executable, "-m", "genfrob", "verify", "-a", "3,5,8", "--k-max", "50"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=20,
+        )
+    assert res.returncode == 2
+    assert res.stderr == "error: cannot write output: [Errno 28] No space left on device\n"
+
+
 def test_verify_mismatch_exits_3(monkeypatch, capsys):
     import genfrob.cli as cli
 

@@ -519,33 +519,24 @@ def test_node_maps_by_slices_match_the_row_by_row_maps(monkeypatch):
     assert any(low != high for *_, low, high in steps)
 
 
-def test_walk_merges_concatenate_runs_that_do_not_interleave(monkeypatch):
+def test_walk_merges_take_only_runs_that_enter(monkeypatch):
     # Every merge of the folds and of the laps' doubling takes a run ys
     # that enters the running K smallest xs: xs is short or ys starts
     # below xs[-1], so a node whose own list does not enter costs no
-    # merge. A merge concatenates when one run ends at or below the
-    # other's start and sorts xs + ys otherwise; the spies see each
-    # merge's runs and whether it sorted.
+    # merge. The spy sees each merge's runs and its result.
     from genfrob import counting
 
-    merges, sorts = [], []
+    merges = []
 
     def spy_merge(xs, ys, k):
-        before = len(sorts)
         out = real(xs, ys, k)
-        merges.append((xs, ys, k, out, len(sorts) > before))
+        merges.append((xs, ys, k, out))
         return out
-
-    def spy_sorted(xs, **kw):
-        if isinstance(xs, list) and all(isinstance(x, int) for x in xs):
-            sorts.append(xs)
-        return sorted(xs, **kw)
 
     real = counting._k_smallest
     monkeypatch.setattr(counting, "_k_smallest", spy_merge)
-    monkeypatch.setattr(counting, "sorted", spy_sorted, raising=False)
     rng = random.Random(4141)
-    kinds = {"after": 0, "before": 0, "tie": 0, "sort": 0}
+    merged = 0
     for _ in range(200):
         B = _threshold_case(rng, sizes=(2, 3, 4, 5), top=12, max_index=16, twin=0.15)
         K = rng.randint(1, 12)
@@ -554,20 +545,12 @@ def test_walk_merges_concatenate_runs_that_do_not_interleave(monkeypatch):
         assert (t.f, t.m) == (h.f, h.m), (B, K)
         for k in range(1, K + 1):
             assert t.least_degrees(k) == h.least_degrees(k), (B, k)
-        for xs, ys, k, out, did_sort in merges:
+        for xs, ys, k, out in merges:
             assert k == K and 0 < len(ys) <= K and len(xs) <= K, (B, K, xs, ys)
             assert len(xs) < K or ys[0] < xs[-1], (B, K, xs, ys)
             assert out == sorted(xs + ys)[:K], (B, K, xs, ys)
-            if not xs or xs[-1] <= ys[0] or ys[-1] <= xs[0]:
-                assert not did_sort, (B, K, xs, ys)
-                if xs and (xs[-1] == ys[0] or ys[-1] == xs[0]):
-                    kinds["tie"] += 1
-                else:
-                    kinds["after" if not xs or xs[-1] < ys[0] else "before"] += 1
-            else:
-                assert did_sort, (B, K, xs, ys)
-                kinds["sort"] += 1
-    assert all(kinds.values()), kinds
+        merged += len(merges)
+    assert merged > 0
     # On the ladder, far fewer merges than the 2 * 1,001 steps of the two
     # folds round the second generator's cycles.
     merges.clear()

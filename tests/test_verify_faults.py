@@ -1,20 +1,22 @@
 """Planted faults: each engine stage's fault that changes printed output is
 caught by ``verify``.
 
-One fault at a time is planted in the residue walk's ``Thresholds``. A
-basis's printed output is what ``frobenius -k k``, ``sequence --format
-json``, ``module -k k --format json`` and ``poset -k k --format json``
-print with their exit codes, for k <= K. Where a fault changes it, compared
-with an unfaulted run, ``verify --k-max K`` must exit 3 with a MISMATCH
-line, or exit 5 on an internal check. A fault that changes nothing printed
-is not a miss, but each fault must change printed output on some basis,
-or the case shows nothing.
+One fault at a time is planted in the residue walk's ``Thresholds`` or in
+``lattice_ideal``. A basis's printed output is what ``sequence --format
+json``, ``ideal --format json``, ``ball -k 3 --format json``, and
+``frobenius -k k``, ``module -k k --format json`` and ``poset -k k
+--format json`` for k <= K print with their exit codes. Where a fault
+changes it, compared with an unfaulted run, ``verify --k-max K`` must
+exit 3 with a MISMATCH line, or exit 5 on an internal check. A fault
+that changes nothing printed is not a miss, but each fault must change
+printed output on some basis, or the case shows nothing.
 """
 import pytest
 
-from genfrob import QuotientClass
+from genfrob import QuotientClass, cli, ideal, modules
 from genfrob.cli import main
 from genfrob.counting import Thresholds
+from genfrob.ideal import MarkovBasis
 
 K = 5
 # Kernels on 3 and 4 variables, and the index-6 sublattice of (13, 17, 29)
@@ -71,6 +73,42 @@ def raise_f2(monkeypatch):
     monkeypatch.setattr(Thresholds, "__init__", init)
 
 
+def lower_m2(monkeypatch):
+    """The walk's m_2 is one less than it works out."""
+    real = Thresholds.__init__
+
+    def init(self, basis, reached, offsets, s, f, m):
+        m = list(m)
+        if len(m) >= 2:
+            m[1] -= 1
+        real(self, basis, reached, offsets, s, f, m)
+
+    monkeypatch.setattr(Thresholds, "__init__", init)
+
+
+def rotate_last_atom_map(monkeypatch):
+    """The last atom's node map sends each node where the next one goes."""
+    real = Thresholds.atom_maps.func
+
+    def atom_maps(self):
+        *maps, (d, last) = real(self)
+        return (*maps, (d, last[1:] + last[:1]))
+
+    monkeypatch.setattr(Thresholds, "atom_maps", property(atom_maps))
+
+
+def drop_last_markov_element(monkeypatch):
+    """lattice_ideal leaves out the last element of the Markov basis."""
+    real = ideal.lattice_ideal
+
+    def lattice_ideal(basis, order=None):
+        markov = real(basis, order)
+        return MarkovBasis(basis, markov.elements[:-1])
+
+    for module in (ideal, modules, cli):
+        monkeypatch.setattr(module, "lattice_ideal", lattice_ideal)
+
+
 def run(capsys, argv):
     """(exit code, stdout), with an exception that escapes main, a
     traceback from the CLI, standing for the exit code."""
@@ -82,14 +120,16 @@ def run(capsys, argv):
 
 
 def printed(capsys, opts):
-    commands = [["sequence", "--k-max", str(K), "--format", "json"]]
+    commands = [["sequence", "--k-max", str(K), "--format", "json"],
+                ["ideal", "--format", "json"], ["ball", "-k", "3", "--format", "json"]]
     for k in map(str, range(1, K + 1)):
         commands += [["frobenius", "-k", k], ["module", "-k", k, "--format", "json"],
                      ["poset", "-k", k, "--format", "json"]]
     return [run(capsys, [*command, *opts]) for command in commands]
 
 
-@pytest.mark.parametrize("plant", [raise_top_node, drop_last_minimal_node, shift_torsion, raise_f2])
+@pytest.mark.parametrize("plant", [raise_top_node, drop_last_minimal_node, shift_torsion, raise_f2,
+                                   lower_m2, rotate_last_atom_map, drop_last_markov_element])
 def test_verify_catches_each_fault_that_changes_output(plant, monkeypatch, capsys, tmp_path):
     cases = []
     for i, (weights, rows) in enumerate(BASES):
