@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import nullcontext
 from itertools import chain
 from types import SimpleNamespace
 
@@ -94,24 +95,28 @@ def _make_basis(args) -> LatticeBasis:
     return kernel_basis(weight)
 
 
+# A write larger than stdout's buffer can come back short, with no error,
+# when the reader closes the pipe partway (CPython's BufferedWriter), and
+# TextIOWrapper drops the count; pieces of this many characters do not.
+_PIECE = 4096
+
+
 def _emit(args, out) -> None:
-    """Write out, a str or an iterator of str chunks, to stdout or -o."""
+    """Write out, a str or an iterator of str chunks, to stdout or -o, in pieces."""
     chunks = (out,) if isinstance(out, str) else out
-    if args.output is None:
-        try:
-            sys.stdout.writelines(chunks)
-            sys.stdout.flush()
-        except OSError as exc:
-            # The recipe of the signal module's SIGPIPE note: fd 1 goes to
-            # devnull, so the flush at exit has nowhere to fail.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            raise InputError(f"cannot write output: {exc}") from exc
-        return
+    pieces = (c[i : i + _PIECE] for c in chunks for i in range(0, len(c), _PIECE))
+    to_file = args.output is not None
     try:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
+        with open(args.output, "w", encoding="utf-8") if to_file else nullcontext(sys.stdout) as fh:
+            fh.writelines(pieces)
+            fh.flush()
     except OSError as exc:
-        raise InputError(f"cannot write output file {args.output}: {exc}") from exc
+        if to_file:
+            raise InputError(f"cannot write output file {args.output}: {exc}") from exc
+        # The recipe of the signal module's SIGPIPE note: fd 1 goes to
+        # devnull, so the flush at exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise InputError(f"cannot write output: {exc}") from exc
 
 
 # Payloads are trees built here, so the encoder need not look for cycles.

@@ -6,7 +6,9 @@ no imports from the package: expected values frozen in the tests were
 produced by these functions. The exceptions are
 ``lattice_ideal_by_groebner``, which takes the package's ``TermOrder``
 (the order's key) and runs Buchberger without the chain criterion on
-its own plain reduction, S-pairs and interreduction;
+its own plain reduction, S-pairs and interreduction, and
+``saturated_by_cheapest``, which divides that run's basis by the
+order's cheapest variable;
 ``candidate_lcms_exhaustive``, which takes a ``genfrob`` ball and
 weight and uses the package's ``dot`` and ``InputError``;
 ``lcm_generator_classes_all_candidates``, the lcm construction over
@@ -269,6 +271,19 @@ def groebner_without_chain_criterion(pairs, order):
         if nf is not None:
             add(nf)
     return interreduce(G, order)
+
+
+def saturated_by_cheapest(pairs, order):
+    """Reduced Groebner basis of the pairs' ideal saturated by the order's
+    cheapest variable: the plain basis with that variable's common power
+    divided out of each element (Sturmfels, *Groebner Bases and Convex
+    Polytopes*, Lemma 12.1), interreduced."""
+    i = order.perm[-1]
+    out = []
+    for h, t in groebner_without_chain_criterion(pairs, order):
+        c = min(h[i], t[i])
+        out.append((h[:i] + (h[i] - c,) + h[i + 1 :], t[:i] + (t[i] - c,) + t[i + 1 :]))
+    return interreduce(out, order)
 
 
 def lattice_ideal_by_groebner(basis, order=None):

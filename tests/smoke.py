@@ -26,11 +26,16 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Sublattices of (13, 17, 29): index 6, so the counting table gathers each
 # block through the torsion permutation; index 10000, over the table
-# budget; index 5000.
+# budget; index 5000. An index-27 sublattice of (20, 25, 30, 32, 33, 38)
+# whose Markov basis takes two saturation passes before the last run.
 BASES = {
     "index6.basis": "-17 13 0\n-696 522 6\n",
     "index10000.basis": "-1700 1300 0\n-11600 8700 100\n",
     "index5000.basis": "-17 13 0\n-580000 435000 5000\n",
+    "index27.basis": (
+        "-15 12 0 0 0 0\n18 -18 3 0 0 0\n32 -32 0 5 0 0\n"
+        "429 -429 0 66 1 0\n1482 -1482 0 228 0 3\n"
+    ),
 }
 
 
@@ -155,14 +160,18 @@ ROWS = [
         err_last="genfrob frobenius: error: argument -k: invalid int value: '1_0'"),
     # Markov bases: the unit tests count elements only, so a slower Groebner
     # kernel would pass them; the 12- and 15-variable bytes pin the kernel
-    # and the packed strip, the index-6 bytes the saturation passes, and
-    # degrees near 10^10 the field width.
+    # and the last run's strip of every variable, the index-6 and index-27
+    # bytes the saturation passes (one, and two), and degrees near 10^10
+    # the field width.
     Row(f"python -m genfrob ideal -a {PRIMES_12} --format json", 20, json=generators(26),
         sha256="e5fdd557eb5b2239c3694204b872347b31f9a03af1d0aa80672791d76751c03a"),
     Row(f"genfrob ideal -a {PRIMES_12},59,61,67 --format json", 20, json=generators(29),
         sha256="8cb470b12b1c2408a05565afe5ce94bc512662999497eeeed49dd1a28ba3ed25"),
     Row("genfrob ideal -a 13,17,29 --basis {tmp}/index6.basis --format json", 20,
         sha256="ff7ae6e69c4004ef8b21cbc1fe3ef85604aad7b84a2f02e71ef7194110d834ff"),
+    Row("genfrob ideal -a 20,25,30,32,33,38 --basis {tmp}/index27.basis --format json", 20,
+        json=generators(19),
+        sha256="ffc759ffa36e7622ce49ad81197a9af55de1eb05cebe688c359f714db0d8c00a"),
     Row("genfrob ideal -a 100003,100019", 20, stdout="x1^100019 - x2^100003\n"),
     # Ladder inputs near 10^6, the walk budget at K = 1, a long sequence
     # and a module on an index-5000 sublattice.

@@ -439,6 +439,22 @@ def test_a_closed_stdout_pipe_exits_2_without_a_traceback():
     assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
 
 
+@pytest.mark.parametrize("k", ["30", "300"])
+def test_a_pipe_closed_during_one_large_output_exits_2(k):
+    # The ball's JSON is one string of 80 KB (k = 30) or 8 MB (k = 300);
+    # written whole, a pipe closed partway cut it short and exited 0.
+    child = subprocess.Popen(
+        [sys.executable, "-m", "genfrob", "ball", "-a", "3,5,8", "-k", k, "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert child.stdout.readline() == b"{\n"
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=20) == 2
+    assert err == "error: cannot write output: [Errno 32] Broken pipe\n"
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
 def test_a_full_stdout_exits_2_without_a_traceback():
     with open("/dev/full", "w") as full:

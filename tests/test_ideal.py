@@ -28,6 +28,7 @@ from .oracles import (
     lattice_ideal_by_groebner,
     normal_form,
     representations,
+    saturated_by_cheapest,
     spair,
 )
 
@@ -273,8 +274,10 @@ def test_lattice_ideal_matches_groebner_oracle_on_index_six_sublattice_permuted_
 
 
 # Kernels whose Groebner runs pass the starting field width partway
-# through, so the packed monomials are widened before an S-pair is formed.
-WIDENING = ((3, 20, 25, 30), (2, 3, 7, 8, 12), (19, 20, 31, 35), (10, 16, 19, 21, 34))
+# through, so the packed monomials are widened before an S-pair is formed:
+# in a saturation pass of (12,28,35,38), (3,16,23,31,36) and
+# (11,20,24,25,26), in the only run of (4,7,10,22,26).
+WIDENING = ((12, 28, 35, 38), (3, 16, 23, 31, 36), (4, 7, 10, 22, 26), (11, 20, 24, 25, 26))
 
 
 def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
@@ -285,10 +288,10 @@ def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
         widths.append(width)
         return original_packing(order, width)
 
-    def run(pairs, order):
+    def run(pairs, order, strip=0):
         widths.clear()
-        out = original_run(pairs, order)
-        runs.append((pairs, order, list(widths)))
+        out = original_run(pairs, order, strip)
+        runs.append((pairs, order, strip, list(widths)))
         return out
 
     monkeypatch.setattr(ideal, "_packing", packing)
@@ -298,9 +301,13 @@ def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
         B = kernel_basis(WeightVector(a))
         got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
         assert got == lattice_ideal_by_groebner(B), a
-        widened = [(pairs, order) for pairs, order, w in runs if len(w) > 1]
+        widened = [(pairs, order, strip) for pairs, order, strip, w in runs if len(w) > 1]
         assert widened, a
-        for pairs, order in widened:
+        for pairs, order, strip in widened:
+            # every run of lattice_ideal strips the order's cheapest variable
+            assert strip >> order.perm[-1] & 1, a
+            got = _tuples(original_run(pairs, order, strip))
+            assert got == saturated_by_cheapest(pairs, order), a
             got = _tuples(original_run(pairs, order))
             assert got == groebner_without_chain_criterion(pairs, order), a
     # Inputs of degree at most 30 start with fields up to 63; the reduced
@@ -314,7 +321,7 @@ def test_runs_that_widen_their_fields_match_the_groebner_oracles(monkeypatch):
     ]
     runs.clear()
     got = _tuples(run(pairs, order))
-    assert len(runs[0][2]) > 1
+    assert len(runs[0][3]) > 1
     assert got == groebner_without_chain_criterion(pairs, order)
 
 
@@ -399,13 +406,41 @@ def test_unit_closure_short_until_a_saturation_pass(monkeypatch):
     runs = []
     original = ideal._buchberger_pairs
 
-    def counted(pairs, order):
+    def counted(pairs, order, strip=0):
         runs.append(order.perm)
-        return original(pairs, order)
+        return original(pairs, order, strip)
 
     monkeypatch.setattr(ideal, "_buchberger_pairs", counted)
     got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
     assert len(runs) == 2 and runs[-1] == (0, 1, 2)
+    assert got == lattice_ideal_by_groebner(B)
+
+
+def test_two_saturation_passes_keep_the_first_saturation(monkeypatch):
+    # An index-27 sublattice of (20,25,30,32,33,38) whose unit closure
+    # asks for passes for x0 and then x1 before the last run: the pass for
+    # x1 strips only x1, so its output must still be saturated by x0.
+    B = LatticeBasis(
+        WeightVector((20, 25, 30, 32, 33, 38)),
+        (
+            (-15, 12, 0, 0, 0, 0),
+            (18, -18, 3, 0, 0, 0),
+            (32, -32, 0, 5, 0, 0),
+            (429, -429, 0, 66, 1, 0),
+            (1482, -1482, 0, 228, 0, 3),
+        ),
+    )
+    assert B.index == 27
+    runs = []
+    original = ideal._buchberger_pairs
+
+    def counted(pairs, order, strip=0):
+        runs.append((order.perm[-1], strip))
+        return original(pairs, order, strip)
+
+    monkeypatch.setattr(ideal, "_buchberger_pairs", counted)
+    got = [(b.head, b.tail) for b in lattice_ideal(B).elements]
+    assert runs == [(0, 0b1), (1, 0b10), (5, 0b111111)]
     assert got == lattice_ideal_by_groebner(B)
 
 

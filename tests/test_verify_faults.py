@@ -10,6 +10,10 @@ changes it, compared with an unfaulted run, ``verify --k-max K`` must
 exit 3 with a MISMATCH line, or exit 5 on an internal check. A fault
 that changes nothing printed is not a miss, but each fault must change
 printed output on some basis, or the case shows nothing.
+
+A fault planted in an oracle that ``verify`` alone runs changes nothing
+printed; ``verify`` must then exit 0 or report a MISMATCH, and report
+one on some basis.
 """
 import pytest
 
@@ -109,6 +113,38 @@ def drop_last_markov_element(monkeypatch):
         monkeypatch.setattr(module, "lattice_ideal", lattice_ideal)
 
 
+def _strip_nothing(monkeypatch, last):
+    """lattice_ideal's last run (or, with last False, its saturation
+    passes) strips no common factor from the elements it adds."""
+    real = ideal._buchberger_pairs
+
+    def run(pairs, order, strip=0):
+        if (strip == (1 << len(order.perm)) - 1) == last:
+            strip = 0
+        return real(pairs, order, strip)
+
+    monkeypatch.setattr(ideal, "_buchberger_pairs", run)
+
+
+def strip_nothing_in_the_last_run(monkeypatch):
+    _strip_nothing(monkeypatch, True)
+
+
+def strip_nothing_in_saturation_passes(monkeypatch):
+    _strip_nothing(monkeypatch, False)
+
+
+def lower_lcm_cap(monkeypatch):
+    """The lcm oracle's degree cap, m_k + max(F_1, 0), is one less."""
+    real = modules.kth_degrees
+
+    def kth_degrees(basis, k):
+        f, m = real(basis, k)
+        return f, (*m[:-1], m[-1] - 1)
+
+    monkeypatch.setattr(modules, "kth_degrees", kth_degrees)
+
+
 def run(capsys, argv):
     """(exit code, stdout), with an exception that escapes main, a
     traceback from the CLI, standing for the exit code."""
@@ -128,9 +164,8 @@ def printed(capsys, opts):
     return [run(capsys, [*command, *opts]) for command in commands]
 
 
-@pytest.mark.parametrize("plant", [raise_top_node, drop_last_minimal_node, shift_torsion, raise_f2,
-                                   lower_m2, rotate_last_atom_map, drop_last_markov_element])
-def test_verify_catches_each_fault_that_changes_output(plant, monkeypatch, capsys, tmp_path):
+def clean_cases(capsys, tmp_path):
+    """(options, unfaulted printed output) of each basis, whose verify exits 0."""
     cases = []
     for i, (weights, rows) in enumerate(BASES):
         opts = ["-a", weights]
@@ -140,6 +175,14 @@ def test_verify_catches_each_fault_that_changes_output(plant, monkeypatch, capsy
             opts += ["--basis", str(path)]
         assert run(capsys, ["verify", "--k-max", str(K), *opts])[0] == 0
         cases.append((opts, printed(capsys, opts)))
+    return cases
+
+
+@pytest.mark.parametrize("plant", [raise_top_node, drop_last_minimal_node, shift_torsion, raise_f2,
+                                   lower_m2, rotate_last_atom_map, drop_last_markov_element,
+                                   strip_nothing_in_the_last_run, strip_nothing_in_saturation_passes])
+def test_verify_catches_each_fault_that_changes_output(plant, monkeypatch, capsys, tmp_path):
+    cases = clean_cases(capsys, tmp_path)
     plant(monkeypatch)
     changed = 0
     for opts, clean in cases:
@@ -149,6 +192,19 @@ def test_verify_catches_each_fault_that_changes_output(plant, monkeypatch, capsy
         code, out = run(capsys, ["verify", "--k-max", str(K), *opts])
         assert code == 5 or (code == 3 and "MISMATCH" in out), (opts, code, out)
     assert changed
+
+
+@pytest.mark.parametrize("plant", [lower_lcm_cap])
+def test_verify_reports_each_oracle_fault(plant, monkeypatch, capsys, tmp_path):
+    cases = clean_cases(capsys, tmp_path)
+    plant(monkeypatch)
+    caught = 0
+    for opts, clean in cases:
+        assert printed(capsys, opts) == clean, opts
+        code, out = run(capsys, ["verify", "--k-max", str(K), *opts])
+        assert code == 0 or (code == 3 and "MISMATCH" in out), (opts, code, out)
+        caught += code == 3
+    assert caught
 
 
 @pytest.mark.parametrize("k", ["1", "2", "3"])

@@ -389,9 +389,9 @@ def test_markov_bases_never_take_more_groebner_runs_than_variables(work):
 
 
 def test_interreduce_makes_one_tail_normal_form_per_element_kept(monkeypatch):
-    # Every caller passes a Groebner basis, so after head minimalisation
-    # each tail has one normal form and a single pass reaches it; a
-    # repeated pass would make 145 and 376 here.
+    # Every caller passes a Groebner basis with minimal heads, so each
+    # tail has one normal form and a single pass reaches it; a pass
+    # repeated until nothing changes would make 104 and 150 here.
     depth, counts = [0], {"tails": 0, "kept": 0}
     original_interreduce, original_reduced = ideal._interreduce, ideal._reduced
 
@@ -411,8 +411,8 @@ def test_interreduce_makes_one_tail_normal_form_per_element_kept(monkeypatch):
     monkeypatch.setattr(ideal, "_interreduce", interreduce)
     monkeypatch.setattr(ideal, "_reduced", reduced)
     for a, elements, tails in (
-        ((11, 13, 17, 19, 23, 29, 31), 21, 91),
-        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 26, 188),
+        ((11, 13, 17, 19, 23, 29, 31), 21, 52),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 26, 75),
     ):
         counts.update(tails=0, kept=0)
         assert len(lattice_ideal(kernel_basis(WeightVector(a))).elements) == elements
@@ -421,8 +421,9 @@ def test_interreduce_makes_one_tail_normal_form_per_element_kept(monkeypatch):
 
 def test_lattice_ideal_pair_schedule_is_pinned(monkeypatch):
     # The normal forms the Groebner runs take, of start pairs and
-    # S-pairs, and how many reduce to zero. The pair criteria alone
-    # decide both, so a change of how monomials are stored leaves them.
+    # S-pairs, and how many reduce to zero. The pair criteria and the
+    # in-run strip decide both, so a change of how monomials are stored
+    # leaves them.
     counts = {"forms": 0, "zero": 0}
     original = ideal._normal_form
 
@@ -434,9 +435,9 @@ def test_lattice_ideal_pair_schedule_is_pinned(monkeypatch):
 
     monkeypatch.setattr(ideal, "_normal_form", normal_form)
     for a, forms, zero in (
-        ((11, 13, 17, 19, 23, 29, 31), 299, 234),
-        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 901, 788),
-        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67), 1576, 1420),
+        ((11, 13, 17, 19, 23, 29, 31), 286, 222),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 730, 636),
+        ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67), 1427, 1283),
     ):
         counts.update(forms=0, zero=0)
         lattice_ideal(kernel_basis(WeightVector(a)))
@@ -445,9 +446,10 @@ def test_lattice_ideal_pair_schedule_is_pinned(monkeypatch):
 
 def test_lattice_ideal_builds_one_packing_per_run_and_widening(monkeypatch):
     # A Groebner run builds its packing once and again at each widening,
-    # and the last run hands its packing on to the strip and the Markov
-    # walk. The 7 primes make two runs, one of which widens once; the 12
-    # primes one run that widens once; (3,5,8) one run that never widens.
+    # and the last run hands its packing on to the Markov walk. The 7
+    # primes make two runs that never widen (before elements were
+    # stripped as they were added, the first widened once); the 12 primes
+    # one run that widens once; (3,5,8) one run that never widens.
     builds = [0]
     original = ideal._packing
 
@@ -457,7 +459,7 @@ def test_lattice_ideal_builds_one_packing_per_run_and_widening(monkeypatch):
 
     monkeypatch.setattr(ideal, "_packing", packing)
     for a, want in (
-        ((11, 13, 17, 19, 23, 29, 31), 3),
+        ((11, 13, 17, 19, 23, 29, 31), 2),
         ((11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), 2),
         ((3, 5, 8), 1),
     ):
